@@ -394,7 +394,7 @@ def cmd_pushforward(args, outdir: Path):
 
     ok = (
         abs(quad - closed) < 1e-6 * max(1.0, abs(closed))
-        and abs(quad - mc) < 3 * mc_se
+        and abs(quad - mc) <= 3 * mc_se
         and max_dev == 0.0
     )
     report = {

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import CurvatureMatrix, FormValue, QQi
+from .forms import CurvatureMatrix, FormValue, QQi, _conj, _wedge_key
 
 
 class QuadratureError(RuntimeError):
@@ -182,14 +182,6 @@ def moment_regularized(m, s):
 # ---------------------------------------------------------------------------
 
 
-def _merge(a, b):
-    if set(a) & set(b):
-        return None, 0
-    merged = tuple(sorted(a + b))
-    inv = sum(1 for x in a for y in b if x > y)
-    return merged, -1 if inv % 2 else 1
-
-
 class FiberExpansion:
     """Element of the mixed ring: sum over keys
     (I, J, a, b, s) -> base FormValue, representing
@@ -225,16 +217,11 @@ class FiberExpansion:
         out = {}
         for (I1, J1, a1, b1, s1), v1 in self.terms.items():
             for (I2, J2, a2, b2, s2), v2 in other.terms.items():
-                I, si = _merge(I1, I2)
-                if si == 0:
+                IJ, sign = _wedge_key((I1, J1), (I2, J2))
+                if not sign:
                     continue
-                J, sj = _merge(J1, J2)
-                if sj == 0:
-                    continue
-                sign = si * sj * (-1 if (len(J1) * len(I2)) % 2 else 1)
                 key = (
-                    I,
-                    J,
+                    *IJ,
                     tuple(x + y for x, y in zip(a1, a2)),
                     tuple(x + y for x, y in zip(b1, b2)),
                     s1 + s2,
@@ -338,7 +325,7 @@ def unitary_invariance_probe(theta: CurvatureMatrix, U) -> float:
             [
                 sum(
                     (
-                        (U[i][a] * _conj_scalar(U[j][b])) * theta.entries[a][b]
+                        (U[i][a] * _conj(U[j][b])) * theta.entries[a][b]
                         for a in range(r)
                         for b in range(r)
                     ),
@@ -352,10 +339,6 @@ def unitary_invariance_probe(theta: CurvatureMatrix, U) -> float:
     s1 = symbolic_pushforward(theta)
     s2 = symbolic_pushforward(conj)
     return max((x - y).max_abs() for x, y in zip(s1, s2))
-
-
-def _conj_scalar(x):
-    return x.conjugate() if hasattr(x, "conjugate") else complex(x).conjugate()
 
 
 def householder_unitary(v):

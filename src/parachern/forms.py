@@ -1,9 +1,16 @@
 """Pointwise exterior algebra of (p,q)-forms and curvature invariants.
 
 Coefficients come in two modes: exact Gaussian rationals (:class:`QQi`) for
-identity checks, and complex floats for positivity sampling.  Exterior
+identity checks, and complex floats for positivity sampling.  Which mode a
+computation runs in is decided in one place, :func:`exact_mode`.  Exterior
 monomials are stored in the canonical order dz factors ascending, then dzbar
 factors ascending; all wedge signs are normalized to that order.
+
+A :class:`QQi` holds Gaussian-integer numerators a, b over one integer
+denominator d, as (a + b*i)/d with d > 0 and gcd(a, b, d) = 1.  Its
+arithmetic uses only int operations and one gcd per result, which is several
+times cheaper than a pair of Fractions; ``re`` and ``im`` read back as
+Fractions.
 
 The Chern normalization i/(2*pi) is applied inside :func:`chern_forms` only
 (float mode); raw curvature matrices carry no normalization.  In exact mode
@@ -13,123 +20,189 @@ coefficient stays in Q(i).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
+from math import gcd
 from typing import Sequence
 
 import numpy as np
 
 
 class QQi:
-    """Gaussian rational scalar: re + im*i with Fraction parts."""
+    """Gaussian rational scalar (a + b*i)/d.
 
-    __slots__ = ("re", "im")
+    The value is held as Gaussian-integer numerators ``a``, ``b`` over one
+    denominator ``d``, always in canonical form: ``d > 0`` and
+    ``gcd(a, b, d) == 1``.  Equal values therefore have equal fields, so
+    ``==`` compares the fields directly.  ``re`` and ``im`` are read back
+    as Fractions."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p * q // gcd(p, q)
+        # re and im are reduced, so gcd(a, b, d) == 1 already
+        self._a = re.numerator * (d // p)
+        self._b = im.numerator * (d // q)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        other = _try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return QQi(self.re + other.re, self.im + other.im)
+        if type(other) is QQi:
+            d, f = self._d, other._d
+            if d == f:
+                a, b = self._a + other._a, self._b + other._b
+            else:
+                a, b = self._a * f + other._a * d, self._b * f + other._b * d
+                d *= f
+            # _reduced inlined here and in __mul__: every wedge term runs
+            # through these two paths
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+            z = _new_qqi(QQi)
+            z._a, z._b, z._d = a, b, d
+            return z
+        if isinstance(other, int):
+            # gcd(a + k*d, b, d) == gcd(a, b, d) == 1
+            return _raw(self._a + int(other) * self._d, self._b, self._d)
+        if isinstance(other, Fraction):
+            return self + _raw(other.numerator, 0, other.denominator)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return QQi(self.re - other.re, self.im - other.im)
+        if isinstance(other, (QQi, int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = _try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        if type(other) is QQi:
+            c, e = other._a, other._b
+            a, b, d = a * c - b * e, a * e + b * c, d * other._d
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+            z = _new_qqi(QQi)
+            z._a, z._b, z._d = a, b, d
+            return z
+        if isinstance(other, int):
+            k = int(other)
+            if gcd(k, d) == 1:
+                # then gcd(k*a, k*b, d) == gcd(a, b, d) == 1
+                return _raw(k * a, k * b, d)
+            return _reduced(k * a, k * b, d)
+        if isinstance(other, Fraction):
+            return _reduced(a * other.numerator, b * other.numerator, d * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if isinstance(other, (int, Fraction)):
+            other = QQi(other)
+        elif not isinstance(other, QQi):
+            return NotImplemented
+        c, e, f = other._a, other._b, other._d
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError("division by zero QQi")
-        return QQi(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        a, b = self._a, self._b
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is QQi:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return self._b == 0 and self._a * other.denominator == other.numerator * self._d
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b == 0:
+            # a real value hashes like the int or Fraction it equals
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return float(self.re) + 1j * float(self.im)
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"QQi({self.re}, {self.im})"
 
 
+def _raw(a: int, b: int, d: int) -> QQi:
+    """QQi from fields already in canonical form; skips ``__init__``."""
+    z = _new_qqi(QQi)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> QQi:
+    """QQi (a + b*i)/d for d > 0, brought to canonical form."""
+    g = gcd(a, b, d)
+    return _raw(a // g, b // g, d // g)
+
+
+_new_qqi = object.__new__
 QQI_I = QQi(0, 1)
-
-
-def _try_coerce(x):
-    if isinstance(x, QQi):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QQi(x)
-    return None
-
-
-def _coerce(x):
-    out = _try_coerce(x)
-    if out is None:
-        raise TypeError(f"cannot coerce {type(x).__name__} to QQi")
-    return out
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (QQi, int, Fraction))
+_QQI_ZERO = QQi()
 
 
 def _conj(x):
     return x.conjugate() if hasattr(x, "conjugate") else complex(x).conjugate()
 
 
+@lru_cache(maxsize=1 << 14)
 def _merge_sign(a: tuple, b: tuple):
     """Merge two strictly increasing index tuples; return (merged, sign) or
-    (None, 0) when they overlap."""
+    (None, 0) when they overlap.  A pure function of its arguments, so it is
+    cached; the bound keeps the table at most 2^14 pairs."""
     if set(a) & set(b):
         return None, 0
     merged = tuple(sorted(a + b))
     inv = sum(1 for x in a for y in b if x > y)
     return merged, -1 if inv % 2 else 1
+
+
+@lru_cache(maxsize=1 << 15)
+def _wedge_key(k1: tuple, k2: tuple):
+    """Canonical key and sign of dz^I1 dzbar^J1 wedge dz^I2 dzbar^J2 for
+    k1 = (I1, J1) and k2 = (I2, J2); (None, 0) when the product vanishes.
+    Cached, with at most 2^15 key pairs: a wedge asks for the same pairs
+    over and over."""
+    (I1, J1), (I2, J2) = k1, k2
+    I, si = _merge_sign(I1, I2)
+    J, sj = _merge_sign(J1, J2)
+    # move dzbar^J1 (len |J1|) across dz^I2 (len |I2|)
+    sign = si * sj * (-1 if (len(J1) * len(I2)) % 2 else 1)
+    return ((I, J), sign) if sign else (None, 0)
 
 
 class FormValue:
@@ -143,10 +216,19 @@ class FormValue:
         self.coeffs = {}
         if coeffs:
             for (I, J), c in coeffs.items():
-                if _nonzero(c):
+                if c:
                     self.coeffs[(tuple(I), tuple(J))] = c
 
     # -- constructors --
+
+    @classmethod
+    def _of(cls, dim, coeffs):
+        """Form from canonical keys, dropping zero coefficients; skips the
+        key normalization of ``__init__`` for internal results."""
+        f = object.__new__(cls)
+        f.dim = dim
+        f.coeffs = {k: c for k, c in coeffs.items() if c}
+        return f
 
     @classmethod
     def zero(cls, dim):
@@ -172,7 +254,7 @@ class FormValue:
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out.get(key, _zero_like(c)) + c
-        return FormValue(self.dim, out)
+        return FormValue._of(self.dim, out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -181,7 +263,7 @@ class FormValue:
         return (-1) * self
 
     def __rmul__(self, scalar):
-        return FormValue(
+        return FormValue._of(
             self.dim, {k: scalar * c for k, c in self.coeffs.items()}
         )
 
@@ -193,20 +275,17 @@ class FormValue:
     def wedge(self, other: "FormValue") -> "FormValue":
         self._check(other)
         out = {}
-        for (I1, J1), c1 in self.coeffs.items():
-            for (I2, J2), c2 in other.coeffs.items():
-                I, si = _merge_sign(I1, I2)
-                if si == 0:
+        get = out.get
+        terms = other.coeffs.items()
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in terms:
+                key, sign = _wedge_key(k1, k2)
+                if not sign:
                     continue
-                J, sj = _merge_sign(J1, J2)
-                if sj == 0:
-                    continue
-                # move dzbar^J1 (len |J1|) across dz^I2 (len |I2|)
-                sign = si * sj * (-1 if (len(J1) * len(I2)) % 2 else 1)
-                key = (I, J)
-                term = sign * (c1 * c2)
-                out[key] = out.get(key, _zero_like(term)) + term
-        return FormValue(self.dim, out)
+                term = c1 * c2 if sign > 0 else -(c1 * c2)
+                prev = get(key)
+                out[key] = (_zero_like(term) if prev is None else prev) + term
+        return FormValue._of(self.dim, out)
 
     def conjugate(self) -> "FormValue":
         out = {}
@@ -286,14 +365,8 @@ class FormValue:
         return cls(dim, coeffs)
 
 
-def _nonzero(c):
-    if isinstance(c, QQi):
-        return bool(c)
-    return c != 0
-
-
 def _zero_like(c):
-    return QQi() if isinstance(c, QQi) else 0j
+    return _QQI_ZERO if isinstance(c, QQi) else 0j
 
 
 def volume_normalizer(dim: int):
@@ -388,9 +461,10 @@ class CurvatureMatrix:
     def conjugated(self, d: Sequence) -> "CurvatureMatrix":
         """diag(d) . Theta . diag(d)^-1, entrywise d_i * Theta_ij / d_j."""
         r = self.rank
+        exact = exact_mode(self, *d)
         return CurvatureMatrix(
             [
-                [(d[i] * (1 / d[j] if not _is_exact(d[j]) else QQi(1) / _coerce(d[j])))
+                [(d[i] * (QQi(1) / d[j] if exact else 1 / d[j]))
                  * self.entries[i][j] for j in range(r)]
                 for i in range(r)
             ]
@@ -430,6 +504,34 @@ class ChernData:
         return self.forms[k]
 
 
+def _scalars(item):
+    if isinstance(item, CurvatureMatrix):
+        for row in item.entries:
+            for f in row:
+                yield from f.coeffs.values()
+    elif isinstance(item, ChernData):
+        for f in item.forms:
+            yield from f.coeffs.values()
+    elif isinstance(item, FormValue):
+        yield from item.coeffs.values()
+    elif item is not None:
+        yield item
+
+
+def exact_mode(*items) -> bool:
+    """True when a computation on ``items`` runs over Q(i), False when it
+    runs over complex floats.  The first coefficient found decides, reading
+    the given curvature matrices, Chern data, forms and scalars in order.
+    Callers pass the structure first, so a scalar such as a normalization
+    decides only when the structure stores no coefficient (all zero).  Only
+    QQi is exact: an int coefficient, such as the default of
+    :meth:`FormValue.monomial`, means float mode."""
+    for item in items:
+        for x in _scalars(item):
+            return isinstance(x, QQi)
+    return False
+
+
 def default_normalization(exact: bool):
     return QQi(1) if exact else 1j / (2 * math.pi)
 
@@ -437,7 +539,7 @@ def default_normalization(exact: bool):
 def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
     """Elementary symmetric functions of the normalized curvature via
     Newton's identities on the power traces."""
-    exact = _matrix_is_exact(theta)
+    exact = exact_mode(theta, normalization)
     if normalization is None:
         normalization = default_normalization(exact)
     r, n = theta.rank, theta.dim
@@ -466,7 +568,7 @@ def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
 def chern_forms_minors(theta: CurvatureMatrix, normalization=None) -> ChernData:
     """Independent oracle: c_k as the sum of principal k x k minors of the
     normalized curvature, each expanded over permutations."""
-    exact = _matrix_is_exact(theta)
+    exact = exact_mode(theta, normalization)
     if normalization is None:
         normalization = default_normalization(exact)
     r, n = theta.rank, theta.dim
@@ -493,14 +595,6 @@ def _perm_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
-
-
-def _matrix_is_exact(theta: CurvatureMatrix) -> bool:
-    for row in theta.entries:
-        for f in row:
-            for c in f.coeffs.values():
-                return isinstance(c, QQi)
-    return False
 
 
 def segre_forms(c: ChernData, max_degree: int) -> list[FormValue]:
@@ -537,11 +631,11 @@ def schur_form(lam: Sequence[int], c: ChernData) -> FormValue:
             return FormValue.zero(n)
         return h[k]
 
+    one = QQi(1) if exact_mode(c) else 1.0
     acc = FormValue.zero(n)
     for perm in permutations(range(ell)):
         sign = _perm_sign(perm)
-        term = FormValue.scalar(n, QQi(1) if isinstance(
-            next(iter(c[0].coeffs.values())), QQi) else 1.0)
+        term = FormValue.scalar(n, one)
         for i in range(ell):
             term = term.wedge(h_at(lam[i] - (i + 1) + (perm[i] + 1)))
         acc = acc + sign * term
@@ -553,8 +647,7 @@ def kobayashi_lubke_rhs(c: ChernData, r: int) -> FormValue:
     if c.dim != 2:
         raise ValueError("defined for base dimension 2 only")
     c1, c2 = c[1], c[2]
-    exact = isinstance(next(iter(c[0].coeffs.values())), QQi)
-    inv = QQi(Fraction(1, 2 * r)) if exact else 1.0 / (2 * r)
+    inv = QQi(Fraction(1, 2 * r)) if exact_mode(c) else 1.0 / (2 * r)
     return inv * ((2 * r) * c2 - (r - 1) * c1.wedge(c1))
 
 
@@ -737,10 +830,3 @@ def ddc_polynomial(coeffs: dict, dim: int, point) -> FormValue:
                 key = ((p,), (q,))
                 out[key] = out.get(key, 0j) + mono
     return (1j / (2 * math.pi)) * FormValue(dim, out)
-
-
-def form_field_to_json(fields: dict) -> str:
-    """Serialize a mapping label -> FormValue."""
-    return json.dumps(
-        {k: v.to_json_list() for k, v in fields.items()}, sort_keys=True
-    )

@@ -181,8 +181,8 @@ def my_filtration(model: ParabolicModel) -> FilterFunction:
 def par_degree(model: ParabolicModel) -> Fraction:
     """Parabolic degree: underlying degree plus the sum of all weights.
 
-    Computed twice, by the direct sum and by integrating the step filtration,
-    and the two values are asserted equal.
+    Computed twice, by the direct sum and by integrating the step filtration;
+    raises ArithmeticError when the two values differ.
     """
     sum_form = Fraction(model.degree) + sum(
         (w for ws in model.points.values() for w in ws), Fraction(0)
@@ -191,9 +191,10 @@ def par_degree(model: ParabolicModel) -> Fraction:
     integral_form = (
         model.rank * model.num_points + filt.integral_degree()
     )
-    assert sum_form == integral_form, (
-        f"sum form {sum_form} != integral form {integral_form}"
-    )
+    if sum_form != integral_form:
+        raise ArithmeticError(
+            f"sum form {sum_form} != integral form {integral_form}"
+        )
     return sum_form
 
 

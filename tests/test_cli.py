@@ -114,6 +114,16 @@ class TestPushforward:
         assert abs(rep["quadrature"]["value"] - 0.5) < 1e-6
         assert rep["maxCoeffDeviation"] == 0.0
 
+    def test_single_coefficient_passes(self, tmp_path):
+        """With one coefficient every value is exact and the Monte Carlo
+        standard error is 0; the comparison must still pass."""
+        cfg = tmp_path / "pf.json"
+        cfg.write_text(json.dumps({"c": [1]}))
+        assert run(tmp_path, "pushforward", "--input", str(cfg)) == 0
+        rep = read_report(tmp_path, "pushforward")
+        assert rep["quadrature"]["value"] == rep["monteCarlo"]["estimate"] == 1.0
+        assert rep["monteCarlo"]["stderr"] == 0.0 and rep["pass"]
+
     def test_nonpositive_c_rejected(self, tmp_path):
         cfg = tmp_path / "pf.json"
         cfg.write_text(json.dumps({"c": [1.0, -2.0]}))

@@ -2,10 +2,12 @@
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parachern.forms import (
     ChernData,
@@ -26,6 +28,7 @@ from parachern.forms import (
     segre_forms,
     volume_ratio,
     weak_positivity_test,
+    _merge_sign,
 )
 
 
@@ -142,6 +145,95 @@ def test_qqi_field_arithmetic():
 def test_qqi_mixes_with_ints_and_fractions():
     assert 3 * QQi(1, 1) == QQi(3, 3)
     assert QQi(1) + Fraction(1, 2) == QQi(Fraction(3, 2))
+
+
+# reference model: a Gaussian rational as a (re, im) pair of Fractions
+
+fractions_ = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)
+)
+qqis = st.builds(QQi, fractions_, fractions_)
+real_operands = st.one_of(st.integers(-10**6, 10**6), fractions_)
+
+
+def ref(x):
+    if isinstance(x, QQi):
+        return (x.re, x.im)
+    return (Fraction(x), Fraction(0))
+
+
+def ref_mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def ref_div(p, q):
+    n = q[0] * q[0] + q[1] * q[1]
+    return ((p[0] * q[0] + p[1] * q[1]) / n, (p[1] * q[0] - p[0] * q[1]) / n)
+
+
+def assert_matches(z, pair):
+    """z equals the reference pair and is stored in canonical form."""
+    assert type(z) is QQi
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == pair
+    assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
+    assert z == QQi(*pair) and hash(z) == hash(QQi(*pair))
+
+
+@settings(max_examples=300, deadline=None)
+@given(qqis, st.one_of(qqis, real_operands))
+def test_qqi_matches_fraction_pair_reference(x, y):
+    px, py = ref(x), ref(y)
+    assert_matches(x + y, (px[0] + py[0], px[1] + py[1]))
+    assert_matches(y + x, (px[0] + py[0], px[1] + py[1]))
+    assert_matches(x - y, (px[0] - py[0], px[1] - py[1]))
+    assert_matches(y - x, (py[0] - px[0], py[1] - px[1]))
+    assert_matches(x * y, ref_mul(px, py))
+    assert_matches(y * x, ref_mul(px, py))
+    assert_matches(-x, (-px[0], -px[1]))
+    assert_matches(x.conjugate(), (px[0], -px[1]))
+    if py != (0, 0):
+        assert_matches(x / y, ref_div(px, py))
+    if px != (0, 0):
+        assert_matches(QQi(*py) / x, ref_div(py, px))
+    assert (x == y) == (px == py)
+    assert bool(x) == (px != (0, 0))
+    assert complex(x) == complex(float(px[0]), float(px[1]))
+
+
+@given(qqis)
+def test_qqi_round_trips_through_its_parts(x):
+    assert_matches(QQi(x.re, x.im), (x.re, x.im))
+    assert repr(x) == f"QQi({x.re}, {x.im})"
+
+
+def test_qqi_constructor_accepts_int_fraction_str_and_float():
+    assert_matches(QQi("1/3", 0.5), (Fraction(1, 3), Fraction(1, 2)))
+    assert_matches(QQi(Fraction(6, 4), -2), (Fraction(3, 2), Fraction(-2)))
+    assert_matches(QQi(Fraction(1, 6), Fraction(1, 4)), (Fraction(1, 6), Fraction(1, 4)))
+    assert_matches(QQi(), (Fraction(0), Fraction(0)))
+    assert repr(QQi(Fraction(1, 2), -3)) == "QQi(1/2, -3)"
+    assert QQi(Fraction(1, 2)) == Fraction(1, 2) and QQi(2) == 2
+    assert QQi(2, 1) != 2 and QQi(1, 0) != Fraction(1, 2)
+    assert hash(QQi(Fraction(1, 2))) == hash(Fraction(1, 2)) and hash(QQi(2)) == hash(2)
+    with pytest.raises(ZeroDivisionError):
+        QQi(1, 1) / 0
+    with pytest.raises(TypeError):
+        QQi(1) + 0.5
+
+
+def test_cached_merge_sign_matches_inversion_count():
+    subsets = [S for k in range(6) for S in combinations(range(5), k)]
+    for a in subsets:
+        for b in subsets:
+            word = a + b
+            inv = sum(1 for i in range(len(word)) for j in range(i + 1, len(word))
+                      if word[i] > word[j])
+            want = (None, 0) if set(a) & set(b) else (
+                tuple(sorted(word)), -1 if inv % 2 else 1)
+            assert _merge_sign(a, b) == want
+            assert _merge_sign(a, b) == want  # served from the cache
+    assert _merge_sign.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +356,18 @@ def test_chern_of_zero_curvature():
     assert volume_ratio(c[0].wedge(c[0])) == 0  # sanity on zero handling
     assert c[1].is_zero() and c[2].is_zero() and c[3].is_zero()
     assert complex(c[0].coefficient((), ())) == 1
+
+
+def test_zero_exact_matrix_runs_in_exact_mode():
+    """A curvature matrix with no stored coefficient takes its mode from the
+    normalization: QQi(1) means exact mode."""
+    n = 2
+    theta = CurvatureMatrix.scalar_times_identity(FormValue.zero(n), 3)
+    for c in (chern_forms(theta, normalization=QQi(1)),
+              chern_forms_minors(theta, normalization=QQi(1))):
+        assert c[0] == FormValue.scalar(n, QQi(1))
+        assert type(c[0].coefficient((), ())) is QQi
+        assert all(c[k].is_zero() for k in range(1, 4))
 
 
 @pytest.mark.parametrize("seed", range(4))

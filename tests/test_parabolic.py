@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parachern import parabolic
 from parachern.parabolic import (
     FilterFunction,
     InvalidModelError,
@@ -114,6 +119,39 @@ def test_filtration_integral_matches_sum_form():
     f = my_filtration(m)
     assert {j.t for j in f.jumps} == {F(1, 3), F(2, 3)}
     assert m.rank * m.num_points + f.integral_degree() == par_degree(m)
+
+
+def test_par_degree_rejects_disagreeing_forms(monkeypatch):
+    m = ParabolicModel(rank=2, degree=1, points={"p": (F(1, 2), F(1, 2))})
+    monkeypatch.setattr(FilterFunction, "integral_degree", lambda self: F(99))
+    with pytest.raises(ArithmeticError, match="integral form"):
+        par_degree(m)
+
+
+PAR_DEGREE_CHECK_SCRIPT = """
+import sys
+from fractions import Fraction as F
+from parachern.parabolic import FilterFunction, ParabolicModel, par_degree
+if not sys.flags.optimize:
+    sys.exit(2)
+FilterFunction.integral_degree = lambda self: F(99)
+try:
+    par_degree(ParabolicModel(rank=2, degree=1, points={"p": (F(1, 2), F(1, 2))}))
+except ArithmeticError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_par_degree_check_survives_optimize_flag():
+    """The sum/integral comparison is a runtime check, not an assert, so
+    ``python -O`` keeps it."""
+    src = Path(parabolic.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", PAR_DEGREE_CHECK_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_filtration_period_shift():
