@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import CurvatureMatrix, FormValue, QQi, _conj, _wedge_key
+from .forms import CurvatureMatrix, FormValue, QQi, _conj, _merge_sign
 
 
 class QuadratureError(RuntimeError):
@@ -217,11 +217,16 @@ class FiberExpansion:
         out = {}
         for (I1, J1, a1, b1, s1), v1 in self.terms.items():
             for (I2, J2, a2, b2, s2), v2 in other.terms.items():
-                IJ, sign = _wedge_key((I1, J1), (I2, J2))
-                if not sign:
+                I, si = _merge_sign(I1, I2)
+                if si == 0:
                     continue
+                J, sj = _merge_sign(J1, J2)
+                if sj == 0:
+                    continue
+                sign = si * sj * (-1 if (len(J1) * len(I2)) % 2 else 1)
                 key = (
-                    *IJ,
+                    I,
+                    J,
                     tuple(x + y for x, y in zip(a1, a2)),
                     tuple(x + y for x, y in zip(b1, b2)),
                     s1 + s2,

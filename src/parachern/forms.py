@@ -63,18 +63,8 @@ class QQi:
         if type(other) is QQi:
             d, f = self._d, other._d
             if d == f:
-                a, b = self._a + other._a, self._b + other._b
-            else:
-                a, b = self._a * f + other._a * d, self._b * f + other._b * d
-                d *= f
-            # _reduced inlined here and in __mul__: every wedge term runs
-            # through these two paths
-            g = gcd(a, b, d)
-            if g != 1:
-                a, b, d = a // g, b // g, d // g
-            z = _new_qqi(QQi)
-            z._a, z._b, z._d = a, b, d
-            return z
+                return _reduced(self._a + other._a, self._b + other._b, d)
+            return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
         if isinstance(other, int):
             # gcd(a + k*d, b, d) == gcd(a, b, d) == 1
             return _raw(self._a + int(other) * self._d, self._b, self._d)
@@ -96,13 +86,7 @@ class QQi:
         a, b, d = self._a, self._b, self._d
         if type(other) is QQi:
             c, e = other._a, other._b
-            a, b, d = a * c - b * e, a * e + b * c, d * other._d
-            g = gcd(a, b, d)
-            if g != 1:
-                a, b, d = a // g, b // g, d // g
-            z = _new_qqi(QQi)
-            z._a, z._b, z._d = a, b, d
-            return z
+            return _reduced(a * c - b * e, a * e + b * c, d * other._d)
         if isinstance(other, int):
             k = int(other)
             if gcd(k, d) == 1:
@@ -191,20 +175,6 @@ def _merge_sign(a: tuple, b: tuple):
     return merged, -1 if inv % 2 else 1
 
 
-@lru_cache(maxsize=1 << 15)
-def _wedge_key(k1: tuple, k2: tuple):
-    """Canonical key and sign of dz^I1 dzbar^J1 wedge dz^I2 dzbar^J2 for
-    k1 = (I1, J1) and k2 = (I2, J2); (None, 0) when the product vanishes.
-    Cached, with at most 2^15 key pairs: a wedge asks for the same pairs
-    over and over."""
-    (I1, J1), (I2, J2) = k1, k2
-    I, si = _merge_sign(I1, I2)
-    J, sj = _merge_sign(J1, J2)
-    # move dzbar^J1 (len |J1|) across dz^I2 (len |I2|)
-    sign = si * sj * (-1 if (len(J1) * len(I2)) % 2 else 1)
-    return ((I, J), sign) if sign else (None, 0)
-
-
 class FormValue:
     """Element of the exterior algebra at a point:
     sum over (I, J) of f_IJ dz^I wedge dzbar^J."""
@@ -220,15 +190,6 @@ class FormValue:
                     self.coeffs[(tuple(I), tuple(J))] = c
 
     # -- constructors --
-
-    @classmethod
-    def _of(cls, dim, coeffs):
-        """Form from canonical keys, dropping zero coefficients; skips the
-        key normalization of ``__init__`` for internal results."""
-        f = object.__new__(cls)
-        f.dim = dim
-        f.coeffs = {k: c for k, c in coeffs.items() if c}
-        return f
 
     @classmethod
     def zero(cls, dim):
@@ -254,7 +215,7 @@ class FormValue:
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out.get(key, _zero_like(c)) + c
-        return FormValue._of(self.dim, out)
+        return FormValue(self.dim, out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -263,7 +224,7 @@ class FormValue:
         return (-1) * self
 
     def __rmul__(self, scalar):
-        return FormValue._of(
+        return FormValue(
             self.dim, {k: scalar * c for k, c in self.coeffs.items()}
         )
 
@@ -275,17 +236,20 @@ class FormValue:
     def wedge(self, other: "FormValue") -> "FormValue":
         self._check(other)
         out = {}
-        get = out.get
-        terms = other.coeffs.items()
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in terms:
-                key, sign = _wedge_key(k1, k2)
-                if not sign:
+        for (I1, J1), c1 in self.coeffs.items():
+            for (I2, J2), c2 in other.coeffs.items():
+                I, si = _merge_sign(I1, I2)
+                if si == 0:
                     continue
-                term = c1 * c2 if sign > 0 else -(c1 * c2)
-                prev = get(key)
-                out[key] = (_zero_like(term) if prev is None else prev) + term
-        return FormValue._of(self.dim, out)
+                J, sj = _merge_sign(J1, J2)
+                if sj == 0:
+                    continue
+                # move dzbar^J1 (len |J1|) across dz^I2 (len |I2|)
+                sign = si * sj * (-1 if (len(J1) * len(I2)) % 2 else 1)
+                key = (I, J)
+                term = sign * (c1 * c2)
+                out[key] = out.get(key, _zero_like(term)) + term
+        return FormValue(self.dim, out)
 
     def conjugate(self) -> "FormValue":
         out = {}
@@ -512,8 +476,6 @@ def _scalars(item):
     elif isinstance(item, ChernData):
         for f in item.forms:
             yield from f.coeffs.values()
-    elif isinstance(item, FormValue):
-        yield from item.coeffs.values()
     elif item is not None:
         yield item
 
@@ -521,7 +483,7 @@ def _scalars(item):
 def exact_mode(*items) -> bool:
     """True when a computation on ``items`` runs over Q(i), False when it
     runs over complex floats.  The first coefficient found decides, reading
-    the given curvature matrices, Chern data, forms and scalars in order.
+    the given curvature matrices, Chern data and scalars in order.
     Callers pass the structure first, so a scalar such as a normalization
     decides only when the structure stores no coefficient (all zero).  Only
     QQi is exact: an int coefficient, such as the default of
