@@ -21,6 +21,7 @@ coefficient stays in Q(i).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -295,7 +296,9 @@ class FormValue:
     def __eq__(self, other):
         if not isinstance(other, FormValue) or other.dim != self.dim:
             return NotImplemented
-        return (self - other).is_zero()
+        # zero coefficients are never stored, so equal forms store equal
+        # keys; mixed exact and float coefficients compare as scalars do
+        return self.coeffs == other.coeffs
 
     def __repr__(self):
         terms = ", ".join(f"{I}|{J}: {c}" for (I, J), c in sorted(self.coeffs.items()))
@@ -433,6 +436,33 @@ class CurvatureMatrix:
                 for i in range(r)
             ]
         )
+
+
+def random_qqi(rng: random.Random) -> QQi:
+    """Gaussian rational p/q + (s/t) i, p and s in {-3..3}, q and t in {1..4}."""
+    return QQi(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+        Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    )
+
+
+def random_exact_curvature(rng: random.Random, r: int, n: int) -> CurvatureMatrix:
+    """Random exact CurvatureMatrix with entries[j][i] the Hermitian partner
+    of entries[i][j] (diagonal entries symmetrized); each entry draws one
+    :func:`random_qqi` per dz_p dzbar_q, p and q ascending."""
+    E = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            f = FormValue.zero(n)
+            for p in range(n):
+                for q in range(n):
+                    f = f + FormValue.monomial(n, (p,), (q,), random_qqi(rng))
+            if i == j:
+                f = f + hermitian_partner(f)
+            E[i][j] = f
+            if i != j:
+                E[j][i] = hermitian_partner(f)
+    return CurvatureMatrix(E)
 
 
 def _mat_wedge(A, B, dim):
@@ -663,15 +693,6 @@ def nakano_test(theta: CurvatureMatrix, H=None, tol=1e-10) -> PositivityVerdict:
     if margin >= -tol:
         return PositivityVerdict("semipositive", margin, witness)
     return PositivityVerdict("indefinite", margin, witness)
-
-
-def nakano_margin_oracle(theta: CurvatureMatrix, H=None) -> float:
-    """Dense eigenvalue solve of the assembled matrix (cross-check path)."""
-    r = theta.rank
-    if H is None:
-        H = np.eye(r)
-    A = _assemble_bilinear(theta, H)
-    return float(np.min(np.linalg.eigvalsh((A + A.conj().T) / 2)))
 
 
 def _unit_samples(rng, dim, count):

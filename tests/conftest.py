@@ -1,36 +1,4 @@
 """Shared generators for exact-arithmetic fixtures."""
 
-import random
-from fractions import Fraction
-
-from parachern.forms import CurvatureMatrix, FormValue, QQi, hermitian_partner
-
-
-def rand_qqi(rng: random.Random, span: int = 3, den: int = 4) -> QQi:
-    return QQi(
-        Fraction(rng.randint(-span, span), rng.randint(1, den)),
-        Fraction(rng.randint(-span, span), rng.randint(1, den)),
-    )
-
-
-def rand_one_one(rng: random.Random, n: int) -> FormValue:
-    f = FormValue.zero(n)
-    for p in range(n):
-        for q in range(n):
-            f = f + FormValue.monomial(n, (p,), (q,), rand_qqi(rng))
-    return f
-
-
-def rand_exact_hermitian_curvature(rng: random.Random, r: int, n: int) -> CurvatureMatrix:
-    """Random exact CurvatureMatrix with entries[j][i] the Hermitian partner
-    of entries[i][j] (diagonal entries symmetrized)."""
-    E = [[None] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i, r):
-            f = rand_one_one(rng, n)
-            if i == j:
-                f = f + hermitian_partner(f)
-            E[i][j] = f
-            if i != j:
-                E[j][i] = hermitian_partner(f)
-    return CurvatureMatrix(E)
+from parachern.forms import random_exact_curvature as rand_exact_hermitian_curvature
+from parachern.forms import random_qqi as rand_qqi
