@@ -2,10 +2,11 @@
 and emit machine-readable JSON reports plus CSV diagnostic series.
 
 Subcommands: pardeg, ops, admissible, chern, pushforward, masolve, all.
-Exit codes: 0 all checks pass, 1 a check failed, 2 invalid input,
-3 runtime error inside a wrapped module.  Reports embed the tool version,
-a hash of the resolved configuration, and the seed, and are byte-identical
-for identical config + seed.  PARACHERN_LOG sets the logging level.
+Exit codes: 0 all checks pass, 1 a check failed, 2 invalid input, 3 any
+other error (its traceback goes to the DEBUG log).  Reports embed the tool
+version, a hash of the resolved configuration, and the seed, and are
+byte-identical for identical config + seed.  PARACHERN_LOG sets the logging
+level.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +32,7 @@ try:
 except Exception:  # pragma: no cover - editable-install fallback
     VERSION = "0.1.0"
 
-from .fiberint import (
-    QuadratureError,
-    householder_unitary,
-    monte_carlo_oracle,
-    scalar_fiber_integral,
-    symbolic_pushforward,
-)
+from .fiberint import monte_carlo_oracle, scalar_fiber_integral, symbolic_pushforward
 from .forms import (
     FormValue,
     QQi,
@@ -46,16 +42,13 @@ from .forms import (
     segre_forms,
 )
 from .localmodel import (
-    GridError,
-    InvarianceError,
     LocalChart,
     admissibility_check,
     descend_metric,
+    integer_exponents,
     random_invariant_metric,
 )
 from .masolver import (
-    ConvergenceError,
-    HypothesisError,
     MAProblem,
     TorusField,
     ddc_potential,
@@ -86,6 +79,19 @@ class InputError(ValueError):
     """Invalid user input (maps to exit code 2)."""
 
 
+# Inclusive range of each spec field: of the value of a number, of the length
+# of a list.  The upper bounds cap the time and memory one input can ask for;
+# -inf leaves the lower bound to LocalChart, which checks it.
+LIMITS = {
+    "admissible": {"N": (-math.inf, 64), "dim": (-math.inf, 4), "weights": (1, 8),
+                   "rho": (0.01, 0.99), "radialNodes": (4, 32), "angularNodes": (2, 128)},
+    "chern": {"rank": (1, 6), "dim": (1, 4)},
+    "pushforward": {"c": (1, 8), "c[i]": (1e-6, 1e6)},
+    # the fixtures divide by the rank before MAProblem can check it
+    "masolve": {"M": (8, 512), "rank": (1, 64), "eps": (-10.0, 10.0)},
+}
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
@@ -95,21 +101,14 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _config_dict(args, input_text):
-    return {
+def _provenance(args, input_text):
+    cfg = {
         "subcommand": args.subcommand,
         "tol": args.tol,
         "samples": args.samples,
         "seed": args.seed,
-        "workers": args.workers,
-        "inputSha256": hashlib.sha256(
-            (input_text or "").encode()
-        ).hexdigest(),
+        "inputSha256": hashlib.sha256((input_text or "").encode()).hexdigest(),
     }
-
-
-def _provenance(args, input_text):
-    cfg = _config_dict(args, input_text)
     return {
         "version": VERSION,
         "seed": args.seed,
@@ -120,31 +119,51 @@ def _provenance(args, input_text):
     }
 
 
-def _read_input(args):
+def _read_spec(args):
+    """The input text (None without --input) and its JSON object ({})."""
     if not args.input:
-        return None
+        return None, {}
     try:
-        return Path(args.input).read_text()
-    except OSError as exc:
+        text = Path(args.input).read_text()
+        spec = json.loads(text)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input file {args.input}: {exc}") from exc
-
-
-def _parse_json(text, what):
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
-            f"malformed {what} JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"malformed {args.subcommand} JSON at line {exc.lineno}, "
+            f"column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(spec, dict):
+        raise InputError(f"{args.subcommand} input must be a JSON object")
+    return text, spec
 
 
-def _load_model(text) -> ParabolicModel:
-    if text is None:
+def _check(key, value, kind, lo=-math.inf, hi=math.inf):
+    """value as a `kind` (an int passes as a float) whose value, or length
+    for a list or str, lies in [lo, hi]."""
+    if not (type(value) is kind or kind is float and type(value) is int):
+        raise InputError(f"{key} must be a JSON {kind.__name__}, got {value!r:.40}")
+    sized = kind in (list, str)
+    size = len(value) if sized else value
+    if not lo <= size <= hi:
+        what = f"length of {key}" if sized else key
+        raise InputError(f"{what} must lie in [{lo}, {hi}], got {size!r}")
+    return float(value) if kind is float else value
+
+
+def _field(spec, sub, key, kind, default):
+    """spec[key], or default when absent, checked against LIMITS."""
+    return _check(key, spec.get(key, default), kind, *LIMITS[sub].get(key, ()))
+
+
+def _read_model(args, default=None):
+    """The input text and its model; `default` when there is no --input."""
+    text, spec = _read_spec(args)
+    if text is None and default is None:
         raise InputError("this subcommand requires --input (model JSON)")
-    data = _parse_json(text, "model")
     try:
-        return ParabolicModel.from_json_dict(data)
-    except (InvalidModelError, ValueError, KeyError, TypeError) as exc:
+        return text, default if text is None else ParabolicModel.from_json_dict(spec)
+    except InvalidModelError as exc:
         raise InputError(f"invalid model: {exc}") from exc
 
 
@@ -155,12 +174,8 @@ def _write(outdir: Path, name: str, content: str):
     log.info("wrote %s", path)
 
 
-def _pmap(fn, items, workers):
-    """Order-preserving map; results independent of worker count."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _write_csv(outdir: Path, name: str, header: str, lines):
+    _write(outdir, name, "\n".join([header, *lines]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +184,7 @@ def _pmap(fn, items, workers):
 
 
 def cmd_pardeg(args, outdir: Path):
-    text = _read_input(args)
-    model = _load_model(text)
+    text, model = _read_model(args)
     # par_degree raises ArithmeticError unless its sum form and its
     # integral form agree, so the value it returns is both
     pd = par_degree(model)
@@ -220,15 +234,8 @@ def _identity_rows(model: ParabolicModel, other: ParabolicModel):
 
 
 def cmd_ops(args, outdir: Path):
-    text = _read_input(args)
-    if text is not None:
-        model = _load_model(text)
-    else:
-        model = ParabolicModel(
-            rank=2,
-            degree=1,
-            points={"p": (Fraction(1, 2), Fraction(1, 2))},
-        )
+    half = Fraction(1, 2)
+    text, model = _read_model(args, ParabolicModel(2, 1, {"p": (half, half)}))
     rows = _identity_rows(model, model)
 
     def sweep(i):
@@ -237,45 +244,33 @@ def cmd_ops(args, outdir: Path):
         # binary identities need matching point sets: run them on (a, a)
         return all(r["result"] == "PASS" for r in _identity_rows(a, a))
 
-    sweep_ok = all(_pmap(sweep, range(args.samples), args.workers))
-    rows.append(
-        {
-            "identity": f"randomized sweep ({args.samples} models)",
-            "result": "PASS" if sweep_ok else "FAIL",
-        }
-    )
+    sweep_ok = all(sweep(i) for i in range(args.samples))
+    sweep_name = f"randomized sweep ({args.samples} models)"
+    rows.append({"identity": sweep_name, "result": "PASS" if sweep_ok else "FAIL"})
     ok = all(r["result"] == "PASS" for r in rows)
     report = {"model": json.loads(model.to_json()), "identities": rows, "pass": ok}
     report.update(_provenance(args, text))
-    _write(
-        outdir,
-        "ops_identities.csv",
-        "identity,result\n"
-        + "\n".join(f"{r['identity']},{r['result']}" for r in rows)
-        + "\n",
-    )
+    _write_csv(outdir, "ops_identities.csv", "identity,result",
+               (f"{r['identity']},{r['result']}" for r in rows))
     return report
 
 
 def cmd_admissible(args, outdir: Path):
-    text = _read_input(args)
-    spec = _parse_json(text, "admissibility fixture") if text else {}
-    N = int(spec.get("N", 3))
-    dim = int(spec.get("dim", 2))
-    weights = [Fraction(w) for w in spec.get("weights", ["1/3", "2/3"])]
-    if any(not (0 <= w < 1) for w in weights):
-        raise InputError("weights must lie in [0, 1)")
-    if any((w * N).denominator != 1 for w in weights):
-        raise InputError("weight denominators must divide N")
+    text, spec = _read_spec(args)
+    field = partial(_field, spec, "admissible")
+    N = field("N", int, 3)
+    weights = field("weights", list, ["1/3", "2/3"])
     try:
         chart = LocalChart(
-            dim=dim,
+            dim=field("dim", int, 2),
             cover_degree=N,
-            rho=float(spec.get("rho", 0.8)),
-            annuli=int(spec.get("radialNodes", 8)),
-            angular_nodes=int(spec.get("angularNodes", 16)),
+            rho=field("rho", float, 0.8),
+            annuli=field("radialNodes", int, 8),
+            angular_nodes=field("angularNodes", int, 16),
         )
-    except ValueError as exc:
+        weights = [Fraction(str(w)) for w in weights]
+        integer_exponents(weights, N)
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     htilde = random_invariant_metric(rng, weights, chart)
@@ -307,10 +302,9 @@ def cmd_admissible(args, outdir: Path):
 
 
 def cmd_chern(args, outdir: Path):
-    text = _read_input(args)
-    spec = _parse_json(text, "chern config") if text else {}
-    r = int(spec.get("rank", 3))
-    n = int(spec.get("dim", 2))
+    text, spec = _read_spec(args)
+    r = _field(spec, "chern", "rank", int, 3)
+    n = _field(spec, "chern", "dim", int, 2)
     rng = random.Random(args.seed)
 
     minors_ok = True
@@ -345,11 +339,11 @@ def cmd_chern(args, outdir: Path):
 
 
 def cmd_pushforward(args, outdir: Path):
-    text = _read_input(args)
-    spec = _parse_json(text, "pushforward config") if text else {}
-    c = [float(x) for x in spec.get("c", [1.0, 2.0])]
-    if any(x <= 0 for x in c):
-        raise InputError("coefficients c must be positive")
+    text, spec = _read_spec(args)
+    c = [
+        _check(f"c[{i}]", x, float, *LIMITS["pushforward"]["c[i]"])
+        for i, x in enumerate(_field(spec, "pushforward", "c", list, [1.0, 2.0]))
+    ]
     closed = 1.0 / float(np.prod(c))
     quad, quad_err = scalar_fiber_integral(c, tol=args.tol)
     mc, mc_se = monte_carlo_oracle(c, budget=max(args.samples, 100) * 1000, seed=args.seed)
@@ -379,32 +373,33 @@ def cmd_pushforward(args, outdir: Path):
         "pass": bool(ok),
     }
     report.update(_provenance(args, text))
-    _write(
-        outdir,
-        "pushforward_deviations.csv",
-        "case,maxCoeffDeviation\n"
-        + "\n".join(f"{i},{d:.3e}" for i, d in enumerate(series))
-        + "\n",
-    )
+    _write_csv(outdir, "pushforward_deviations.csv", "case,maxCoeffDeviation",
+               (f"{i},{d:.3e}" for i, d in enumerate(series)))
     return report
 
 
 def _masolve_problem(spec):
+    field = partial(_field, spec, "masolve")
+    r = field("rank", int, 2)
     if "c1Csv" in spec:
-        r = int(spec.get("rank", 2))
-        c1 = TorusField.load_csv(spec["c1Csv"], "(1,1)")
-        c2 = TorusField.load_csv(spec["c2Csv"], "(2,2)")
-        eta = TorusField.load_csv(spec["etaCsv"], "(2,2)")
-        return MAProblem(r, c1, c2, eta)
-    fixture = spec.get("fixture", "constant")
-    M = int(spec.get("M", 64))
-    r = int(spec.get("rank", 2))
+        try:
+            c1, c2, eta = (
+                TorusField.load_csv(field(key, str, None), kind)
+                for key, kind in (("c1Csv", "(1,1)"), ("c2Csv", "(2,2)"), ("etaCsv", "(2,2)"))
+            )
+            problem = MAProblem(r, c1, c2, eta)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"invalid masolve fields: {exc}") from exc
+        _check("CSV grid size", problem.grid, int, *LIMITS["masolve"]["M"])
+        return problem
+    fixture = field("fixture", str, "constant")
+    M = field("M", int, 64)
     if fixture == "constant":
         c1 = np.broadcast_to(r * np.eye(2), (M, M, 2, 2)).copy()
         c2 = np.full((M, M), 1.5)
         eta = np.full((M, M), 1.0)
     elif fixture == "perturbed":
-        eps = float(spec.get("eps", 0.1))
+        eps = field("eps", float, 0.1)
         x1, _ = grid_coordinates(M)
         c1 = np.broadcast_to(r * np.eye(2), (M, M, 2, 2)).copy()
         kl = np.full((M, M), 0.4)
@@ -431,8 +426,7 @@ def _masolve_problem(spec):
 
 
 def cmd_masolve(args, outdir: Path):
-    text = _read_input(args)
-    spec = _parse_json(text, "masolve config") if text else {}
+    text, spec = _read_spec(args)
     raw = _masolve_problem(spec)
     prob = normalize_problem(raw)
     phi, diag = solve(prob, tol=args.tol)
@@ -449,18 +443,9 @@ def cmd_masolve(args, outdir: Path):
         "pass": bool(ok),
     }
     report.update(_provenance(args, text))
-    _write(
-        outdir,
-        "masolve_residuals.csv",
-        "iteration,residual,minEig,conservation\n"
-        + "\n".join(
-            f"{i},{r:.6e},{e:.6e},{c:.3e}"
-            for i, (r, e, c) in enumerate(
-                zip(diag.residuals, diag.min_eigs, diag.conservation)
-            )
-        )
-        + "\n",
-    )
+    rows = zip(diag.residuals, diag.min_eigs, diag.conservation)
+    _write_csv(outdir, "masolve_residuals.csv", "iteration,residual,minEig,conservation",
+               (f"{i},{r:.6e},{e:.6e},{c:.3e}" for i, (r, e, c) in enumerate(rows)))
     return report
 
 
@@ -497,8 +482,27 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # usage errors take the one input-error path of main
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _above(low, kind):
+    """argparse type: a finite `kind` greater than `low`."""
+
+    def parse(text):
+        value = kind(text)
+        if not low < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be greater than {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parachern",
         description="verification suites for parabolic-bundle curvature computations",
     )
@@ -508,42 +512,29 @@ def build_parser():
         p = subs.add_parser(name)
         p.add_argument("--input", help="input JSON file (format per subcommand)")
         p.add_argument("--out", default=".", help="output directory for reports")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--tol", type=_above(0, float), default=1e-10)
+        p.add_argument("--samples", type=_above(0, int), default=50)
+        p.add_argument("--seed", type=_above(-1, int), default=0)
     return parser
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("PARACHERN_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    parser = build_parser()
+    level = os.environ.get("PARACHERN_LOG", "WARNING").upper()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
-        return int(exc.code or 0)
-    outdir = Path(args.out)
-    try:
-        report = COMMANDS[args.subcommand](args, outdir)
+        if not isinstance(logging.getLevelName(level), int):
+            raise InputError(f"PARACHERN_LOG: unknown level {level!r}")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+        args = build_parser().parse_args(argv)
+        report = COMMANDS[args.subcommand](args, Path(args.out))
+        _write(Path(args.out), f"{args.subcommand}_report.json", _canonical(report))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        InvarianceError,
-        GridError,
-        HypothesisError,
-        ConvergenceError,
-        QuadratureError,
-        InvalidModelError,
-        ArithmeticError,
-    ) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        log.debug("runtime error", exc_info=True)
+        message = " ".join(str(exc).split())  # one line
+        print(f"runtime error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_RUNTIME
-    _write(outdir, f"{args.subcommand}_report.json", _canonical(report))
     print(f"{args.subcommand}: {'PASS' if report['pass'] else 'FAIL'}")
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 

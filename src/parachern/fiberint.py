@@ -32,7 +32,9 @@ from operator import add
 
 import numpy as np
 
-from .forms import CurvatureMatrix, FormValue, QQi, _conj
+from .forms import CurvatureMatrix, FormValue, QQi, _conj, exact_mode
+
+GRID_BUDGET = 2**26  # most quadrature points at once: 512 MiB per float64 array
 
 
 class QuadratureError(RuntimeError):
@@ -81,6 +83,8 @@ def scalar_fiber_integral(c, tol=1e-8, nodes_per_panel=10):
         if panels > 80:
             raise QuadratureError("tail bound does not reach tolerance")
 
+    if (nodes_per_panel * panels) ** d > GRID_BUDGET:
+        raise QuadratureError(f"{nodes_per_panel * panels}^{d} points exceed the budget {GRID_BUDGET}")
     x, wq = np.polynomial.legendre.leggauss(nodes_per_panel)
     edges = [0.0] + [T * 2.0 ** (-k) for k in reversed(range(panels))]
     nodes, weights = [], []
@@ -184,7 +188,8 @@ def symbolic_pushforward(theta: CurvatureMatrix, max_degree=None) -> list[FormVa
     d = r - 1
     x = [tuple(int(A == i + 1) for i in range(d)) for A in range(r)]
     twist = [(x[A], x[B], theta.entries[A][B]) for A in range(r) for B in range(r)]
-    power = {(x[0], x[0]): FormValue.scalar(n, QQi(1))}
+    one = QQi(1) if exact_mode(theta, QQi(1)) else 1.0  # all zero counts as exact
+    power = {(x[0], x[0]): FormValue.scalar(n, one)}
     out = []
     for k in range(max_degree + 1):
         if k:

@@ -655,6 +655,16 @@ class PositivityVerdict:
     witness: tuple | None = None
     note: str = "sample-based verdict"
 
+    @classmethod
+    def classify(cls, margin, tol, witness=None) -> "PositivityVerdict":
+        """Positive above tol, semipositive within tol of zero, else
+        indefinite."""
+        if margin > tol:
+            return cls("positive", margin, witness)
+        if margin >= -tol:
+            return cls("semipositive", margin, witness)
+        return cls("indefinite", margin, witness)
+
     def __bool__(self):
         return self.verdict == "positive"
 
@@ -686,13 +696,7 @@ def nakano_test(theta: CurvatureMatrix, H=None, tol=1e-10) -> PositivityVerdict:
     if np.max(np.abs(A - A.conj().T)) > 1e-8 * max(1.0, np.max(np.abs(A))):
         raise ValueError("assembled curvature pairing is not Hermitian")
     w, V = np.linalg.eigh((A + A.conj().T) / 2)
-    margin = float(w[0])
-    witness = tuple(V[:, 0])
-    if margin > tol:
-        return PositivityVerdict("positive", margin, witness)
-    if margin >= -tol:
-        return PositivityVerdict("semipositive", margin, witness)
-    return PositivityVerdict("indefinite", margin, witness)
+    return PositivityVerdict.classify(float(w[0]), tol, tuple(V[:, 0]))
 
 
 def _unit_samples(rng, dim, count):
@@ -723,11 +727,7 @@ def griffiths_test(
         val = float(np.real(u.conj() @ A @ u))
         if best is None or val < best:
             best, best_pair = val, (tuple(v), tuple(s))
-    if best > tol:
-        return PositivityVerdict("positive", best, best_pair)
-    if best >= -tol:
-        return PositivityVerdict("semipositive", best, best_pair)
-    return PositivityVerdict("indefinite", best, best_pair)
+    return PositivityVerdict.classify(best, tol, best_pair)
 
 
 def griffiths_pairing(theta: CurvatureMatrix, H, v, s) -> float:
@@ -776,11 +776,7 @@ def weak_positivity_test(
                 prod = prod.wedge(simple)
             val = volume_ratio(prod).real
             margin = val if margin is None else min(margin, val)
-    if margin > tol:
-        return PositivityVerdict("positive", margin)
-    if margin >= -tol:
-        return PositivityVerdict("semipositive", margin)
-    return PositivityVerdict("indefinite", margin)
+    return PositivityVerdict.classify(margin, tol)
 
 
 # ---------------------------------------------------------------------------

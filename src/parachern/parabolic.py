@@ -97,11 +97,12 @@ class ParabolicModel:
                 str(label): tuple(Fraction(w) for w in ws)
                 for label, ws in dict(d.get("points", {})).items()
             }
-        except (KeyError, TypeError, ValueError) as e:
+            declared = d.get("coverDegree")
+            declared = None if declared is None else int(declared)
+        except (KeyError, TypeError, ValueError, ArithmeticError) as e:
             raise InvalidModelError(f"malformed model object: {e}") from e
         model = cls(rank=rank, degree=degree, points=points)
-        declared = d.get("coverDegree")
-        if declared is not None and int(declared) % model.cover_degree != 0:
+        if declared is not None and declared % model.cover_degree != 0:
             raise InvalidModelError(
                 f"declared coverDegree {declared} not a multiple of "
                 f"the weight lcm {model.cover_degree}"

@@ -1,8 +1,15 @@
 """Command-line interface: exit codes, report provenance, reproducibility."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parachern import cli
 
@@ -69,13 +76,6 @@ class TestOps:
 
     def test_default_model_without_input(self, tmp_path):
         assert run(tmp_path, "ops", "--samples", "5") == 0
-
-    def test_worker_count_does_not_change_results(self, tmp_path):
-        run(tmp_path, "ops", "--samples", "12", "--workers", "1")
-        r1 = read_report(tmp_path, "ops")["identities"]
-        run(tmp_path, "ops", "--samples", "12", "--workers", "4")
-        r4 = read_report(tmp_path, "ops")["identities"]
-        assert r1 == r4
 
 
 class TestAdmissible:
@@ -150,6 +150,21 @@ class TestMASolve:
         cfg.write_text(json.dumps({"fixture": "perturbed", "M": 16, "eps": 2.0}))
         assert run(tmp_path, "masolve", "--input", str(cfg)) == 3
 
+    @pytest.mark.parametrize("M,code", [(8, 0), (4, 2)])
+    def test_csv_fields(self, tmp_path, M, code):
+        """The constant fixture read from CSV files; grids below the
+        smallest allowed size are input errors."""
+        spec = {}
+        for key, cols, value in (("c1Csv", 4 * M, 0.0), ("c2Csv", M, 1.5), ("etaCsv", M, 1.0)):
+            field = np.full((M, cols), value)
+            if key == "c1Csv":
+                field.reshape(M, M, 2, 2)[..., [0, 1], [0, 1]] = 2.0
+            np.savetxt(tmp_path / f"{key}.csv", field, delimiter=",")
+            spec[key] = str(tmp_path / f"{key}.csv")
+        assert run(tmp_path, "masolve", "--input", write_model(tmp_path, spec)) == code
+        del spec["etaCsv"]
+        assert run(tmp_path, "masolve", "--input", write_model(tmp_path, spec)) == 2
+
     def test_unknown_fixture_rejected(self, tmp_path):
         cfg = tmp_path / "ma.json"
         cfg.write_text(json.dumps({"fixture": "whatever"}))
@@ -183,3 +198,100 @@ class TestReproducibility:
     def test_log_env_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PARACHERN_LOG", "DEBUG")
         assert run(tmp_path, "chern", "--samples", "2") == 0
+
+
+class TestInputContract:
+    """Every input ends in a documented exit code; a malformed one in 2,
+    with one line on stderr and no traceback."""
+
+    MALFORMED = [
+        ("masolve", [1, 2], []),
+        ("masolve", {"M": "abc"}, []),
+        ("masolve", {"rank": 0}, []),
+        ("masolve", {"M": 0}, []),
+        ("masolve", {"M": -4}, []),
+        ("masolve", {"fixture": "perturbed", "M": 16}, ["--tol", "0"]),
+        ("chern", {"rank": 0}, []),
+        ("chern", {"rank": -1}, []),
+        ("chern", {"dim": 0}, []),
+        ("chern", {}, ["--samples", "-1"]),
+        ("chern", {}, ["--tol", "-1"]),
+        ("pushforward", {"c": ["x"]}, []),
+        ("pushforward", {"c": []}, []),
+        ("pushforward", {"c": "12"}, []),
+        ("pushforward", {"c": [1, 2, 0.5]}, ["--samples", "0"]),
+        ("admissible", {"weights": ["2/3", "1/3"]}, []),
+        ("admissible", [3], []),
+        ("admissible", {"radialNodes": 2}, []),
+        ("admissible", {"N": 0}, []),
+        ("pardeg", [1], []),
+        ("pardeg", {"rank": "x", "degree": 1}, []),
+        ("ops", {"rank": 1, "degree": 0}, ["--samples", "-1"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "sub,spec,extra",
+        MALFORMED,
+        ids=[" ".join([sub, json.dumps(spec), *extra]) for sub, spec, extra in MALFORMED],
+    )
+    def test_malformed_input_exits_two(self, tmp_path, capsys, sub, spec, extra):
+        path = write_model(tmp_path, spec)
+        assert run(tmp_path, sub, "--input", path, *extra) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+    @pytest.mark.parametrize("c", [[1, 0.001, 0.001, 0.001], [1.0] * 6])
+    def test_quadrature_over_budget_is_runtime_error(self, tmp_path, capsys, c):
+        path = write_model(tmp_path, {"c": c})
+        assert run(tmp_path, "pushforward", "--input", path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: QuadratureError: ")
+        assert len(err.splitlines()) == 1
+
+
+KNOWN_KEYS = {
+    "pardeg": ["rank", "degree", "points", "coverDegree"],
+    "ops": ["rank", "degree", "points", "coverDegree"],
+    "admissible": ["N", "dim", "weights", "rho", "radialNodes", "angularNodes"],
+    "chern": ["rank", "dim"],
+    "pushforward": ["c"],
+    "masolve": ["fixture", "M", "rank", "eps"],
+}
+SCALARS = st.one_of(
+    st.integers(-2, 6),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["1/3", "2/3", "perturbed", "hermite-einstein"]),
+    st.none(),
+)
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+
+
+@st.composite
+def cli_inputs(draw):
+    sub = draw(st.sampled_from(sorted(KNOWN_KEYS)))
+    spec = draw(
+        st.one_of(
+            VALUES,
+            st.dictionaries(st.sampled_from(KNOWN_KEYS[sub]), VALUES),
+        )
+    )
+    return sub, spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_inputs())
+def test_fuzzed_input_ends_in_a_documented_exit_code(case):
+    """Any JSON value as input: a non-object, or an object whose known keys
+    hold values of any JSON type."""
+    sub, spec = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(
+        err
+    ), contextlib.redirect_stdout(io.StringIO()):
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(spec))
+        code = cli.main([sub, "--input", str(path), "--samples", "1", "--out", tmp])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,13 @@ class TestScalarIntegral:
         with pytest.raises(ValueError):
             monte_carlo_oracle([1.0, 1.0], budget=10)
 
+    @pytest.mark.parametrize("c", [[1, 0.001, 0.001, 0.001], [1.0] * 6])
+    def test_grid_over_budget_raises_before_allocating(self, c):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="budget"):
+            scalar_fiber_integral(c, tol=1e-10)
+        assert time.perf_counter() - start < 1.0
+
 
 # ---------------------------------------------------------------------------
 # push-forward identity
@@ -169,6 +177,15 @@ class TestSymbolicPushforward:
         ref = segre_forms(chern_forms(theta, normalization=EXACT), n)
         for got, want in zip(s, ref):
             assert (got - want).is_zero()
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_float_mode_matches_segre_of_chern(self, r, n):
+        rng = np.random.default_rng(10 * r + n)
+        T = rng.normal(size=(r, r, n, n)) + 1j * rng.normal(size=(r, r, n, n))
+        theta = CurvatureMatrix.from_tensor((T + np.conj(T.transpose(1, 0, 3, 2))) / 2)
+        s = symbolic_pushforward(theta)
+        ref = segre_forms(chern_forms(theta, normalization=1.0), n)
+        assert max((got - want).max_abs() for got, want in zip(s, ref)) < 1e-11
 
     def test_truncation_degree_guard(self):
         theta = CurvatureMatrix([[FormValue.zero(1)]])
