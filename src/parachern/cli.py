@@ -86,10 +86,15 @@ LIMITS = {
     "admissible": {"N": (-math.inf, 64), "dim": (-math.inf, 4), "weights": (1, 8),
                    "rho": (0.01, 0.99), "radialNodes": (4, 32), "angularNodes": (2, 128)},
     "chern": {"rank": (1, 6), "dim": (1, 4)},
+    # ops tensors the model with itself: rank^2 weights per point
+    "ops": {"rank": (1, 64)},
+    "pardeg": {"rank": (1, 64)},
     "pushforward": {"c": (1, 8), "c[i]": (1e-6, 1e6)},
     # the fixtures divide by the rank before MAProblem can check it
     "masolve": {"M": (8, 512), "rank": (1, 64), "eps": (-10.0, 10.0)},
 }
+# --samples of every subcommand; pushforward draws 1000 Monte Carlo rows per sample
+SAMPLES_MAX = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +167,11 @@ def _read_model(args, default=None):
     if text is None and default is None:
         raise InputError("this subcommand requires --input (model JSON)")
     try:
-        return text, default if text is None else ParabolicModel.from_json_dict(spec)
+        model = default if text is None else ParabolicModel.from_json_dict(spec)
     except InvalidModelError as exc:
         raise InputError(f"invalid model: {exc}") from exc
+    _check("rank", model.rank, int, *LIMITS[args.subcommand]["rank"])
+    return text, model
 
 
 def _write(outdir: Path, name: str, content: str):
@@ -488,13 +495,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _above(low, kind):
-    """argparse type: a finite `kind` greater than `low`."""
+def _above(low, kind, high=math.inf):
+    """argparse type: a finite `kind` greater than `low`, at most `high`."""
 
     def parse(text):
         value = kind(text)
-        if not low < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be greater than {low}, got {text}")
+        if not low < value < math.inf or value > high:
+            bound = f" and at most {high}" if high < math.inf else ""
+            raise argparse.ArgumentTypeError(f"must be greater than {low}{bound}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -513,7 +521,7 @@ def build_parser():
         p.add_argument("--input", help="input JSON file (format per subcommand)")
         p.add_argument("--out", default=".", help="output directory for reports")
         p.add_argument("--tol", type=_above(0, float), default=1e-10)
-        p.add_argument("--samples", type=_above(0, int), default=50)
+        p.add_argument("--samples", type=_above(0, int, SAMPLES_MAX), default=50)
         p.add_argument("--seed", type=_above(-1, int), default=0)
     return parser
 

@@ -5,7 +5,10 @@ Three independent routes to the same integrals:
 * :func:`scalar_fiber_integral` -- tensorized Gauss-Legendre quadrature of the
   scalar specialization (r-1)! * integral over C^{r-1} of
   prod(dA_i/pi) / (c_0 + sum c_i |w_i|^2)^r, with an analytic tail bound;
-  closed form 1/(c_0 c_1 ... c_{r-1}).
+  closed form 1/(c_0 c_1 ... c_{r-1}).  The grid of N^{r-1} points is
+  evaluated in leaves of at most LEAF_POINTS points that follow numpy's
+  pairwise summation tree, so memory is O(N^{r-2}) and the sum has the
+  bits of one np.sum over the whole grid.
 * :func:`monte_carlo_oracle` -- importance-sampled estimate with standard
   error, used to cross-check the quadrature and the moment backend.
 * :func:`symbolic_pushforward` -- exact fiber integral of the Segre series
@@ -34,7 +37,8 @@ import numpy as np
 
 from .forms import CurvatureMatrix, FormValue, QQi, _conj, exact_mode
 
-GRID_BUDGET = 2**26  # most quadrature points at once: 512 MiB per float64 array
+GRID_BUDGET = 2**26  # most quadrature points in one call: bounds its time
+LEAF_POINTS = 2**17  # most quadrature points evaluated at once
 
 
 class QuadratureError(RuntimeError):
@@ -60,6 +64,18 @@ def _tail_bound(c, T):
                 rest *= c[j]
         total += 1.0 / (c[i] * (c[0] + c[i] * T) * rest)
     return total
+
+
+def _pairwise_sum(leaf, start, count):
+    """numpy's pairwise summation of points [start, start+count): np.sum of
+    a contiguous array halves it at a multiple of 8 until at most 128
+    points remain, so every subtree of at most LEAF_POINTS points is summed
+    by leaf(start, count) with the same bits."""
+    if count <= LEAF_POINTS:
+        return leaf(start, count)
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, start, half) + _pairwise_sum(leaf, start + half, count - half)
 
 
 def scalar_fiber_integral(c, tol=1e-8, nodes_per_panel=10):
@@ -94,15 +110,34 @@ def scalar_fiber_integral(c, tol=1e-8, nodes_per_panel=10):
     t = np.concatenate(nodes)
     w = np.concatenate(weights)
 
-    shape = [1] * d
-    S = np.full([1] * d, c[0])
-    W = np.ones([1] * d)
-    for i in range(d):
-        sh = list(shape)
-        sh[i] = t.size
+    # sums c_0 + sum c_i t_i and weight products over the first d - 1 axes,
+    # one row per grid row, with the operations in the order of a broadcast
+    # over the whole grid (the bits depend on it); the last axis joins per leaf
+    n = t.size
+    S = np.full([1] * (d - 1), c[0])
+    W = np.ones([1] * (d - 1))
+    for i in range(d - 1):
+        sh = [1] * (d - 1)
+        sh[i] = n
         S = S + c[i + 1] * t.reshape(sh)
         W = W * w.reshape(sh)
-    value = math.factorial(d) * float(np.sum(W * S ** (-r)))
+    S, W = S.reshape(-1, 1), W.reshape(-1, 1)
+    last = c[d] * t
+    s_buf = np.empty((LEAF_POINTS // n + 2, n))
+    w_buf = np.empty_like(s_buf)
+
+    def leaf(start, count):
+        """Sum of the integrand over flat grid points [start, start+count)."""
+        lo, hi = start // n, (start + count - 1) // n + 1
+        s, v = s_buf[: hi - lo], w_buf[: hi - lo]
+        np.add(S[lo:hi], last, out=s)
+        np.power(s, -r, out=s)
+        np.multiply(W[lo:hi], w, out=v)
+        np.multiply(v, s, out=v)
+        first = start - lo * n
+        return np.sum(v.reshape(-1)[first : first + count])
+
+    value = math.factorial(d) * float(_pairwise_sum(leaf, 0, n**d))
     return value, _tail_bound(c, T)
 
 

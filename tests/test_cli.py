@@ -220,6 +220,7 @@ class TestInputContract:
         ("pushforward", {"c": []}, []),
         ("pushforward", {"c": "12"}, []),
         ("pushforward", {"c": [1, 2, 0.5]}, ["--samples", "0"]),
+        ("pushforward", {"c": [1, 2, 0.5]}, ["--samples", "1000000000"]),
         ("admissible", {"weights": ["2/3", "1/3"]}, []),
         ("admissible", [3], []),
         ("admissible", {"radialNodes": 2}, []),
@@ -227,6 +228,8 @@ class TestInputContract:
         ("pardeg", [1], []),
         ("pardeg", {"rank": "x", "degree": 1}, []),
         ("ops", {"rank": 1, "degree": 0}, ["--samples", "-1"]),
+        ("ops", {"rank": 65, "degree": 0}, []),
+        ("pardeg", {"rank": 65, "degree": 0}, []),
     ]
 
     @pytest.mark.parametrize(
@@ -240,6 +243,12 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+    @pytest.mark.parametrize("samples", [3000, cli.SAMPLES_MAX])
+    def test_samples_cap_admits_documented_runs(self, samples):
+        # ROADMAP times ops --samples 3000
+        args = cli.build_parser().parse_args(["ops", "--samples", str(samples)])
+        assert args.samples == samples
 
     @pytest.mark.parametrize("c", [[1, 0.001, 0.001, 0.001], [1.0] * 6])
     def test_quadrature_over_budget_is_runtime_error(self, tmp_path, capsys, c):

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,11 @@ from parachern.forms import (
     chern_forms,
     segre_forms,
 )
+from parachern import fiberint
 from parachern.fiberint import (
     QuadratureError,
+    _pairwise_sum,
+    _tail_bound,
     householder_unitary,
     moment_exact,
     monte_carlo_moment,
@@ -111,6 +115,93 @@ class TestScalarIntegral:
         with pytest.raises(QuadratureError, match="budget"):
             scalar_fiber_integral(c, tol=1e-10)
         assert time.perf_counter() - start < 1.0
+
+
+def dense_fiber_integral(c, tol=1e-8, nodes_per_panel=10):
+    """The whole-grid quadrature: one broadcast and one np.sum over all
+    (nodes_per_panel * panels)^(r-1) points.  Reference for the bits."""
+    c = [float(x) for x in c]
+    r = len(c)
+    d = r - 1
+    T, panels = 1.0, 1
+    while _tail_bound(c, T) > tol / 2:
+        T *= 2.0
+        panels += 1
+    x, wq = np.polynomial.legendre.leggauss(nodes_per_panel)
+    edges = [0.0] + [T * 2.0 ** (-k) for k in reversed(range(panels))]
+    nodes, weights = [], []
+    for lo, hi in zip(edges, edges[1:]):
+        nodes.append(lo + (hi - lo) * (x + 1) / 2)
+        weights.append(wq * (hi - lo) / 2)
+    t = np.concatenate(nodes)
+    w = np.concatenate(weights)
+
+    shape = [1] * d
+    S = np.full([1] * d, c[0])
+    W = np.ones([1] * d)
+    for i in range(d):
+        sh = list(shape)
+        sh[i] = t.size
+        S = S + c[i + 1] * t.reshape(sh)
+        W = W * w.reshape(sh)
+    value = math.factorial(d) * float(np.sum(W * S ** (-r)))
+    return value, _tail_bound(c, T)
+
+
+# r = 4 with few nodes per panel, which keeps the dense reference small
+BIT_CASES = [
+    ([1.3, 0.7], 10),
+    ([2.0, 0.3], 10),
+    ([0.05, 7.0], 10),
+    ([1.0, 2.0, 0.5], 10),
+    ([0.5, 1.7, 0.9], 10),
+    ([1.0, 20.0, 0.05], 10),
+    ([0.8, 1.5, 2.5, 1.2], 3),
+    ([1.3, 0.7, 1.9, 0.55], 4),
+    ([10.0, 3.0, 5.0, 4.0], 5),
+]
+
+
+class TestBlockedQuadrature:
+    """The quadrature is summed leaf by leaf along numpy's pairwise tree, so
+    it returns the bits of the whole-grid broadcast and np.sum."""
+
+    @pytest.mark.parametrize("leaf", [None, 1000])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("c,nodes", BIT_CASES)
+    def test_same_bits_as_dense_grid(self, monkeypatch, c, nodes, tol, leaf):
+        if leaf:  # leaves that start and end inside a row of the grid
+            monkeypatch.setattr(fiberint, "LEAF_POINTS", leaf)
+        got = scalar_fiber_integral(c, tol=tol, nodes_per_panel=nodes)
+        assert got == dense_fiber_integral(c, tol=tol, nodes_per_panel=nodes)
+
+    @pytest.mark.parametrize("leaf", [None, 1000])
+    def test_same_bits_on_the_full_rank_four_grid(self, monkeypatch, leaf):
+        if leaf:
+            monkeypatch.setattr(fiberint, "LEAF_POINTS", leaf)
+        c = [2.0, 3.0, 4.0, 5.0]  # 160^3 points
+        assert scalar_fiber_integral(c, tol=1e-6) == dense_fiber_integral(c, tol=1e-6)
+
+    @pytest.mark.parametrize("leaf", [1000, fiberint.LEAF_POINTS])
+    def test_numpy_sums_along_the_mirrored_tree(self, monkeypatch, leaf):
+        monkeypatch.setattr(fiberint, "LEAF_POINTS", leaf)
+        x = np.random.default_rng(17).random(10**6)
+        mirrored = _pairwise_sum(lambda start, n: np.sum(x[start : start + n]), 0, x.size)
+        assert mirrored == np.sum(x), (
+            f"numpy {np.__version__} no longer sums a contiguous array along "
+            "the pairwise tree that fiberint._pairwise_sum mirrors, so "
+            "scalar_fiber_integral would no longer reproduce the whole-grid bits"
+        )
+
+    def test_memory_stays_small(self):
+        # the whole 340^3 grid would take 900 MB
+        tracemalloc.start()
+        try:
+            scalar_fiber_integral([0.8, 1.5, 2.5, 1.2], tol=1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
