@@ -2,8 +2,10 @@
 
 A parabolic model is a vector bundle of given rank and degree together with,
 at finitely many marked points, a multiset of rational weights in [0, 1).
-All degree/slope computations are exact (fractions.Fraction); no floats enter
-this module.
+All degree/slope computations are exact, on integer numerators over the cover
+degree (every weight is k/N with N dividing it); fractions.Fraction appears
+only at the API: stored weights, filtration parameters and returned values.
+No floats enter this module.
 """
 
 from __future__ import annotations
@@ -24,10 +26,21 @@ class InvalidModelError(ValueError):
 
 
 def _as_weight(x) -> Fraction:
-    w = Fraction(x)
-    if not (0 <= w < 1):
+    w = x if type(x) is Fraction else Fraction(x)
+    if not 0 <= w.numerator < w.denominator:
         raise InvalidModelError(f"weight {w} outside [0, 1)")
     return w
+
+
+def _as_integer(key: str, x) -> int:
+    if type(x) is not int:  # a JSON integer: not a float, a string or a bool
+        raise InvalidModelError(f"{key} must be an integer, got {x!r:.40}")
+    return x
+
+
+def _over(w: Fraction, den: int) -> int:
+    """The numerator of w over den, a multiple of w's denominator."""
+    return w.numerator * (den // w.denominator)
 
 
 @dataclass(frozen=True)
@@ -48,7 +61,9 @@ class ParabolicModel:
             raise InvalidModelError("rank must be positive")
         pts = {}
         for label, ws in dict(self.points).items():
-            ws = tuple(sorted(_as_weight(w) for w in ws))
+            ws = [_as_weight(w) for w in ws]
+            den = math.lcm(*(w.denominator for w in ws))
+            ws = tuple(sorted(ws, key=lambda w: _over(w, den)))
             if len(ws) != self.rank:
                 raise InvalidModelError(
                     f"point {label!r}: {len(ws)} weights for rank {self.rank}"
@@ -58,11 +73,7 @@ class ParabolicModel:
 
     @property
     def cover_degree(self) -> int:
-        n = 1
-        for ws in self.points.values():
-            for w in ws:
-                n = math.lcm(n, w.denominator)
-        return n
+        return math.lcm(*(w.denominator for ws in self.points.values() for w in ws))
 
     @property
     def num_points(self) -> int:
@@ -91,14 +102,15 @@ class ParabolicModel:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ParabolicModel":
         try:
-            rank = int(d["rank"])
-            degree = int(d["degree"])
+            rank = _as_integer("rank", d["rank"])
+            degree = _as_integer("degree", d["degree"])
             points = {
                 str(label): tuple(Fraction(w) for w in ws)
                 for label, ws in dict(d.get("points", {})).items()
             }
             declared = d.get("coverDegree")
-            declared = None if declared is None else int(declared)
+            if declared is not None and _as_integer("coverDegree", declared) < 1:
+                raise InvalidModelError(f"coverDegree must be positive, got {declared}")
         except (KeyError, TypeError, ValueError, ArithmeticError) as e:
             raise InvalidModelError(f"malformed model object: {e}") from e
         model = cls(rank=rank, degree=degree, points=points)
@@ -150,28 +162,32 @@ class FilterFunction:
 
     def integral_degree(self) -> Fraction:
         """Exact value of the integral of deg E_t over [0, 1)."""
-        total = Fraction(0)
-        # step function: value on (t_k, t_{k+1}] is degree_after of jump k
-        cuts = [Fraction(0)] + [j.t for j in self.jumps] + [Fraction(1)]
+        den = math.lcm(*(j.t.denominator for j in self.jumps))
+        total = 0
+        # step function: value on (t_k, t_{k+1}] is degree_after of jump k;
+        # the cuts are numerators over den
+        cuts = [0] + [_over(j.t, den) for j in self.jumps] + [den]
         vals = [self.degree_at_zero] + [j.degree_after for j in self.jumps]
         # a jump at 0 applies immediately (right jump at t=0)
         for (a, b), v in zip(zip(cuts, cuts[1:]), vals):
             total += v * (b - a)
-        return total
+        return Fraction(total, den)
 
 
 def my_filtration(model: ParabolicModel) -> FilterFunction:
     """Step filtration of the model: a jump of size (multiplicity of w) at
     each t = w, aggregated over the marked points."""
-    drops: dict[Fraction, int] = {}
+    den = model.cover_degree
+    drops: dict[int, int] = {}  # numerator of t over den -> multiplicity
     for ws in model.points.values():
         for w in ws:
-            drops[w] = drops.get(w, 0) + 1
+            k = _over(w, den)
+            drops[k] = drops.get(k, 0) + 1
     deg = model.degree
     jumps = []
-    for t in sorted(drops):
-        deg -= drops[t]
-        jumps.append(FilterJump(t=t, rank_drop=drops[t], degree_after=deg))
+    for k in sorted(drops):
+        deg -= drops[k]
+        jumps.append(FilterJump(t=Fraction(k, den), rank_drop=drops[k], degree_after=deg))
     return FilterFunction(
         degree_at_zero=model.degree,
         jumps=tuple(jumps),
@@ -185,9 +201,9 @@ def par_degree(model: ParabolicModel) -> Fraction:
     Computed twice, by the direct sum and by integrating the step filtration;
     raises ArithmeticError when the two values differ.
     """
-    sum_form = Fraction(model.degree) + sum(
-        (w for ws in model.points.values() for w in ws), Fraction(0)
-    )
+    den = model.cover_degree
+    weights = sum(_over(w, den) for ws in model.points.values() for w in ws)
+    sum_form = Fraction(model.degree * den + weights, den)
     filt = my_filtration(model)
     integral_form = (
         model.rank * model.num_points + filt.integral_degree()
@@ -206,9 +222,12 @@ def slope(model: ParabolicModel) -> Fraction:
 def dual(model: ParabolicModel) -> ParabolicModel:
     """Parabolic dual: weights w -> 1-w (w>0 fixed at 0), underlying degree
     read off the dualized filtration so that par-deg negates exactly."""
-    zero_count = sum(1 for ws in model.points.values() for w in ws if w == 0)
+    zero_count = sum(1 for ws in model.points.values() for w in ws if w.numerator == 0)
     new_points = {
-        label: tuple(Fraction(0) if w == 0 else 1 - w for w in ws)
+        label: tuple(
+            w if w.numerator == 0 else Fraction(w.denominator - w.numerator, w.denominator)
+            for w in ws
+        )
         for label, ws in model.points.items()
     }
     # degree of the dual of the sheaf just past 0, twisted back by the divisor
@@ -227,18 +246,21 @@ def tensor(a: ParabolicModel, b: ParabolicModel) -> ParabolicModel:
     """Parabolic tensor product: per point the weight multiset
     {x + y mod 1}; each wrap-around bumps the underlying degree."""
     _require_same_points(a, b)
+    den = math.lcm(a.cover_degree, b.cover_degree)
     new_points = {}
     wraps = 0
     for label in a.points:
+        ys = [_over(y, den) for y in b.points[label]]
         ws = []
         for x in a.points[label]:
-            for y in b.points[label]:
+            x = _over(x, den)
+            for y in ys:
                 s = x + y
-                if s >= 1:
-                    s -= 1
+                if s >= den:
+                    s -= den
                     wraps += 1
-                ws.append(s)
-        new_points[label] = tuple(sorted(ws))
+                ws.append(Fraction(s, den))
+        new_points[label] = tuple(ws)
     new_degree = b.rank * a.degree + a.rank * b.degree + wraps
     return ParabolicModel(rank=a.rank * b.rank, degree=new_degree, points=new_points)
 
@@ -246,7 +268,7 @@ def tensor(a: ParabolicModel, b: ParabolicModel) -> ParabolicModel:
 def direct_sum(a: ParabolicModel, b: ParabolicModel) -> ParabolicModel:
     _require_same_points(a, b)
     new_points = {
-        label: tuple(sorted(a.points[label] + b.points[label])) for label in a.points
+        label: a.points[label] + b.points[label] for label in a.points
     }
     return ParabolicModel(
         rank=a.rank + b.rank, degree=a.degree + b.degree, points=new_points
@@ -256,12 +278,13 @@ def direct_sum(a: ParabolicModel, b: ParabolicModel) -> ParabolicModel:
 def det(model: ParabolicModel) -> ParabolicModel:
     """Determinant line: per point the weight is (sum of weights) mod 1; the
     integer part of the sum moves into the underlying degree."""
+    den = model.cover_degree
     new_points = {}
     shift = 0
     for label, ws in model.points.items():
-        s = sum(ws, Fraction(0))
-        shift += math.floor(s)
-        new_points[label] = (s - math.floor(s),)
+        q, r = divmod(sum(_over(w, den) for w in ws), den)
+        shift += q
+        new_points[label] = (Fraction(r, den),)
     return ParabolicModel(rank=1, degree=model.degree + shift, points=new_points)
 
 

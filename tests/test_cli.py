@@ -28,6 +28,11 @@ def write_model(tmp_path, payload):
     return str(path)
 
 
+def points_spec(count, rank):
+    """`count` marked points, each with the weights k/(2 rank), k < rank."""
+    return {f"p{i}": [f"{k}/{2 * rank}" for k in range(rank)] for i in range(count)}
+
+
 GOOD_MODEL = {
     "rank": 2,
     "degree": 1,
@@ -230,6 +235,15 @@ class TestInputContract:
         ("ops", {"rank": 1, "degree": 0}, ["--samples", "-1"]),
         ("ops", {"rank": 65, "degree": 0}, []),
         ("pardeg", {"rank": 65, "degree": 0}, []),
+        ("ops", {"rank": 1, "degree": 0, "points": points_spec(17, 1)}, []),
+        ("pardeg", {"rank": 1, "degree": 0, "points": points_spec(17, 1)}, []),
+        ("pardeg", {"rank": 2.7, "degree": 0}, []),
+        ("pardeg", {"rank": 1, "degree": 1.9}, []),
+        ("pardeg", {"rank": True, "degree": 0}, []),
+        ("ops", {"rank": 1, "degree": False}, []),
+        ("pardeg", {"rank": 1, "degree": 0, "coverDegree": 0}, []),
+        ("pardeg", {"rank": 1, "degree": 0, "coverDegree": -4}, []),
+        ("ops", {"rank": 1, "degree": 0, "coverDegree": 2.0}, []),
     ]
 
     @pytest.mark.parametrize(
@@ -249,6 +263,12 @@ class TestInputContract:
         # ROADMAP times ops --samples 3000
         args = cli.build_parser().parse_args(["ops", "--samples", str(samples)])
         assert args.samples == samples
+
+    def test_point_cap_admits_largest_model(self, tmp_path):
+        spec = {"rank": 64, "degree": 0, "points": points_spec(16, 64)}
+        path = write_model(tmp_path, spec)
+        assert run(tmp_path, "ops", "--input", path, "--samples", "1") == 0
+        assert read_report(tmp_path, "ops")["pass"]
 
     @pytest.mark.parametrize("c", [[1, 0.001, 0.001, 0.001], [1.0] * 6])
     def test_quadrature_over_budget_is_runtime_error(self, tmp_path, capsys, c):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parachern import parabolic
 from parachern.parabolic import (
@@ -368,7 +370,171 @@ def test_json_roundtrip():
     assert m.to_json_dict()["coverDegree"] == 2
 
 
+@pytest.mark.parametrize(
+    "w", [1, "1", "7/7", 1.0, F(4, 3), F(-1, 3), -0.5, F(-1, 10**30), F(10**30, 10**30 - 1)]
+)
+def test_weight_outside_unit_interval_rejected(w):
+    with pytest.raises(InvalidModelError, match=r"outside \[0, 1\)"):
+        ParabolicModel(rank=2, degree=0, points={"p": (F(1, 2), w)})
+
+
 def test_json_rejects_out_of_range_weight():
     bad = '{"rank": 1, "degree": 0, "points": {"p": ["3/2"]}}'
     with pytest.raises(InvalidModelError):
         ParabolicModel.from_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# reference: the same operations in plain Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def ref_points(points):
+    """Each weight as a Fraction, range-checked, sorted by Fraction order."""
+    out = {}
+    for label, ws in points.items():
+        ws = tuple(sorted(F(w) for w in ws))
+        assert all(0 <= w < 1 for w in ws)
+        out[label] = ws
+    return out
+
+
+def ref_cover_degree(points):
+    n = 1
+    for ws in points.values():
+        for w in ws:
+            n = math.lcm(n, w.denominator)
+    return n
+
+
+def ref_sum_form(m):
+    return F(m.degree) + sum((w for ws in m.points.values() for w in ws), F(0))
+
+
+def ref_jumps(m):
+    drops = {}
+    for ws in m.points.values():
+        for w in ws:
+            drops[w] = drops.get(w, 0) + 1
+    deg = m.degree
+    jumps = []
+    for t in sorted(drops):
+        deg -= drops[t]
+        jumps.append((t, drops[t], deg))
+    return jumps
+
+
+def ref_integral(degree_at_zero, jumps):
+    total = F(0)
+    cuts = [F(0)] + [t for t, _, _ in jumps] + [F(1)]
+    vals = [degree_at_zero] + [d for _, _, d in jumps]
+    for (a, b), v in zip(zip(cuts, cuts[1:]), vals):
+        total += v * (b - a)
+    return total
+
+
+def ref_dual(m):
+    zero_count = sum(1 for ws in m.points.values() for w in ws if w == 0)
+    points = {
+        label: tuple(F(0) if w == 0 else 1 - w for w in ws)
+        for label, ws in m.points.items()
+    }
+    degree = -m.degree + zero_count - m.rank * m.num_points
+    return m.rank, degree, ref_points(points)
+
+
+def ref_det(m):
+    points = {}
+    shift = 0
+    for label, ws in m.points.items():
+        s = sum(ws, F(0))
+        shift += math.floor(s)
+        points[label] = (s - math.floor(s),)
+    return 1, m.degree + shift, points
+
+
+def ref_tensor(a, b):
+    points = {}
+    wraps = 0
+    for label in a.points:
+        ws = []
+        for x in a.points[label]:
+            for y in b.points[label]:
+                s = x + y
+                if s >= 1:
+                    s -= 1
+                    wraps += 1
+                ws.append(s)
+        points[label] = tuple(sorted(ws))
+    return a.rank * b.rank, b.rank * a.degree + a.rank * b.degree + wraps, points
+
+
+def ref_direct_sum(a, b):
+    points = {label: tuple(sorted(a.points[label] + b.points[label])) for label in a.points}
+    return a.rank + b.rank, a.degree + b.degree, points
+
+
+# denominators from 1 to 10^30; 10^30, 10^30 + 1, 3^40 and 2^61 - 1 are
+# pairwise coprime
+DENOMINATORS = st.one_of(
+    st.integers(1, 12),
+    st.integers(1, 10**30),
+    st.sampled_from([10**30, 10**30 + 1, 3**40, 2**61 - 1]),
+)
+
+
+@st.composite
+def weight_inputs(draw):
+    """A weight in [0, 1) as a Fraction, an int, a dyadic float or a string."""
+    kind = draw(st.sampled_from(["fraction", "int", "float", "string"]))
+    if kind == "int":
+        return 0
+    if kind == "float":
+        bits = draw(st.integers(0, 52))
+        return draw(st.integers(0, 2**bits - 1)) / 2**bits
+    den = draw(DENOMINATORS)
+    k = draw(st.integers(0, den - 1))
+    return F(k, den) if kind == "fraction" else f"{k}/{den}"
+
+
+@st.composite
+def model_pairs(draw):
+    """Two models on the same marked points, weights given unsorted."""
+    labels = [f"p{i}" for i in range(draw(st.integers(0, 4)))]
+
+    def model():
+        rank = draw(st.integers(1, 6))
+        points = {label: draw(st.lists(weight_inputs(), min_size=rank, max_size=rank))
+                  for label in labels}
+        return rank, draw(st.integers(-6, 6)), points
+
+    return model(), model()
+
+
+def assert_matches_reference(m, rank, degree, points):
+    assert (m.rank, m.degree, m.points) == (rank, degree, points)
+    for ws in m.points.values():
+        assert all(type(w) is F for w in ws)
+        assert list(ws) == sorted(ws)
+    assert m.cover_degree == ref_cover_degree(points)
+    f = my_filtration(m)
+    jumps = [(j.t, j.rank_drop, j.degree_after) for j in f.jumps]
+    assert jumps == ref_jumps(m)
+    assert all(type(j.t) is F for j in f.jumps)
+    integral = f.integral_degree()
+    assert type(integral) is F and integral == ref_integral(m.degree, jumps)
+    pd = par_degree(m)
+    assert type(pd) is F and pd == ref_sum_form(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_pairs())
+def test_integer_arithmetic_matches_fraction_reference(pair):
+    (rank, degree, points), (rank_b, degree_b, points_b) = pair
+    a = ParabolicModel(rank, degree, points)
+    b = ParabolicModel(rank_b, degree_b, points_b)
+    assert_matches_reference(a, rank, degree, ref_points(points))
+    assert_matches_reference(b, rank_b, degree_b, ref_points(points_b))
+    assert_matches_reference(dual(a), *ref_dual(a))
+    assert_matches_reference(det(a), *ref_det(a))
+    assert_matches_reference(tensor(a, b), *ref_tensor(a, b))
+    assert_matches_reference(direct_sum(a, b), *ref_direct_sum(a, b))
