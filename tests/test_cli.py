@@ -176,6 +176,35 @@ class TestMASolve:
         assert run(tmp_path, "masolve", "--input", str(cfg)) == 2
 
 
+class TestMASolveDiagnostics:
+    def test_gmres_counters_in_report_and_csv(self, tmp_path):
+        cfg = tmp_path / "ma.json"
+        cfg.write_text(json.dumps({"fixture": "hermite-einstein", "M": 32}))
+        assert run(tmp_path, "masolve", "--input", str(cfg)) == 0
+        rep = read_report(tmp_path, "masolve")
+        counts = rep["gmresIterations"]
+        assert len(counts) == rep["iterations"] > 0 and min(counts) >= 1
+        lines = (tmp_path / "masolve_residuals.csv").read_text().splitlines()
+        assert lines[0] == "iteration,residual,minEig,conservation,gmres"
+        assert [int(line.split(",")[-1]) for line in lines[1:]] == [0, *counts]
+
+    @pytest.mark.parametrize("tol", ["1e-13", "1e-14", "1e-15"])
+    def test_tol_below_roundoff_floor(self, tmp_path, capsys, tol):
+        cfg = tmp_path / "ma.json"
+        cfg.write_text(json.dumps({"fixture": "hermite-einstein", "M": 128}))
+        assert run(tmp_path, "masolve", "--input", str(cfg), "--tol", tol) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("runtime error: ConvergenceError: ")
+        assert f"tol {float(tol):.1e} is below the roundoff floor" in err
+
+    def test_main_reuses_one_parser(self, tmp_path, monkeypatch):
+        def no_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        assert run(tmp_path, "masolve") == 0
+
 class TestReproducibility:
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,8 +1,14 @@
 """Monge-Ampere solver on the flat torus model."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from parachern import cli, masolver
 from parachern.masolver import (
     ConvergenceError,
     HypothesisError,
@@ -376,3 +382,150 @@ class TestConclusion:
         c1G, c2G = conformal_fields(prob, phi.data)
         schur = wedge_density(c1G, c1G) - c2G
         assert np.abs(schur - prob.eta.data).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# inexact Newton-Krylov step
+# ---------------------------------------------------------------------------
+
+
+def reference_P(problem, g, v):
+    """The spectral inverse of J's constant-coefficient part, by complex FFT."""
+    r, M = problem.rank, problem.grid
+    k = 2 * np.pi * np.fft.fftfreq(M, d=1.0 / M)
+    k1, k2 = k[:, None], k[None, :]
+    gbar = g.mean(axis=(0, 1))
+    symbol = -(r * (r + 1) / 4) * (
+        gbar[1, 1] * k1**2 - 2 * gbar[0, 1] * k1 * k2 + gbar[0, 0] * k2**2
+    )
+    inv = np.zeros_like(symbol)
+    inv[symbol != 0] = 1.0 / symbol[symbol != 0]
+    out = np.fft.ifft2(np.fft.fft2(v) * inv).real
+    return out - out.mean()
+
+
+def reference_J(problem, g, delta):
+    """The Newton Jacobian of r(r+1) det(g) through spectral_hessian."""
+    r = problem.rank
+    H = spectral_hessian(delta - delta.mean())
+    out = (r * (r + 1) / 4) * (
+        g[..., 1, 1] * H[..., 0, 0] - 2 * g[..., 0, 1] * H[..., 0, 1] + g[..., 0, 0] * H[..., 1, 1]
+    )
+    return out - out.mean()
+
+
+def unclosed_problem(M=32, r=2):
+    """c_1 with d c_1 != 0, its (0,0) coefficient varying along x_2, and the
+    solution phi* = 0.02 sin(2 pi x_1) cos(2 pi x_2); returns (problem, phi*).
+    phi* is L2-orthogonal to div div cof(c_1), so the mass of det g is the
+    same at phi* as at 0."""
+    x1, x2 = grid_coordinates(M)
+    c1 = r * np.broadcast_to(np.eye(2), (M, M, 2, 2)).copy()
+    c1[..., 0, 0] += 0.2 * r * np.cos(2 * np.pi * x2)
+    c1[..., 0, 1] = c1[..., 1, 0] = 0.1 * r * np.sin(2 * np.pi * x1)
+    phi = 0.02 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
+    F = r * (r + 1) * det_field(c1 / r + ddc_potential(phi))
+    kl = np.full((M, M), 0.3)
+    c2 = (2 * r * kl + (r - 1) * wedge_density(c1, c1)) / (2 * r)
+    prob = MAProblem(
+        r,
+        TorusField("(1,1)", c1),
+        TorusField("(2,2)", c2),
+        TorusField("(2,2)", F - kl),
+    )
+    return prob, phi
+
+
+class TestNewtonKrylov:
+    @pytest.mark.parametrize("n", [5, 30, 60])
+    def test_gmres_matches_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        A = 2 * np.eye(n) + rng.normal(size=(n, n)) / np.sqrt(n)
+        b = rng.normal(size=n)
+        x, steps = masolver._gmres(lambda v: A @ v, b, 1e-13)
+        ref = np.linalg.solve(A, b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert steps <= n + masolver.GMRES_RESTART
+        if n > masolver.GMRES_RESTART:
+            assert steps > masolver.GMRES_RESTART  # the solve restarted
+
+    def test_gmres_stall_raises(self):
+        # the cyclic shift: GMRES from x = 0 makes no progress before step n
+        n = masolver.GMRES_MAX_ITERATIONS + 50
+        b = np.zeros(n)
+        b[0] = 1.0
+        with pytest.raises(ConvergenceError, match="stalled"):
+            masolver._gmres(lambda v: np.roll(v, 1), b, 1e-10)
+
+    @pytest.mark.parametrize("M", [16, 32])
+    @pytest.mark.parametrize("unclosed", [False, True])
+    def test_fused_operator_matches_complex_fft(self, M, unclosed):
+        prob = unclosed_problem(M)[0] if unclosed else hermite_einstein_problem(M)
+        prob = normalize_problem(prob)
+        rng = np.random.default_rng(M)
+        phi = 0.01 * rng.normal(size=(M, M))
+        g = masolver._metric(prob, phi - phi.mean())
+        apply_JP, _ = masolver._preconditioned_jacobian(prob, g)
+        for _ in range(3):
+            v = rng.normal(size=(M, M))
+            ref = reference_J(prob, g, reference_P(prob, g, v))
+            got = apply_JP(v.ravel()).reshape(M, M)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_unclosed_c1_converges(self):
+        M = 64
+        prob, phi_ex = unclosed_problem(M)
+        prob = normalize_problem(prob)
+        assert abs(prob.eta_scale - 1.0) < 1e-12
+        # the Jacobian at phi = 0 is not self-adjoint
+        g = masolver._metric(prob, np.zeros((M, M)))
+        x1, x2 = grid_coordinates(M)
+        u, v = np.cos(2 * np.pi * x2), np.sin(2 * np.pi * (x1 + x2))
+        Ju_v = (reference_J(prob, g, u) * v).sum()
+        u_Jv = (u * reference_J(prob, g, v)).sum()
+        assert abs(Ju_v - u_Jv) > 0.1 * abs(Ju_v)
+        phi, diag = solve(prob, tol=1e-10)
+        assert diag.converged and diag.residuals[-1] < 1e-10
+        assert len(diag.gmres) == diag.iterations and min(diag.gmres) >= 1
+        assert np.abs(phi.data - phi_ex).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "fixture,M",
+        [
+            ("constant", 256),
+            ("perturbed", 256),
+            ("hermite-einstein", 224),
+            ("hermite-einstein", 256),
+            ("hermite-einstein", 512),
+        ],
+    )
+    def test_masolve_fine_grids(self, tmp_path, fixture, M):
+        cfg = tmp_path / "ma.json"
+        cfg.write_text(json.dumps({"fixture": fixture, "M": M}))
+        assert cli.main(["masolve", "--input", str(cfg), "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "masolve_report.json").read_text())
+        assert rep["pass"] and rep["finalResidual"] < 1e-10
+        assert len(rep["gmresIterations"]) == rep["iterations"]
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-14, 1e-15])
+    def test_tol_below_roundoff_floor_named(self, tol):
+        prob = normalize_problem(hermite_einstein_problem(M=128))
+        with pytest.raises(ConvergenceError, match="below the roundoff floor") as exc:
+            solve(prob, tol=tol)
+        assert f"tol {tol:.1e}" in str(exc.value)
+        assert "residual reached" in str(exc.value)
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, parachern.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        src = str(Path(masolver.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": src, "PATH": ""},
+        )
+        assert out.stdout.strip() == "[]"
