@@ -2,9 +2,12 @@
 
 Coefficients come in two modes: exact Gaussian rationals (:class:`QQi`) for
 identity checks, and complex floats for positivity sampling.  Which mode a
-computation runs in is decided in one place, :func:`exact_mode`.  Exterior
-monomials are stored in the canonical order dz factors ascending, then dzbar
-factors ascending; all wedge signs are normalized to that order.
+computation runs in is decided in one place, :func:`exact_mode`.  A float
+coefficient may be a numpy array over a batch of points; it is dropped only
+when it is zero at every point, and queries that call ``complex()`` on a
+coefficient need scalars.  Exterior monomials are stored in the canonical
+order dz factors ascending, then dzbar factors ascending; all wedge signs
+are normalized to that order.
 
 A :class:`QQi` holds Gaussian-integer numerators a, b over one integer
 denominator d, as (a + b*i)/d with d > 0 and gcd(a, b, d) = 1.  Its
@@ -177,7 +180,7 @@ def _merge_sign(a: tuple, b: tuple):
 
 
 class FormValue:
-    """Element of the exterior algebra at a point:
+    """Element of the exterior algebra at a point (or a batch of points):
     sum over (I, J) of f_IJ dz^I wedge dzbar^J."""
 
     __slots__ = ("dim", "coeffs")
@@ -187,8 +190,13 @@ class FormValue:
         self.coeffs = {}
         if coeffs:
             for (I, J), c in coeffs.items():
-                if c:
-                    self.coeffs[(tuple(I), tuple(J))] = c
+                try:
+                    if not c:
+                        continue
+                except ValueError:  # an array over points: zero at every point
+                    if not c.any():
+                        continue
+                self.coeffs[(tuple(I), tuple(J))] = c
 
     # -- constructors --
 

@@ -30,6 +30,9 @@ J P is applied in Fourier space with real FFTs.  J is not self-adjoint
 when c_1 is not closed, so GMRES serves every input.  The outer test is the
 sup-norm residual; a tol below the roundoff floor of the grid is reported
 as such.
+
+chern_crosscheck checks the closed formulas of conformal_fields through
+forms.chern_forms, in one call whose coefficients are arrays over the nodes.
 """
 
 from __future__ import annotations
@@ -316,9 +319,9 @@ def _metric(problem: MAProblem, phi: np.ndarray) -> np.ndarray:
     return problem.c1.data / problem.rank + ddc_potential(phi)
 
 
-def _residual(problem: MAProblem, g: np.ndarray) -> np.ndarray:
+def _residual(problem: MAProblem, g: np.ndarray, F: np.ndarray) -> np.ndarray:
     r = problem.rank
-    return r * (r + 1) * det_field(g) - problem.rhs()
+    return r * (r + 1) * det_field(g) - F
 
 
 def _gmres(apply, b: np.ndarray, rtol: float):
@@ -445,8 +448,9 @@ def solve(problem: MAProblem, tol=1e-10, max_iter=50):
     mass0 = det_field(_metric(problem, phi)).mean()
     diag = SolveDiagnostics(iterations=0)
 
+    F = problem.rhs()
     g = _metric(problem, phi)
-    R = _residual(problem, g)
+    R = _residual(problem, g, F)
     res = np.abs(R).max()
     diag.residuals.append(float(res))
     diag.min_eigs.append(float(min_eigenvalue(g).min()))
@@ -477,8 +481,9 @@ def solve(problem: MAProblem, tol=1e-10, max_iter=50):
         while True:
             trial = phi + t * delta
             g_trial = _metric(problem, trial)
-            if min_eigenvalue(g_trial).min() > 0:
-                R_trial = _residual(problem, g_trial)
+            min_eig = min_eigenvalue(g_trial).min()
+            if min_eig > 0:
+                R_trial = _residual(problem, g_trial, F)
                 res_trial = np.abs(R_trial).max()
                 if res_trial < res:
                     break
@@ -490,7 +495,7 @@ def solve(problem: MAProblem, tol=1e-10, max_iter=50):
         diag.damping.append(t)
         diag.gmres.append(steps)
         diag.residuals.append(float(res))
-        diag.min_eigs.append(float(min_eigenvalue(g).min()))
+        diag.min_eigs.append(float(min_eig))
         diag.conservation.append(float(abs(det_field(g).mean() - mass0)))
     else:
         if res >= tol:
@@ -555,45 +560,44 @@ def verify_conclusion(phi: TorusField, problem: MAProblem, tol=1e-8) -> Conclusi
     )
 
 
+def _forms_chern_densities(theta: np.ndarray, d: np.ndarray):
+    """c_1 coefficients and c_2 density of Theta_H + (dd^c phi) Id by one
+    chern_forms call whose FormValue coefficients are arrays over the nodes
+    of theta[..., a, b, p, q] and d[..., p, q]."""
+    r = theta.shape[-3]
+    T = theta.astype(complex)
+    for a in range(r):
+        T[..., a, a, :, :] += d
+    entries = [[FormValue(2, {((p,), (q,)): T[..., a, b, p, q] for p, q in np.ndindex(2, 2)})
+                for b in range(r)] for a in range(r)]
+    # entries are pre-normalized coefficients: use trivial scaling
+    c = chern_forms(CurvatureMatrix(entries), normalization=1.0 + 0.0j)
+    c1 = np.empty(d.shape, dtype=complex)
+    for p, q in np.ndindex(2, 2):
+        c1[..., p, q] = c[1].coefficient((p,), (q,))
+    # pre-normalized coefficients carry no factors of i, so the
+    # canonical-order top coefficient is minus the density
+    return c1, -np.real(c[2].coefficient((0, 1), (0, 1)))
+
+
 def chern_crosscheck(problem: MAProblem, phi: np.ndarray, theta: np.ndarray, stride=8):
-    """Independent check through the exterior-forms machinery: at a strided
-    subset of nodes, build the curvature of G = H e^{-phi} as the FormValue
-    matrix Theta_H + (del delbar phi) Id and compare its Chern densities with
-    the field-level conformal_fields computation.  theta is the curvature
-    coefficient field of H as in MAProblem.from_theta.  Returns the max
-    absolute deviation over (c1 coefficients, c2 density)."""
-    r = problem.rank
-    M = problem.grid
-    d = ddc_potential(phi)
+    """Independent check through the exterior-forms machinery: on the nodes
+    [::stride, ::stride], build the curvature of G = H e^{-phi} as the
+    FormValue matrix Theta_H + (del delbar phi) Id, with array coefficients
+    over those nodes, and compare its Chern densities with the field-level
+    conformal_fields computation.  theta is the curvature coefficient field
+    of H as in MAProblem.from_theta, of shape (M, M, r, r, 2, 2); stride is
+    an integer >= 1.  Returns the max absolute deviation over (c1
+    coefficients, c2 density) as a float."""
+    r, M = problem.rank, problem.grid
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    if np.shape(theta) != (M, M, r, r, 2, 2):
+        raise ValueError(f"theta must have shape {(M, M, r, r, 2, 2)}, got {np.shape(theta)}")
+    nodes = (slice(None, None, stride),) * 2
+    c1, c2 = _forms_chern_densities(np.asarray(theta)[nodes], ddc_potential(phi)[nodes])
     c1G, c2G = conformal_fields(problem, phi)
-    dev = 0.0
-    for ix in range(0, M, stride):
-        for iy in range(0, M, stride):
-            entries = []
-            for a in range(r):
-                row = []
-                for b in range(r):
-                    f = FormValue.zero(2)
-                    for p in range(2):
-                        for q in range(2):
-                            coeff = theta[ix, iy, a, b, p, q]
-                            if a == b:
-                                coeff = coeff + d[ix, iy, p, q]
-                            f = f + FormValue.monomial(2, (p,), (q,), complex(coeff))
-                    row.append(f)
-                entries.append(row)
-            # entries are pre-normalized coefficients: use trivial scaling
-            c = chern_forms(CurvatureMatrix(entries), normalization=1.0 + 0.0j)
-            c1_mat = np.array(
-                [[c[1].coefficient((p,), (q,)) for q in range(2)] for p in range(2)],
-                dtype=complex,
-            )
-            dev = max(dev, float(np.abs(c1_mat - c1G[ix, iy]).max()))
-            # pre-normalized coefficients carry no factors of i, so the
-            # canonical-order top coefficient is minus the density
-            c2_density = -complex(c[2].coefficient((0, 1), (0, 1))).real
-            dev = max(dev, abs(c2_density - c2G[ix, iy]))
-    return dev
+    return float(max(np.abs(c1 - c1G[nodes]).max(), np.abs(c2 - c2G[nodes]).max()))
 
 
 def interpolant_residual(phi_exact: np.ndarray, problem: MAProblem) -> float:

@@ -453,6 +453,58 @@ def test_segre_low_degrees_and_convolution():
         assert conv.is_zero()
 
 
+def curvature_from(T, coefficient):
+    """CurvatureMatrix with entry (a, b) sum over p, q (ascending) of
+    coefficient(T[..., a, b, p, q]) dz_p dzbar_q."""
+    r, n = T.shape[-4], T.shape[-1]
+    return CurvatureMatrix(
+        [
+            [
+                FormValue(
+                    n,
+                    {((p,), (q,)): coefficient(T[..., a, b, p, q])
+                     for p in range(n) for q in range(n)},
+                )
+                for b in range(r)
+            ]
+            for a in range(r)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_array_coefficients_match_pointwise(r, n):
+    # float-mode Chern and Segre forms of a curvature whose coefficients are
+    # arrays over K points, against the scalar forms point by point
+    K = 7
+    rng = np.random.default_rng([43, r, n])
+    T = rng.normal(size=(K, r, r, n, n)) + 1j * rng.normal(size=(K, r, r, n, n))
+    T[::2, 0, 0, 0, n - 1] = 0  # zero at some points
+    T[:, r - 1, 0, n - 1, 0] = 0  # zero at every point
+    batch = curvature_from(T, lambda c: c)
+    assert ((n - 1,), (0,)) not in batch.entries[r - 1][0].coeffs
+    assert ((0,), (n - 1,)) in batch.entries[0][0].coeffs
+    c_batch = chern_forms(batch)
+    s_batch = segre_forms(c_batch, n)
+    for k in range(K):
+        point = curvature_from(T[k], complex)
+        c_point = chern_forms(point)
+        s_point = segre_forms(c_point, n)
+        for a in range(r):
+            for b in range(r):
+                assert batch.entries[a][b].bidegrees() == point.entries[a][b].bidegrees()
+        pairs = list(zip(c_batch.forms, c_point.forms)) + list(zip(s_batch, s_point))
+        for f_batch, f_point in pairs:
+            assert f_batch.bidegrees() == f_point.bidegrees()
+            # a coefficient zero at this point only is stored by the batch
+            assert f_point.coeffs.keys() <= f_batch.coeffs.keys()
+            scale = f_point.max_abs()
+            for key, c in f_batch.coeffs.items():
+                c_k = np.broadcast_to(c, K)[k]
+                assert abs(c_k - f_point.coefficient(*key)) <= 1e-15 * scale
+
+
 def test_schur_small_partitions():
     rng = np.random.default_rng(37)
     theta = random_exact_curvature(rng, 3, 3)

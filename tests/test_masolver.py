@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from parachern import cli, masolver
+from parachern.forms import CurvatureMatrix, FormValue, chern_forms
 from parachern.masolver import (
     ConvergenceError,
     HypothesisError,
@@ -529,3 +530,157 @@ class TestNewtonKrylov:
             env={"PYTHONPATH": src, "PATH": ""},
         )
         assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# exterior-forms crosscheck over a batch of nodes
+# ---------------------------------------------------------------------------
+
+
+def pointwise_forms_densities(phi, theta, stride):
+    """The per-node reference: at each node of range(0, M, stride) squared,
+    one scalar chern_forms call on Theta_H + (del delbar phi) Id.  Returns
+    {(ix, iy): (c1 coefficient matrix, c2 density)}."""
+    M, r = theta.shape[0], theta.shape[2]
+    d = ddc_potential(phi)
+    out = {}
+    for ix in range(0, M, stride):
+        for iy in range(0, M, stride):
+            entries = []
+            for a in range(r):
+                row = []
+                for b in range(r):
+                    f = FormValue.zero(2)
+                    for p in range(2):
+                        for q in range(2):
+                            coeff = theta[ix, iy, a, b, p, q]
+                            if a == b:
+                                coeff = coeff + d[ix, iy, p, q]
+                            f = f + FormValue.monomial(2, (p,), (q,), complex(coeff))
+                    row.append(f)
+                entries.append(row)
+            c = chern_forms(CurvatureMatrix(entries), normalization=1.0 + 0.0j)
+            c1_mat = np.array(
+                [[c[1].coefficient((p,), (q,)) for q in range(2)] for p in range(2)],
+                dtype=complex,
+            )
+            out[ix, iy] = c1_mat, -complex(c[2].coefficient((0, 1), (0, 1))).real
+    return out
+
+
+def pointwise_chern_crosscheck(problem, phi, theta, stride=8):
+    """chern_crosscheck node by node, as it was computed before the nodes
+    were batched; the reference for the batched version.  Returns the max
+    deviation and the per-node densities of pointwise_forms_densities."""
+    c1G, c2G = conformal_fields(problem, phi)
+    densities = pointwise_forms_densities(phi, theta, stride)
+    dev = 0.0
+    for (ix, iy), (c1_mat, c2_density) in densities.items():
+        dev = max(dev, float(np.abs(c1_mat - c1G[ix, iy]).max()))
+        dev = max(dev, abs(c2_density - c2G[ix, iy]))
+    return dev, densities
+
+
+def crosscheck_case(M, r, closed):
+    """(problem, phi, theta): a seeded smooth curvature field of H and a
+    smooth phi.  closed: diagonal blocks b Id + dd^c psi and symmetric
+    off-diagonal blocks theta_ab = theta_ba.  Otherwise the diagonal blocks
+    are symmetric but not closed, and each off-diagonal block is drawn on
+    its own with theta_ab[p, q] != theta_ab[q, p]."""
+    rng = np.random.default_rng([M, r, closed])
+    x1, x2 = grid_coordinates(M)
+
+    def wave():
+        k1, k2 = rng.integers(-2, 3, size=2)
+        a, b = rng.normal(size=2)
+        arg = 2 * np.pi * (k1 * x1 + k2 * x2)
+        return a * np.cos(arg) + b * np.sin(arg)
+
+    theta = np.zeros((M, M, r, r, 2, 2))
+    for a in range(r):
+        theta[:, :, a, a] = (1 + 0.2 * a) * np.eye(2)
+        if closed:
+            theta[:, :, a, a] += 0.002 * ddc_potential(wave())
+        else:
+            theta[:, :, a, a, 0, 0] += 0.05 * wave()
+            theta[:, :, a, a, 1, 1] += 0.05 * wave()
+            theta[:, :, a, a, 0, 1] = theta[:, :, a, a, 1, 0] = 0.05 * wave()
+        for b in range(r):
+            if b == a or (closed and b < a):
+                continue
+            for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                theta[:, :, a, b, p, q] = 0.05 * wave()
+            if closed:
+                theta[:, :, a, b, 1, 0] = theta[:, :, a, b, 0, 1]
+                theta[:, :, b, a] = theta[:, :, a, b]
+    phi = 0.002 * (np.sin(2 * np.pi * x1) + np.cos(2 * np.pi * (x1 + 2 * x2)))
+    eta = TorusField("(2,2)", np.ones((M, M)))
+    return MAProblem.from_theta(r, theta, eta), phi, theta
+
+
+class TestBatchedCrosscheck:
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "unclosed"])
+    @pytest.mark.parametrize("stride", [1, 3, 5, 8])
+    @pytest.mark.parametrize("M", [16, 32])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_batch_matches_pointwise_reference(self, r, M, stride, closed):
+        prob, phi, theta = crosscheck_case(M, r, closed)
+        if not closed:
+            assert np.abs(theta[..., 0, 1] - theta[..., 1, 0]).max() > 0
+            assert np.abs(theta[:, :, 0, 1] - theta[:, :, 1, 0]).max() > 0
+        nodes = (slice(None, None, stride),) * 2
+        c1, c2 = masolver._forms_chern_densities(theta[nodes], ddc_potential(phi)[nodes])
+        reference_dev, reference = pointwise_chern_crosscheck(prob, phi, theta, stride)
+        assert len(reference) == c2.size == len(range(0, M, stride)) ** 2
+        for (ix, iy), (c1_ref, c2_ref) in reference.items():
+            scale = max(np.abs(c1_ref).max(), abs(c2_ref))
+            i, j = ix // stride, iy // stride
+            assert np.abs(c1[i, j] - c1_ref).max() <= 1e-15 * scale
+            assert abs(c2[i, j] - c2_ref) <= 1e-15 * scale
+        batched = chern_crosscheck(prob, phi, theta, stride=stride)
+        assert type(batched) is float
+        assert batched <= 1e-12 and reference_dev <= 1e-12
+
+    @pytest.mark.parametrize("block", ["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("stride", [1, 3, 5, 8])
+    def test_every_sampled_node_is_checked(self, stride, block):
+        # a diagonal bump moves c1 by 2 delta; an off-diagonal bump
+        # eps Id of theta_01 moves only c2, by -eps tr(theta_10) = -2 delta
+        M, r, delta = 32, 2, 1e-6
+        prob, phi, theta = crosscheck_case(M, r, closed=False)
+        base = chern_crosscheck(prob, phi, theta, stride=stride)
+        last = (M - 1) // stride * stride
+        nodes = [((last, last), True)]
+        if stride > 1:
+            nodes.append(((last + 1, last - 1), False))
+        for node, sampled in nodes:
+            bumped = theta.copy()
+            if block == "diagonal":
+                for a in range(r):
+                    bumped[node + (a, a)] += delta * np.eye(2)
+            else:
+                bumped[node + (0, 1)] += 2 * delta / np.trace(theta[node + (1, 0)]) * np.eye(2)
+            dev = chern_crosscheck(prob, phi, bumped, stride=stride)
+            if sampled:
+                assert dev >= delta
+            else:
+                assert dev == base
+
+    @pytest.mark.parametrize("stride", [0, -1, -3, 2.0, 2.5, "8", None])
+    def test_bad_stride_rejected(self, stride):
+        prob, phi, theta = crosscheck_case(16, 2, closed=True)
+        shifted = theta.copy()
+        for a in range(2):
+            shifted[:, :, a, a] += 0.5 * np.eye(2)
+        assert chern_crosscheck(prob, phi, shifted, stride=3) >= 0.5
+        with pytest.raises(ValueError, match="stride"):
+            chern_crosscheck(prob, phi, shifted, stride=stride)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(8, 8, 2, 2, 2, 2), (16, 16, 3, 3, 2, 2), (16, 16, 2, 2, 2), (16, 16, 2, 2, 3, 3)],
+    )
+    def test_bad_theta_shape_rejected(self, shape):
+        prob, phi, _ = crosscheck_case(16, 2, closed=True)
+        with pytest.raises(ValueError, match="theta"):
+            chern_crosscheck(prob, phi, np.ones(shape))
