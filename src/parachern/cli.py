@@ -161,19 +161,18 @@ def _field(spec, sub, key, kind, default):
     return _check(key, spec.get(key, default), kind, *LIMITS[sub].get(key, ()))
 
 
-def _read_model(args, default=None):
-    """The input text and its model; `default` when there is no --input."""
-    text, spec = _read_spec(args)
-    if text is None and default is None:
+def _read_model(args, spec, default=None):
+    """The model of the input spec; `default` when there is no --input."""
+    if not args.input and default is None:
         raise InputError("this subcommand requires --input (model JSON)")
     try:
-        model = default if text is None else ParabolicModel.from_json_dict(spec)
+        model = ParabolicModel.from_json_dict(spec) if args.input else default
     except InvalidModelError as exc:
         raise InputError(f"invalid model: {exc}") from exc
     limits = LIMITS[args.subcommand]
     _check("rank", model.rank, int, *limits["rank"])
     _check("number of points", model.num_points, int, *limits["points"])
-    return text, model
+    return model
 
 
 def _write(outdir: Path, name: str, content: str):
@@ -192,12 +191,22 @@ def _write_csv(outdir: Path, name: str, header: str, lines):
 # ---------------------------------------------------------------------------
 
 
-def cmd_pardeg(args, outdir: Path):
-    text, model = _read_model(args)
+def _run(args, outdir: Path):
+    """Run args.subcommand on the spec of its --input, attach provenance and
+    write <sub>_report.json; returns the report."""
+    text, spec = _read_spec(args)
+    report = COMMANDS[args.subcommand](args, spec, outdir)
+    report.update(_provenance(args, text))
+    _write(outdir, f"{args.subcommand}_report.json", _canonical(report))
+    return report
+
+
+def cmd_pardeg(args, spec, outdir: Path):
+    model = _read_model(args, spec)
     # par_degree raises ArithmeticError unless its sum form and its
     # integral form agree, so the value it returns is both
     pd = par_degree(model)
-    report = {
+    return {
         "parDeg": str(pd),
         "slope": str(pd / model.rank),
         "sumForm": str(pd),
@@ -210,8 +219,6 @@ def cmd_pardeg(args, outdir: Path):
         ],
         "pass": True,
     }
-    report.update(_provenance(args, text))
-    return report
 
 
 def _identity_rows(model: ParabolicModel, other: ParabolicModel):
@@ -239,9 +246,9 @@ def _identity_rows(model: ParabolicModel, other: ParabolicModel):
     return rows
 
 
-def cmd_ops(args, outdir: Path):
+def cmd_ops(args, spec, outdir: Path):
     half = Fraction(1, 2)
-    text, model = _read_model(args, ParabolicModel(2, 1, {"p": (half, half)}))
+    model = _read_model(args, spec, ParabolicModel(2, 1, {"p": (half, half)}))
     rows = _identity_rows(model, model)
 
     def sweep(i):
@@ -255,14 +262,12 @@ def cmd_ops(args, outdir: Path):
     rows.append({"identity": sweep_name, "result": "PASS" if sweep_ok else "FAIL"})
     ok = all(r["result"] == "PASS" for r in rows)
     report = {"model": json.loads(model.to_json()), "identities": rows, "pass": ok}
-    report.update(_provenance(args, text))
     _write_csv(outdir, "ops_identities.csv", "identity,result",
                (f"{r['identity']},{r['result']}" for r in rows))
     return report
 
 
-def cmd_admissible(args, outdir: Path):
-    text, spec = _read_spec(args)
+def cmd_admissible(args, spec, outdir: Path):
     field = partial(_field, spec, "admissible")
     N = field("N", int, 3)
     weights = field("weights", list, ["1/3", "2/3"])
@@ -302,13 +307,11 @@ def cmd_admissible(args, outdir: Path):
         "roundTripMaxDeviation": dev,
         "pass": ok,
     }
-    report.update(_provenance(args, text))
     _write(outdir, "admissible_annuli.csv", cert.csv_rows() + "\n")
     return report
 
 
-def cmd_chern(args, outdir: Path):
-    text, spec = _read_spec(args)
+def cmd_chern(args, spec, outdir: Path):
     r = _field(spec, "chern", "rank", int, 3)
     n = _field(spec, "chern", "dim", int, 2)
     rng = random.Random(args.seed)
@@ -339,13 +342,10 @@ def cmd_chern(args, outdir: Path):
         {"check": "Segre convolution inverse", "result": "PASS" if segre_ok else "FAIL"},
     ]
     ok = minors_ok and conj_ok and segre_ok
-    report = {"rank": r, "dim": n, "checks": rows, "pass": bool(ok)}
-    report.update(_provenance(args, text))
-    return report
+    return {"rank": r, "dim": n, "checks": rows, "pass": bool(ok)}
 
 
-def cmd_pushforward(args, outdir: Path):
-    text, spec = _read_spec(args)
+def cmd_pushforward(args, spec, outdir: Path):
     c = [
         _check(f"c[{i}]", x, float, *LIMITS["pushforward"]["c[i]"])
         for i, x in enumerate(_field(spec, "pushforward", "c", list, [1.0, 2.0]))
@@ -378,7 +378,6 @@ def cmd_pushforward(args, outdir: Path):
         "maxCoeffDeviation": max_dev,
         "pass": bool(ok),
     }
-    report.update(_provenance(args, text))
     _write_csv(outdir, "pushforward_deviations.csv", "case,maxCoeffDeviation",
                (f"{i},{d:.3e}" for i, d in enumerate(series)))
     return report
@@ -431,8 +430,7 @@ def _masolve_problem(spec):
     )
 
 
-def cmd_masolve(args, outdir: Path):
-    text, spec = _read_spec(args)
+def cmd_masolve(args, spec, outdir: Path):
     raw = _masolve_problem(spec)
     prob = normalize_problem(raw)
     phi, diag = solve(prob, tol=args.tol)
@@ -449,7 +447,6 @@ def cmd_masolve(args, outdir: Path):
         "conclusion": rep.to_json_dict(),
         "pass": bool(ok),
     }
-    report.update(_provenance(args, text))
     # row 0 is the initial state, before any GMRES step
     rows = zip(diag.residuals, diag.min_eigs, diag.conservation, [0, *diag.gmres])
     _write_csv(outdir, "masolve_residuals.csv", "iteration,residual,minEig,conservation,gmres",
@@ -457,26 +454,11 @@ def cmd_masolve(args, outdir: Path):
     return report
 
 
-def cmd_all(args, outdir: Path):
+def cmd_all(args, spec, outdir: Path):
     sub = {}
-    ok = True
-    for name, fn in (
-        ("ops", cmd_ops),
-        ("admissible", cmd_admissible),
-        ("chern", cmd_chern),
-        ("pushforward", cmd_pushforward),
-        ("masolve", cmd_masolve),
-    ):
-        sub_args = argparse.Namespace(**vars(args))
-        sub_args.subcommand = name
-        sub_args.input = None
-        rep = fn(sub_args, outdir)
-        _write(outdir, f"{name}_report.json", _canonical(rep))
-        sub[name] = rep["pass"]
-        ok &= rep["pass"]
-    report = {"suites": sub, "pass": bool(ok)}
-    report.update(_provenance(args, None))
-    return report
+    for name in ("ops", "admissible", "chern", "pushforward", "masolve"):
+        sub[name] = _run(argparse.Namespace(**dict(vars(args), subcommand=name)), outdir)["pass"]
+    return {"suites": sub, "pass": all(sub.values())}
 
 
 COMMANDS = {
@@ -517,9 +499,12 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=VERSION)
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    # all runs every suite on its defaults, so it takes no --input
+    parser.set_defaults(input=None)
     for name in COMMANDS:
         p = subs.add_parser(name)
-        p.add_argument("--input", help="input JSON file (format per subcommand)")
+        if name != "all":
+            p.add_argument("--input", help="input JSON file (format per subcommand)")
         p.add_argument("--out", default=".", help="output directory for reports")
         p.add_argument("--tol", type=_above(0, float), default=1e-10)
         p.add_argument("--samples", type=_above(0, int, SAMPLES_MAX), default=50)
@@ -538,8 +523,7 @@ def main(argv=None) -> int:
             raise InputError(f"PARACHERN_LOG: unknown level {level!r}")
         logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         args = _PARSER.parse_args(argv)
-        report = COMMANDS[args.subcommand](args, Path(args.out))
-        _write(Path(args.out), f"{args.subcommand}_report.json", _canonical(report))
+        report = _run(args, Path(args.out))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

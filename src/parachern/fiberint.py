@@ -141,6 +141,19 @@ def scalar_fiber_integral(c, tol=1e-8, nodes_per_panel=10):
     return value, _tail_bound(c, T)
 
 
+def _proposal_draw(budget, d, seed):
+    """budget seeded draws t_i = u_i/(1-u_i), u uniform on [0,1)^d, and
+    their inverse proposal density prod (1+t_i)^2."""
+    u = np.random.default_rng(seed).random(size=(budget, d))
+    t = u / (1 - u)
+    return t, np.prod((1 + t) ** 2, axis=1)
+
+
+def _mean_stderr(vals):
+    """Sample mean of vals and its standard error."""
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+
 def monte_carlo_oracle(c, budget=100_000, seed=0):
     """Importance-sampled estimate of the same integral with the proposal
     t_i = u_i/(1-u_i), u uniform (density prod (1+t_i)^{-2}).
@@ -153,15 +166,9 @@ def monte_carlo_oracle(c, budget=100_000, seed=0):
         return 1.0 / c[0], 0.0
     if budget < 100:
         raise ValueError("budget too small for a standard-error estimate")
-    rng = np.random.default_rng(seed)
-    u = rng.random(size=(budget, d))
-    t = u / (1 - u)
-    dens = np.prod((1 + t) ** 2, axis=1)  # 1/q(t)
+    t, dens = _proposal_draw(budget, d, seed)
     S = c[0] + t @ np.asarray(c[1:])
-    vals = math.factorial(d) * dens * S ** (-r)
-    est = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(budget))
-    return est, stderr
+    return _mean_stderr(math.factorial(d) * dens * S ** (-r))
 
 
 def monte_carlo_moment(m, s, budget=200_000, seed=0):
@@ -169,14 +176,10 @@ def monte_carlo_moment(m, s, budget=200_000, seed=0):
     integral over C^d of prod |w|^{2 m_i} (1+|w|^2)^{-s} prod dA_i/pi."""
     m = [int(x) for x in m]
     d = len(m)
-    rng = np.random.default_rng(seed)
-    u = rng.random(size=(budget, d))
-    t = u / (1 - u)
-    dens = np.prod((1 + t) ** 2, axis=1)
-    vals = dens * np.prod(t ** np.asarray(m, dtype=float), axis=1) * (
-        1 + np.sum(t, axis=1)
-    ) ** (-s)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(budget))
+    t, dens = _proposal_draw(budget, d, seed)
+    return _mean_stderr(
+        dens * np.prod(t ** np.asarray(m, dtype=float), axis=1) * (1 + np.sum(t, axis=1)) ** (-s)
+    )
 
 
 def moment_exact(m, s) -> Fraction:

@@ -532,19 +532,37 @@ def exact_mode(*items) -> bool:
     return False
 
 
-def default_normalization(exact: bool):
-    return QQi(1) if exact else 1j / (2 * math.pi)
+def _rational(p: int, q: int, exact: bool):
+    """p/q as a QQi in exact mode, as a float otherwise."""
+    return QQi(Fraction(p, q)) if exact else p / q
+
+
+def _normalized(theta: CurvatureMatrix, normalization):
+    """(exact, X) with X = normalization * theta entrywise; the default
+    normalization is 1 in exact mode and i/(2 pi) in float mode."""
+    exact = exact_mode(theta, normalization)
+    if normalization is None:
+        normalization = QQi(1) if exact else 1j / (2 * math.pi)
+    r = theta.rank
+    return exact, [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
+
+
+def _leibniz_terms(entry, k: int, one: FormValue):
+    """Signed terms sign(perm) * entry(0, perm[0]) ^ ... ^ entry(k-1, perm[k-1])
+    of a k x k determinant, one per permutation in lexicographic order."""
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = one
+        for i in range(k):
+            term = term.wedge(entry(i, perm[i]))
+        yield (-1 if inversions % 2 else 1) * term
 
 
 def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
     """Elementary symmetric functions of the normalized curvature via
     Newton's identities on the power traces."""
-    exact = exact_mode(theta, normalization)
-    if normalization is None:
-        normalization = default_normalization(exact)
+    exact, X = _normalized(theta, normalization)
     r, n = theta.rank, theta.dim
-    one = QQi(1) if exact else 1.0
-    X = [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
     # power traces p_k, k = 1..r (entries even, so products commute)
     traces = []
     P = X
@@ -554,47 +572,33 @@ def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
         )
         if k < r:
             P = _mat_wedge(P, X, n)
-    e = [FormValue.scalar(n, one)]
+    e = [FormValue.scalar(n, _rational(1, 1, exact))]
     for k in range(1, r + 1):
         acc = FormValue.zero(n)
         for i in range(1, k + 1):
             term = e[k - i].wedge(traces[i - 1])
             acc = acc + ((-1) ** (i - 1)) * term
-        inv_k = QQi(Fraction(1, k)) if exact else 1.0 / k
-        e.append(inv_k * acc)
+        e.append(_rational(1, k, exact) * acc)
     return ChernData(tuple(e))
 
 
 def chern_forms_minors(theta: CurvatureMatrix, normalization=None) -> ChernData:
     """Independent oracle: c_k as the sum of principal k x k minors of the
     normalized curvature, each expanded over permutations."""
-    exact = exact_mode(theta, normalization)
-    if normalization is None:
-        normalization = default_normalization(exact)
+    exact, X = _normalized(theta, normalization)
     r, n = theta.rank, theta.dim
-    one = QQi(1) if exact else 1.0
-    X = [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
-    forms = [FormValue.scalar(n, one)]
+    one = FormValue.scalar(n, _rational(1, 1, exact))
+    forms = [one]
     for k in range(1, r + 1):
-        acc = FormValue.zero(n)
-        for S in combinations(range(r), k):
-            for perm in permutations(range(k)):
-                sign = _perm_sign(perm)
-                term = FormValue.scalar(n, one)
-                for i in range(k):
-                    term = term.wedge(X[S[i]][S[perm[i]]])
-                acc = acc + sign * term
-        forms.append(acc)
+        # one left fold over all minors: summing each minor first changes
+        # the last bits in float mode
+        terms = (
+            t
+            for S in combinations(range(r), k)
+            for t in _leibniz_terms(lambda i, j, S=S: X[S[i]][S[j]], k, one)
+        )
+        forms.append(sum(terms, FormValue.zero(n)))
     return ChernData(tuple(forms))
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def segre_forms(c: ChernData, max_degree: int) -> list[FormValue]:
@@ -626,20 +630,12 @@ def schur_form(lam: Sequence[int], c: ChernData) -> FormValue:
     s = segre_forms(c, top)
     h = [((-1) ** k) * s[k] for k in range(top + 1)]
 
-    def h_at(k):
-        if k < 0:
-            return FormValue.zero(n)
-        return h[k]
+    def entry(i, j):
+        k = lam[i] - i + j
+        return h[k] if k >= 0 else FormValue.zero(n)
 
-    one = QQi(1) if exact_mode(c) else 1.0
-    acc = FormValue.zero(n)
-    for perm in permutations(range(ell)):
-        sign = _perm_sign(perm)
-        term = FormValue.scalar(n, one)
-        for i in range(ell):
-            term = term.wedge(h_at(lam[i] - (i + 1) + (perm[i] + 1)))
-        acc = acc + sign * term
-    return acc
+    one = FormValue.scalar(n, _rational(1, 1, exact_mode(c)))
+    return sum(_leibniz_terms(entry, ell, one), FormValue.zero(n))
 
 
 def kobayashi_lubke_rhs(c: ChernData, r: int) -> FormValue:
@@ -647,8 +643,7 @@ def kobayashi_lubke_rhs(c: ChernData, r: int) -> FormValue:
     if c.dim != 2:
         raise ValueError("defined for base dimension 2 only")
     c1, c2 = c[1], c[2]
-    inv = QQi(Fraction(1, 2 * r)) if exact_mode(c) else 1.0 / (2 * r)
-    return inv * ((2 * r) * c2 - (r - 1) * c1.wedge(c1))
+    return _rational(1, 2 * r, exact_mode(c)) * ((2 * r) * c2 - (r - 1) * c1.wedge(c1))
 
 
 # ---------------------------------------------------------------------------

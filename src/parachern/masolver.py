@@ -37,8 +37,7 @@ forms.chern_forms, in one call whose coefficients are arrays over the nodes.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -94,22 +93,7 @@ class TorusField:
     def shifted(self, s1: int, s2: int) -> "TorusField":
         return TorusField(self.kind, np.roll(self.data, (s1, s2), axis=(0, 1)))
 
-    # -- I/O: flat binary + JSON descriptor, or row-major CSV ---------------
-
-    def save(self, path_bin, path_json):
-        self.data.astype("<f8").tofile(path_bin)
-        with open(path_json, "w") as fh:
-            json.dump(
-                {"kind": self.kind, "shape": list(self.data.shape), "dtype": "<f8"},
-                fh,
-            )
-
-    @classmethod
-    def load(cls, path_bin, path_json) -> "TorusField":
-        with open(path_json) as fh:
-            meta = json.load(fh)
-        data = np.fromfile(path_bin, dtype=meta["dtype"]).reshape(meta["shape"])
-        return cls(meta["kind"], data)
+    # -- I/O: row-major CSV ---------------------------------------------------
 
     def save_csv(self, path):
         np.savetxt(path, self.data.reshape(self.data.shape[0], -1), delimiter=",")
@@ -170,10 +154,10 @@ def fd_hessian(phi: np.ndarray) -> np.ndarray:
     return H
 
 
-def ddc_potential(phi: np.ndarray, hessian=spectral_hessian) -> np.ndarray:
+def ddc_potential(phi: np.ndarray) -> np.ndarray:
     """(1,1) coefficient field of dd^c phi = (i/2pi) del delbar phi for
     x-only data: one quarter of the real Hessian."""
-    return 0.25 * hessian(phi)
+    return 0.25 * spectral_hessian(phi)
 
 
 def wedge_density(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,11 +222,14 @@ class MAProblem:
     def rhs(self) -> np.ndarray:
         return self.eta.data + self.kl_density()
 
+    def calabi_target(self) -> float:
+        """r(r+1) mean det(c_1/r), the mean that F must have."""
+        r = self.rank
+        return (r + 1) / r * det_field(self.c1.data).mean()
+
     def compatibility_defect(self) -> float:
         """| mean F - r(r+1) mean det(c_1/r) | (zero iff Calabi-compatible)."""
-        r = self.rank
-        target = (r + 1) / r * det_field(self.c1.data).mean()
-        return abs(self.rhs().mean() - target)
+        return abs(self.rhs().mean() - self.calabi_target())
 
     @classmethod
     def from_theta(cls, rank, theta: np.ndarray, eta: TorusField) -> "MAProblem":
@@ -269,9 +256,7 @@ def normalize_problem(raw: MAProblem) -> MAProblem:
     positive pointwise."""
     if raw.rhs().min() <= 0:
         raise HypothesisError("right side F must be positive pointwise")
-    r = raw.rank
-    target = (r + 1) / r * det_field(raw.c1.data).mean()
-    kappa = (target - raw.kl_density().mean()) / raw.eta.data.mean()
+    kappa = (raw.calabi_target() - raw.kl_density().mean()) / raw.eta.data.mean()
     if kappa <= 0:
         raise HypothesisError("no positive rescale achieves compatibility")
     scaled = replace(
@@ -302,17 +287,6 @@ class SolveDiagnostics:
     conservation: list = field(default_factory=list)
     gmres: list = field(default_factory=list)  # GMRES steps of each Newton step
     converged: bool = False
-
-    def to_json_dict(self):
-        return {
-            "iterations": self.iterations,
-            "residuals": self.residuals,
-            "damping": self.damping,
-            "min_eigs": self.min_eigs,
-            "conservation": self.conservation,
-            "gmres": self.gmres,
-            "converged": self.converged,
-        }
 
 
 def _metric(problem: MAProblem, phi: np.ndarray) -> np.ndarray:
@@ -520,15 +494,19 @@ class ConclusionReport:
     schur_positive: bool
 
     def to_json_dict(self):
-        return self.__dict__.copy()
+        return asdict(self)
 
 
 def conformal_fields(problem: MAProblem, phi: np.ndarray):
     """Chern data of G = H e^{-phi}: c_1(G) = c_1 + r dd^c phi (coefficient
     field) and c_2(G) = c_2 + (r-1) c_1 ^ dd^c phi + (r(r-1)/2)(dd^c phi)^2
     (density)."""
+    return _conformal_fields(problem, ddc_potential(phi))
+
+
+def _conformal_fields(problem: MAProblem, d: np.ndarray):
+    """conformal_fields from d = ddc_potential(phi)."""
     r = problem.rank
-    d = ddc_potential(phi)
     c1G = problem.c1.data + r * d
     c2G = (
         problem.c2.data
@@ -595,14 +573,14 @@ def chern_crosscheck(problem: MAProblem, phi: np.ndarray, theta: np.ndarray, str
     if np.shape(theta) != (M, M, r, r, 2, 2):
         raise ValueError(f"theta must have shape {(M, M, r, r, 2, 2)}, got {np.shape(theta)}")
     nodes = (slice(None, None, stride),) * 2
-    c1, c2 = _forms_chern_densities(np.asarray(theta)[nodes], ddc_potential(phi)[nodes])
-    c1G, c2G = conformal_fields(problem, phi)
+    d = ddc_potential(phi)
+    c1, c2 = _forms_chern_densities(np.asarray(theta)[nodes], d[nodes])
+    c1G, c2G = _conformal_fields(problem, d)
     return float(max(np.abs(c1 - c1G[nodes]).max(), np.abs(c2 - c2G[nodes]).max()))
 
 
 def interpolant_residual(phi_exact: np.ndarray, problem: MAProblem) -> float:
     """Sup-norm residual of a continuum solution sampled on the grid when the
     Hessian is discretized at second order; used for refinement studies."""
-    r = problem.rank
-    g = problem.c1.data / r + ddc_potential(phi_exact, hessian=fd_hessian)
-    return float(np.abs(r * (r + 1) * det_field(g) - problem.rhs()).max())
+    g = problem.c1.data / problem.rank + 0.25 * fd_hessian(phi_exact)
+    return float(np.abs(_residual(problem, g, problem.rhs())).max())

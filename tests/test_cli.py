@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report provenance, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -95,6 +96,19 @@ class TestAdmissible:
         cfg = tmp_path / "adm.json"
         cfg.write_text(json.dumps({"N": 4, "weights": ["1/4", "3/4"], "dim": 2}))
         assert run(tmp_path, "admissible", "--input", str(cfg)) == 0
+
+    @pytest.mark.parametrize(
+        "spec,seed",
+        [
+            ({"N": 3, "radialNodes": 20}, 0),
+            ({"N": 3, "radialNodes": 32}, 0),
+            ({"N": 6, "dim": 1, "weights": ["1/6", "5/6"], "radialNodes": 12}, 2),
+        ],
+    )
+    def test_deep_grid_admissible(self, tmp_path, spec, seed):
+        path = write_model(tmp_path, spec)
+        assert run(tmp_path, "admissible", "--input", path, "--seed", str(seed)) == 0
+        assert read_report(tmp_path, "admissible")["admissible"]
 
     def test_bad_weight_denominator(self, tmp_path):
         cfg = tmp_path / "adm.json"
@@ -206,15 +220,21 @@ class TestMASolveDiagnostics:
         assert run(tmp_path, "masolve") == 0
 
 class TestReproducibility:
-    def test_byte_identical_reports(self, tmp_path):
+    @pytest.mark.parametrize("sub", list(cli.COMMANDS))
+    def test_byte_identical_reports(self, tmp_path, sub):
+        """Two runs with the same config and seed write the same bytes in
+        every report and CSV."""
+        argv = [sub, "--samples", "10", "--seed", "3"]
+        if sub == "pardeg":
+            argv += ["--input", write_model(tmp_path, GOOD_MODEL)]
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert cli.main(
-                ["pushforward", "--samples", "10", "--seed", "3", "--out", str(out)]
-            ) == 0
-        assert (a / "pushforward_report.json").read_bytes() == (
-            b / "pushforward_report.json"
-        ).read_bytes()
+            assert cli.main([*argv, "--out", str(out)]) == 0
+        names = sorted(path.name for path in a.iterdir())
+        assert f"{sub}_report.json" in names
+        assert names == sorted(path.name for path in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_seed_changes_monte_carlo(self, tmp_path):
         run(tmp_path, "pushforward", "--samples", "10", "--seed", "1")
@@ -228,6 +248,11 @@ class TestReproducibility:
         assert run(tmp_path, "all", "--samples", "5") == 0
         rep = read_report(tmp_path, "all")
         assert rep["pass"] and all(rep["suites"].values())
+        # each suite runs on its defaults, with no input
+        empty = hashlib.sha256(b"").hexdigest()
+        for sub in [*rep["suites"], "all"]:
+            config = read_report(tmp_path, sub)["config"]
+            assert config["subcommand"] == sub and config["inputSha256"] == empty
 
     def test_log_env_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PARACHERN_LOG", "DEBUG")
@@ -273,6 +298,7 @@ class TestInputContract:
         ("pardeg", {"rank": 1, "degree": 0, "coverDegree": 0}, []),
         ("pardeg", {"rank": 1, "degree": 0, "coverDegree": -4}, []),
         ("ops", {"rank": 1, "degree": 0, "coverDegree": 2.0}, []),
+        ("all", {}, []),
     ]
 
     @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from parachern.forms import (
     chern_forms,
     chern_forms_minors,
     ddc_polynomial,
+    exact_mode,
     griffiths_pairing,
     griffiths_test,
     hermitian_partner,
@@ -550,6 +551,86 @@ def test_schur_partition_validation():
         schur_form((1, 2), c)
     with pytest.raises(ValueError):
         schur_form((1, 1, 1), c)  # longer than rank 2
+
+
+# ---------------------------------------------------------------------------
+# bits of the permutation expansions
+# ---------------------------------------------------------------------------
+
+
+def perm_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def reference_chern_forms_minors(theta):
+    """chern_forms_minors written out as one loop over minors and
+    permutations, with the default normalization.  Reference for the bits."""
+    exact = exact_mode(theta)
+    normalization = QQi(1) if exact else 1j / (2 * math.pi)
+    r, n = theta.rank, theta.dim
+    one = QQi(1) if exact else 1.0
+    X = [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
+    forms = [FormValue.scalar(n, one)]
+    for k in range(1, r + 1):
+        acc = FormValue.zero(n)
+        for S in combinations(range(r), k):
+            for perm in permutations(range(k)):
+                sign = perm_sign(perm)
+                term = FormValue.scalar(n, one)
+                for i in range(k):
+                    term = term.wedge(X[S[i]][S[perm[i]]])
+                acc = acc + sign * term
+        forms.append(acc)
+    return forms
+
+
+def reference_schur_form(lam, c):
+    """schur_form's Giambelli determinant written out as one loop over
+    permutations.  Reference for the bits."""
+    n, ell = c.dim, len(lam)
+    top = lam[0] + ell - 1
+    s = segre_forms(c, top)
+    h = [((-1) ** k) * s[k] for k in range(top + 1)]
+    one = QQi(1) if exact_mode(c) else 1.0
+    acc = FormValue.zero(n)
+    for perm in permutations(range(ell)):
+        sign = perm_sign(perm)
+        term = FormValue.scalar(n, one)
+        for i in range(ell):
+            k = lam[i] - (i + 1) + (perm[i] + 1)
+            term = term.wedge(h[k] if k >= 0 else FormValue.zero(n))
+        acc = acc + sign * term
+    return acc
+
+
+def partitions(k, largest):
+    """Partitions of k into parts of at most `largest`, nonincreasing."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, largest), 0, -1):
+        for rest in partitions(k - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 5) for n in range(1, 4)])
+def test_permutation_expansions_keep_their_bits(exact, r, n):
+    """chern_forms_minors and schur_form equal (==) the loops above in both
+    modes: each sums its signed terms in one left fold, in the same order."""
+    rng = np.random.default_rng([r, n, exact])
+    for _ in range(2):
+        theta = (random_exact_curvature if exact else random_float_curvature)(rng, r, n)
+        assert list(chern_forms_minors(theta).forms) == reference_chern_forms_minors(theta)
+        c = chern_forms(theta)
+        for k in range(1, n + 1):
+            for lam in partitions(k, k):
+                if len(lam) <= r:
+                    assert schur_form(lam, c) == reference_schur_form(lam, c), lam
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,41 @@ def test_grid_too_coarse():
         admissibility_check(field)
 
 
+@pytest.mark.parametrize(
+    "N,annuli,dim,seed",
+    [(3, 20, 2, 0), (3, 24, 2, 0), (3, 32, 2, 0), (6, 12, 1, 2), (12, 32, 2, 5)],
+)
+def test_smooth_lift_admissible_on_deep_grids(N, annuli, dim, seed):
+    """Radial differences are taken per unit |w_1|, the coordinate the lift
+    is smooth in, so annuli closer to w_1 = 0 do not reject a smooth lift."""
+    chart = LocalChart(dim=dim, cover_degree=N, annuli=annuli)
+    weights = [Fraction(1, N), Fraction(N - 1, N)]
+    htilde = random_invariant_htilde(np.random.default_rng(seed), weights, chart)
+    report = admissibility_check(descend_metric(htilde, weights, chart))
+    assert report.admissible, report.reasons
+
+
+@pytest.mark.parametrize("N,annuli", [(2, 24), (2, 32), (3, 32)])
+def test_nonsmooth_lift_rejected_on_deep_grids(N, annuli):
+    """H = 1 + |z_1|^(1/(2N)) lifts to 1 + |w_1|^(1/2), which is continuous
+    but has an unbounded radial derivative at w_1 = 0."""
+    chart = LocalChart(dim=1, cover_degree=N, annuli=annuli)
+    field = LocalMetricField(chart, [0], lambda z: np.array([[1 + abs(z[0]) ** (0.5 / N)]]))
+    report = admissibility_check(field)
+    assert not report.admissible
+    assert any("derivative unbounded" in r for r in report.reasons)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_radial_difference_is_per_unit_w1(N):
+    """The lift 1 + |w_1| changes by 1 per unit |w_1| between any two annuli."""
+    chart = LocalChart(dim=1, cover_degree=N)
+    field = LocalMetricField(chart, [0], lambda z: np.array([[1 + abs(z[0]) ** (1.0 / N)]]))
+    report = admissibility_check(field)
+    assert report.admissible, report.reasons
+    assert np.allclose(report.annulus_deriv, 1.0, rtol=1e-10, atol=0)
+
+
 def test_rebase_cover():
     rng = np.random.default_rng(9)
     chart = LocalChart(dim=1, cover_degree=3)

@@ -103,12 +103,6 @@ def manufactured_problem(M, r=2, amp=0.02):
 
 
 class TestTorusField:
-    def test_roundtrip_binary(self, tmp_path):
-        f = TorusField("(2,2)", np.arange(16.0).reshape(4, 4))
-        f.save(tmp_path / "f.bin", tmp_path / "f.json")
-        g = TorusField.load(tmp_path / "f.bin", tmp_path / "f.json")
-        assert g.kind == "(2,2)" and np.array_equal(f.data, g.data)
-
     def test_roundtrip_csv(self, tmp_path):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(4, 4, 2, 2))
@@ -665,6 +659,20 @@ class TestBatchedCrosscheck:
                 assert dev >= delta
             else:
                 assert dev == base
+
+    def test_one_spectral_hessian_per_crosscheck(self, monkeypatch):
+        """The forms route and the closed formulas share one dd^c phi."""
+        prob, phi, theta = crosscheck_case(16, 2, closed=True)
+        expected = chern_crosscheck(prob, phi, theta, stride=3)
+        calls = []
+
+        def counted(f):
+            calls.append(f.shape)
+            return spectral_hessian(f)
+
+        monkeypatch.setattr(masolver, "spectral_hessian", counted)
+        assert chern_crosscheck(prob, phi, theta, stride=3) == expected
+        assert calls == [phi.shape]
 
     @pytest.mark.parametrize("stride", [0, -1, -3, 2.0, 2.5, "8", None])
     def test_bad_stride_rejected(self, stride):
