@@ -89,7 +89,8 @@ LIMITS = {
     # ops tensors the model with itself: rank^2 weights per point
     "ops": {"rank": (1, 64), "points": (0, 16)},
     "pardeg": {"rank": (1, 64), "points": (0, 16)},
-    "pushforward": {"c": (1, 8), "c[i]": (1e-6, 1e6)},
+    # five c need --tol >= 1e-9 for the quadrature; six never pass its 1e-6 check
+    "pushforward": {"c": (1, 5), "c[i]": (1e-6, 1e6)},
     # the fixtures divide by the rank before MAProblem can check it
     "masolve": {"M": (8, 512), "rank": (1, 64), "eps": (-10.0, 10.0)},
 }
@@ -351,8 +352,9 @@ def cmd_pushforward(args, spec, outdir: Path):
         for i, x in enumerate(_field(spec, "pushforward", "c", list, [1.0, 2.0]))
     ]
     closed = 1.0 / float(np.prod(c))
-    quad, quad_err = scalar_fiber_integral(c, tol=args.tol)
-    mc, mc_se = monte_carlo_oracle(c, budget=max(args.samples, 100) * 1000, seed=args.seed)
+    quad = scalar_fiber_integral(c, tol=args.tol)
+    mc_samples = max(args.samples, 100) * 1000 if len(c) > 1 else 0
+    mc, mc_se = monte_carlo_oracle(c, budget=mc_samples, seed=args.seed)
 
     rng = random.Random(args.seed)
     max_dev = 0.0
@@ -366,15 +368,18 @@ def cmd_pushforward(args, spec, outdir: Path):
         max_dev = max(max_dev, dev)
 
     ok = (
-        abs(quad - closed) < 1e-6 * max(1.0, abs(closed))
-        and abs(quad - mc) <= 3 * mc_se
+        abs(quad.value - closed) < 1e-6 * max(1.0, abs(closed))
+        and abs(quad.value - mc) <= 3 * mc_se
         and max_dev == 0.0
     )
     report = {
         "inputs": {"c": c},
         "closedForm": closed,
-        "quadrature": {"value": quad, "tailBound": quad_err},
-        "monteCarlo": {"estimate": mc, "stderr": mc_se},
+        "quadrature": {
+            "value": quad.value, "errorEstimate": quad.error, "h": quad.step, "L": quad.window,
+            "nodesPerAxis": list(quad.nodes), "halvingLevels": quad.halvings,
+        },
+        "monteCarlo": {"estimate": mc, "stderr": mc_se, "samples": mc_samples},
         "maxCoeffDeviation": max_dev,
         "pass": bool(ok),
     }

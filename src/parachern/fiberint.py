@@ -2,13 +2,13 @@
 
 Three independent routes to the same integrals:
 
-* :func:`scalar_fiber_integral` -- tensorized Gauss-Legendre quadrature of the
+* :func:`scalar_fiber_integral` -- trapezoid rule in s_i = log t_i for the
   scalar specialization (r-1)! * integral over C^{r-1} of
-  prod(dA_i/pi) / (c_0 + sum c_i |w_i|^2)^r, with an analytic tail bound;
-  closed form 1/(c_0 c_1 ... c_{r-1}).  The grid of N^{r-1} points is
-  evaluated in leaves of at most LEAF_POINTS points that follow numpy's
-  pairwise summation tree, so memory is O(N^{r-2}) and the sum has the
-  bits of one np.sum over the whole grid.
+  prod(dA_i/pi) / (c_0 + sum c_i |w_i|^2)^r; closed form 1/(c_0 ... c_{r-1}).
+  In s the integrand is analytic in a strip and decays exponentially, so the
+  rule converges geometrically in 1/h (Trefethen and Weideman, SIAM Review
+  56, 2014).  It estimates its relative error by halving h, with analytic
+  window tails, and evaluates its grid in blocks of bounded size.
 * :func:`monte_carlo_oracle` -- importance-sampled estimate with standard
   error, used to cross-check the quadrature and the moment backend.
 * :func:`symbolic_pushforward` -- exact fiber integral of the Segre series
@@ -30,6 +30,7 @@ sum m <= k.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -38,7 +39,9 @@ import numpy as np
 from .forms import CurvatureMatrix, FormValue, QQi, _conj, exact_mode
 
 GRID_BUDGET = 2**26  # most quadrature points in one call: bounds its time
-LEAF_POINTS = 2**17  # most quadrature points evaluated at once
+BLOCK_POINTS = 2**16  # most quadrature points evaluated at once: bounds its memory
+FIRST_STEP = 0.6  # first step in log t; at tol 1e-10 most c of length 3 or 4 stop there
+MC_BLOCK_ROWS = 2**14  # Monte Carlo draws evaluated at once
 
 
 class QuadratureError(RuntimeError):
@@ -50,108 +53,120 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _tail_bound(c, T):
-    """Upper bound for the truncated mass: sum over i of the exact integral
-    of the full integrand over {t_i > T}, each of which closes to
-    1 / (c_i (c_0 + c_i T) * prod_{j != i, j != 0} c_j)."""
-    c = list(c)
+@dataclass(frozen=True)
+class FiberQuadrature:
+    """Value and error estimate of :func:`scalar_fiber_integral`, which it
+    unpacks to, with the final step h, the window half-width L, the nodes
+    per axis and how often h was halved from FIRST_STEP."""
+
+    value: float
+    error: float
+    step: float = 0.0
+    window: float = 0.0
+    nodes: tuple = ()
+    halvings: int = 0
+
+    def __iter__(self):
+        return iter((self.value, self.error))
+
+
+def _trapezoid_sums(c, h, ks):
+    """Trapezoid sums of (r-1)! prod(t_i) / (c_0 + sum c_i t_i)^r over the
+    nodes s_i = log t_i = k h, k in ks[i]: the step-h sum Q_h, and the step-2h
+    sum over each of the 2^d parity classes of the indices (class 0, all
+    even, is the plain Q_2h).  Rows over the first d - 1 axes go in blocks
+    of at most BLOCK_POINTS points, whose sums math.fsum adds."""
     r = len(c)
-    total = 0.0
-    for i in range(1, r):
-        rest = 1.0
-        for j in range(1, r):
-            if j != i:
-                rest *= c[j]
-        total += 1.0 / (c[i] * (c[0] + c[i] * T) * rest)
-    return total
+    d = r - 1
+    t = [np.exp(h * k) for k in ks]
+    S, W, P = np.full([1] * (d - 1), c[0]), np.ones([1] * (d - 1)), np.zeros([1] * (d - 1), int)
+    for i in range(d - 1):
+        sh = [1] * (d - 1)
+        sh[i] = t[i].size
+        S = S + c[i + 1] * t[i].reshape(sh)
+        W = W * t[i].reshape(sh)
+        P = P + (ks[i] % 2 << i).reshape(sh)
+    S, W, P = S.reshape(-1, 1), W.reshape(-1, 1), P.reshape(-1)
+    last_S, last_W, first = c[d] * t[-1], t[-1], int(ks[-1][0] % 2)
+    rows, half = max(1, BLOCK_POINTS // last_S.size), 2 ** (d - 1)
+    parts = []
+    for a in range(0, S.shape[0], rows):
+        v = (S[a : a + rows] + last_S) ** -r
+        v *= W[a : a + rows]
+        v *= last_W
+        sums = [v[:, j::2].sum(axis=1) for j in (first, 1 - first)]  # even, odd last index
+        parts.append(np.concatenate([np.bincount(P[a : a + rows], x, half) for x in sums]))
+    classes = np.array([math.fsum(col) for col in np.transpose(parts)])
+    scale = math.factorial(d) * h**d
+    return scale * math.fsum(classes), scale * 2**d * classes
 
 
-def _pairwise_sum(leaf, start, count):
-    """numpy's pairwise summation of points [start, start+count): np.sum of
-    a contiguous array halves it at a multiple of 8 until at most 128
-    points remain, so every subtree of at most LEAF_POINTS points is summed
-    by leaf(start, count) with the same bits."""
-    if count <= LEAF_POINTS:
-        return leaf(start, count)
-    half = count // 2
-    half -= half % 8
-    return _pairwise_sum(leaf, start, half) + _pairwise_sum(leaf, start + half, count - half)
-
-
-def scalar_fiber_integral(c, tol=1e-8, nodes_per_panel=10):
+def scalar_fiber_integral(c, tol=1e-8):
     """(r-1)! * integral over [0,inf)^{r-1} of prod dt_i/(c_0 + sum c_i t_i)^r
-    by geometric-panel Gauss-Legendre; compare with 1/prod(c_i).
+    by the trapezoid rule in s_i = log t_i; compare with 1/prod(c_i).
 
-    Returns (value, error_estimate)."""
+    Axis i is cut to log(c_0/c_i) +- L, L = h_0 + log(16 d/tol), with nodes at
+    the multiples of h, so halving h nests the grids.  The relative error
+    estimate, which h halves to meet tol, adds the mean over the parity
+    classes of (Q_2h / Q_h - 1)^2 (geometric convergence squares the error
+    when h halves; shifted classes see a 2h error that cancels by phase on
+    the even one), the window tail and roundoff.  Returns a FiberQuadrature."""
     c = [float(x) for x in c]
     if any(x <= 0 for x in c):
         raise ValueError("coefficients must be positive")
     r = len(c)
     d = r - 1
     if d == 0:
-        return 1.0 / c[0], 0.0
-
-    # truncation: grow T until the analytic tail bound is small enough
-    T, panels = 1.0, 1
-    while _tail_bound(c, T) > tol / 2:
-        T *= 2.0
-        panels += 1
-        if panels > 80:
-            raise QuadratureError("tail bound does not reach tolerance")
-
-    if (nodes_per_panel * panels) ** d > GRID_BUDGET:
-        raise QuadratureError(f"{nodes_per_panel * panels}^{d} points exceed the budget {GRID_BUDGET}")
-    x, wq = np.polynomial.legendre.leggauss(nodes_per_panel)
-    edges = [0.0] + [T * 2.0 ** (-k) for k in reversed(range(panels))]
-    nodes, weights = [], []
-    for lo, hi in zip(edges, edges[1:]):
-        nodes.append(lo + (hi - lo) * (x + 1) / 2)
-        weights.append(wq * (hi - lo) / 2)
-    t = np.concatenate(nodes)
-    w = np.concatenate(weights)
-
-    # sums c_0 + sum c_i t_i and weight products over the first d - 1 axes,
-    # one row per grid row, with the operations in the order of a broadcast
-    # over the whole grid (the bits depend on it); the last axis joins per leaf
-    n = t.size
-    S = np.full([1] * (d - 1), c[0])
-    W = np.ones([1] * (d - 1))
-    for i in range(d - 1):
-        sh = [1] * (d - 1)
-        sh[i] = n
-        S = S + c[i + 1] * t.reshape(sh)
-        W = W * w.reshape(sh)
-    S, W = S.reshape(-1, 1), W.reshape(-1, 1)
-    last = c[d] * t
-    s_buf = np.empty((LEAF_POINTS // n + 2, n))
-    w_buf = np.empty_like(s_buf)
-
-    def leaf(start, count):
-        """Sum of the integrand over flat grid points [start, start+count)."""
-        lo, hi = start // n, (start + count - 1) // n + 1
-        s, v = s_buf[: hi - lo], w_buf[: hi - lo]
-        np.add(S[lo:hi], last, out=s)
-        np.power(s, -r, out=s)
-        np.multiply(W[lo:hi], w, out=v)
-        np.multiply(v, s, out=v)
-        first = start - lo * n
-        return np.sum(v.reshape(-1)[first : first + count])
-
-    value = math.factorial(d) * float(_pairwise_sum(leaf, 0, n**d))
-    return value, _tail_bound(c, T)
+        return FiberQuadrature(1.0 / c[0], 0.0)
+    # relative roundoff of the evaluation, of the sums in a block, and of fsum
+    roundoff = (2 * r + math.log2(BLOCK_POINTS) + 2) * math.ulp(1.0)
+    if tol <= 2 * roundoff:
+        raise QuadratureError(f"tol {tol:.1e} is below the roundoff floor {2 * roundoff:.1e}")
+    L = FIRST_STEP + math.log(16 * d / min(tol, 1.0))  # a tol above 1 asks for no more
+    centers = [math.log(c[0] / x) for x in c[1:]]
+    # a single axis has one parity class, so a step-2h error that cancels
+    # by phase would go unseen: start it one level finer, below roundoff
+    halvings = 1 if d == 1 else 0
+    h = FIRST_STEP / 2**halvings
+    while True:
+        ks = [np.arange(math.ceil((m - L) / h), math.floor((m + L) / h) + 1) for m in centers]
+        nodes = tuple(k.size for k in ks)
+        if math.prod(nodes) > GRID_BUDGET:
+            raise QuadratureError(
+                f"{' x '.join(map(str, nodes))} points at h = {h:g} exceed the budget {GRID_BUDGET}"
+            )
+        value, coarse = _trapezoid_sums(c, h, ks)
+        # the mass beyond L on one side of an axis is 1/(1 + e^L) of the
+        # integral for every c, and the nodes past the window sum to at most
+        # the mass beyond L - h
+        tail = 2 * d * math.exp(h - L)
+        relative = float(np.mean((coarse / value - 1) ** 2)) + tail + roundoff
+        if relative <= tol:
+            return FiberQuadrature(value, value * relative, h, L, nodes, halvings)
+        h, halvings = h / 2, halvings + 1
 
 
-def _proposal_draw(budget, d, seed):
+def _proposal_blocks(budget, d, seed):
     """budget seeded draws t_i = u_i/(1-u_i), u uniform on [0,1)^d, and
-    their inverse proposal density prod (1+t_i)^2."""
-    u = np.random.default_rng(seed).random(size=(budget, d))
-    t = u / (1 - u)
-    return t, np.prod((1 + t) ** 2, axis=1)
+    their inverse proposal density prod (1+t_i)^2, in blocks of at most
+    MC_BLOCK_ROWS rows taken in order from one random stream."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, budget, MC_BLOCK_ROWS):
+        u = rng.random(size=(min(MC_BLOCK_ROWS, budget - start), d))
+        t = u / (1 - u)
+        yield t, np.prod((1 + t) ** 2, axis=1)
 
 
-def _mean_stderr(vals):
-    """Sample mean of vals and its standard error."""
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+def _mean_stderr(blocks):
+    """Sample mean and standard error of the values in the blocks, merged
+    block by block (Chan, Golub and LeVeque's pairwise update)."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for vals in blocks:
+        k, block_mean = vals.size, float(np.mean(vals))
+        delta = block_mean - mean
+        m2 += float(np.sum((vals - block_mean) ** 2)) + delta**2 * n * k / (n + k)
+        mean, n = mean + delta * k / (n + k), n + k
+    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 def monte_carlo_oracle(c, budget=100_000, seed=0):
@@ -166,9 +181,10 @@ def monte_carlo_oracle(c, budget=100_000, seed=0):
         return 1.0 / c[0], 0.0
     if budget < 100:
         raise ValueError("budget too small for a standard-error estimate")
-    t, dens = _proposal_draw(budget, d, seed)
-    S = c[0] + t @ np.asarray(c[1:])
-    return _mean_stderr(math.factorial(d) * dens * S ** (-r))
+    return _mean_stderr(
+        math.factorial(d) * dens * (c[0] + t @ np.asarray(c[1:])) ** (-r)
+        for t, dens in _proposal_blocks(budget, d, seed)
+    )
 
 
 def monte_carlo_moment(m, s, budget=200_000, seed=0):
@@ -176,9 +192,9 @@ def monte_carlo_moment(m, s, budget=200_000, seed=0):
     integral over C^d of prod |w|^{2 m_i} (1+|w|^2)^{-s} prod dA_i/pi."""
     m = [int(x) for x in m]
     d = len(m)
-    t, dens = _proposal_draw(budget, d, seed)
     return _mean_stderr(
         dens * np.prod(t ** np.asarray(m, dtype=float), axis=1) * (1 + np.sum(t, axis=1)) ** (-s)
+        for t, dens in _proposal_blocks(budget, d, seed)
     )
 
 
@@ -269,23 +285,3 @@ def unitary_invariance_probe(theta: CurvatureMatrix, U) -> float:
     s1 = symbolic_pushforward(theta)
     s2 = symbolic_pushforward(conj)
     return max((x - y).max_abs() for x, y in zip(s1, s2))
-
-
-def householder_unitary(v):
-    """Exact unitary I - (2/|v|^2) v v* from a Gaussian-rational vector."""
-    v = [x if isinstance(x, QQi) else QQi(x) for x in v]
-    r = len(v)
-    norm2 = QQi()
-    for x in v:
-        norm2 = norm2 + x * x.conjugate()
-    if not norm2:
-        raise ValueError("zero vector")
-    two_over = QQi(2) / norm2
-    U = [
-        [
-            (QQi(1) if i == j else QQi()) - two_over * v[i] * v[j].conjugate()
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
-    return U

@@ -55,11 +55,12 @@ class ParabolicModel:
     rank: int
     degree: int
     points: Mapping[str, tuple[Fraction, ...]] = field(default_factory=dict)
+    cover_degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise InvalidModelError("rank must be positive")
-        pts = {}
+        pts, cover = {}, 1
         for label, ws in dict(self.points).items():
             ws = [_as_weight(w) for w in ws]
             den = math.lcm(*(w.denominator for w in ws))
@@ -69,11 +70,9 @@ class ParabolicModel:
                     f"point {label!r}: {len(ws)} weights for rank {self.rank}"
                 )
             pts[label] = ws
+            cover = math.lcm(cover, den)
         object.__setattr__(self, "points", pts)
-
-    @property
-    def cover_degree(self) -> int:
-        return math.lcm(*(w.denominator for ws in self.points.values() for w in ws))
+        object.__setattr__(self, "cover_degree", cover)
 
     @property
     def num_points(self) -> int:

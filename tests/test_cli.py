@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -143,6 +144,23 @@ class TestPushforward:
         assert rep["quadrature"]["value"] == rep["monteCarlo"]["estimate"] == 1.0
         assert rep["monteCarlo"]["stderr"] == 0.0 and rep["pass"]
 
+    def test_report_counts_the_work(self, tmp_path):
+        cfg = tmp_path / "pf.json"
+        cfg.write_text(json.dumps({"c": [0.8, 1.5, 2.5, 1.2]}))
+        assert run(tmp_path, "pushforward", "--input", str(cfg), "--samples", "10") == 0
+        quad = read_report(tmp_path, "pushforward")["quadrature"]
+        assert quad["h"] == 0.6 and quad["halvingLevels"] == 0
+        assert quad["L"] == pytest.approx(0.6 + math.log(16 * 3 / 1e-10))
+        assert len(quad["nodesPerAxis"]) == 3 and all(90 <= n <= 93 for n in quad["nodesPerAxis"])
+        assert 0 < quad["errorEstimate"] <= 1e-10 * quad["value"]
+        assert read_report(tmp_path, "pushforward")["monteCarlo"]["samples"] == 100_000
+
+    def test_five_coefficients_pass_at_a_looser_tol(self, tmp_path):
+        cfg = tmp_path / "pf.json"
+        cfg.write_text(json.dumps({"c": [0.3, 2.0, 5.0, 1.0, 0.7]}))
+        assert run(tmp_path, "pushforward", "--input", str(cfg), "--samples", "1", "--tol", "1e-9") == 0
+        assert read_report(tmp_path, "pushforward")["pass"]
+
     def test_nonpositive_c_rejected(self, tmp_path):
         cfg = tmp_path / "pf.json"
         cfg.write_text(json.dumps({"c": [1.0, -2.0]}))
@@ -277,6 +295,7 @@ class TestInputContract:
         ("chern", {}, ["--tol", "-1"]),
         ("pushforward", {"c": ["x"]}, []),
         ("pushforward", {"c": []}, []),
+        ("pushforward", {"c": [1] * 6}, []),
         ("pushforward", {"c": "12"}, []),
         ("pushforward", {"c": [1, 2, 0.5]}, ["--samples", "0"]),
         ("pushforward", {"c": [1, 2, 0.5]}, ["--samples", "1000000000"]),
@@ -325,7 +344,7 @@ class TestInputContract:
         assert run(tmp_path, "ops", "--input", path, "--samples", "1") == 0
         assert read_report(tmp_path, "ops")["pass"]
 
-    @pytest.mark.parametrize("c", [[1, 0.001, 0.001, 0.001], [1.0] * 6])
+    @pytest.mark.parametrize("c", [[1.0] * 5, [1e-3, 1, 1e3, 1, 1]])
     def test_quadrature_over_budget_is_runtime_error(self, tmp_path, capsys, c):
         path = write_model(tmp_path, {"c": c})
         assert run(tmp_path, "pushforward", "--input", path) == 3

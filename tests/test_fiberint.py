@@ -21,10 +21,10 @@ from parachern.forms import (
 )
 from parachern import fiberint
 from parachern.fiberint import (
+    FIRST_STEP,
+    MC_BLOCK_ROWS,
     QuadratureError,
-    _pairwise_sum,
-    _tail_bound,
-    householder_unitary,
+    _proposal_blocks,
     moment_exact,
     monte_carlo_moment,
     monte_carlo_oracle,
@@ -34,6 +34,26 @@ from parachern.fiberint import (
 )
 
 EXACT = QQi(1)
+
+
+def householder_unitary(v):
+    """Exact unitary I - (2/|v|^2) v v* from a Gaussian-rational vector."""
+    v = [x if isinstance(x, QQi) else QQi(x) for x in v]
+    r = len(v)
+    norm2 = QQi()
+    for x in v:
+        norm2 = norm2 + x * x.conjugate()
+    if not norm2:
+        raise ValueError("zero vector")
+    two_over = QQi(2) / norm2
+    U = [
+        [
+            (QQi(1) if i == j else QQi()) - two_over * v[i] * v[j].conjugate()
+            for j in range(r)
+        ]
+        for i in range(r)
+    ]
+    return U
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +129,7 @@ class TestScalarIntegral:
         with pytest.raises(ValueError):
             monte_carlo_oracle([1.0, 1.0], budget=10)
 
-    @pytest.mark.parametrize("c", [[1, 0.001, 0.001, 0.001], [1.0] * 6])
+    @pytest.mark.parametrize("c", [[1.0] * 5, [1e-3, 1.0, 1e3, 1.0, 1.0], [1.0] * 6])
     def test_grid_over_budget_raises_before_allocating(self, c):
         start = time.perf_counter()
         with pytest.raises(QuadratureError, match="budget"):
@@ -117,91 +137,140 @@ class TestScalarIntegral:
         assert time.perf_counter() - start < 1.0
 
 
-def dense_fiber_integral(c, tol=1e-8, nodes_per_panel=10):
-    """The whole-grid quadrature: one broadcast and one np.sum over all
-    (nodes_per_panel * panels)^(r-1) points.  Reference for the bits."""
-    c = [float(x) for x in c]
-    r = len(c)
-    d = r - 1
-    T, panels = 1.0, 1
-    while _tail_bound(c, T) > tol / 2:
-        T *= 2.0
-        panels += 1
-    x, wq = np.polynomial.legendre.leggauss(nodes_per_panel)
-    edges = [0.0] + [T * 2.0 ** (-k) for k in reversed(range(panels))]
-    nodes, weights = [], []
-    for lo, hi in zip(edges, edges[1:]):
-        nodes.append(lo + (hi - lo) * (x + 1) / 2)
-        weights.append(wq * (hi - lo) / 2)
-    t = np.concatenate(nodes)
-    w = np.concatenate(weights)
-
-    shape = [1] * d
-    S = np.full([1] * d, c[0])
-    W = np.ones([1] * d)
-    for i in range(d):
-        sh = list(shape)
-        sh[i] = t.size
-        S = S + c[i + 1] * t.reshape(sh)
-        W = W * w.reshape(sh)
-    value = math.factorial(d) * float(np.sum(W * S ** (-r)))
-    return value, _tail_bound(c, T)
+def rel_error(c, value):
+    """Relative error of value against the closed form, in exact arithmetic."""
+    exact = 1 / math.prod(Fraction(x) for x in c)
+    return float(abs(Fraction(value) - exact) / exact)
 
 
-# r = 4 with few nodes per panel, which keeps the dense reference small
-BIT_CASES = [
-    ([1.3, 0.7], 10),
-    ([2.0, 0.3], 10),
-    ([0.05, 7.0], 10),
-    ([1.0, 2.0, 0.5], 10),
-    ([0.5, 1.7, 0.9], 10),
-    ([1.0, 20.0, 0.05], 10),
-    ([0.8, 1.5, 2.5, 1.2], 3),
-    ([1.3, 0.7, 1.9, 0.55], 4),
-    ([10.0, 3.0, 5.0, 4.0], 5),
+# c spread over six decades, a large common scale, one case per length, and
+# five coefficients, which need tol >= 1e-9 to fit the grid budget
+ESTIMATE_CASES = [
+    ([1.0, 20.0, 0.05], 1e-10),
+    ([0.8, 1.5, 2.5, 1.2], 1e-10),
+    ([1e3] * 4, 1e-10),
+    ([1e-3, 1.0, 1e3, 1.0], 1e-10),
+    ([1.0] * 5, 1e-9),
 ]
 
 
 class TestBlockedQuadrature:
-    """The quadrature is summed leaf by leaf along numpy's pairwise tree, so
-    it returns the bits of the whole-grid broadcast and np.sum."""
+    """The trapezoid rule in log t: its value, its error estimate, the
+    nested grids and the blocks of bounded size it is evaluated in."""
 
-    @pytest.mark.parametrize("leaf", [None, 1000])
-    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
-    @pytest.mark.parametrize("c,nodes", BIT_CASES)
-    def test_same_bits_as_dense_grid(self, monkeypatch, c, nodes, tol, leaf):
-        if leaf:  # leaves that start and end inside a row of the grid
-            monkeypatch.setattr(fiberint, "LEAF_POINTS", leaf)
-        got = scalar_fiber_integral(c, tol=tol, nodes_per_panel=nodes)
-        assert got == dense_fiber_integral(c, tol=tol, nodes_per_panel=nodes)
+    @pytest.mark.parametrize("c,tol", ESTIMATE_CASES)
+    def test_estimate_bounds_the_error(self, c, tol):
+        q = scalar_fiber_integral(c, tol=tol)
+        err = rel_error(c, q.value)
+        assert err < 1e-9
+        assert err * q.value <= q.error <= tol * q.value
 
-    @pytest.mark.parametrize("leaf", [None, 1000])
-    def test_same_bits_on_the_full_rank_four_grid(self, monkeypatch, leaf):
-        if leaf:
-            monkeypatch.setattr(fiberint, "LEAF_POINTS", leaf)
-        c = [2.0, 3.0, 4.0, 5.0]  # 160^3 points
-        assert scalar_fiber_integral(c, tol=1e-6) == dense_fiber_integral(c, tol=1e-6)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_seeded_sweep_estimate_never_below_error(self, tol):
+        rng = np.random.default_rng(2024)
+        for _ in range(120):
+            c = 10 ** rng.uniform(-3, 3, size=int(rng.integers(2, 5)))
+            q = scalar_fiber_integral(c, tol=tol)
+            assert rel_error(c, q.value) * q.value <= q.error <= tol * q.value, list(c)
 
-    @pytest.mark.parametrize("leaf", [1000, fiberint.LEAF_POINTS])
-    def test_numpy_sums_along_the_mirrored_tree(self, monkeypatch, leaf):
-        monkeypatch.setattr(fiberint, "LEAF_POINTS", leaf)
-        x = np.random.default_rng(17).random(10**6)
-        mirrored = _pairwise_sum(lambda start, n: np.sum(x[start : start + n]), 0, x.size)
-        assert mirrored == np.sum(x), (
-            f"numpy {np.__version__} no longer sums a contiguous array along "
-            "the pairwise tree that fiberint._pairwise_sum mirrors, so "
-            "scalar_fiber_integral would no longer reproduce the whole-grid bits"
-        )
+    def test_single_axis_sweep_at_tight_tol(self):
+        # one axis has one parity class, so a phase-cancelled 2h error
+        # would hide there first
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            c = 10 ** rng.uniform(-3, 3, size=2)
+            q = scalar_fiber_integral(c, tol=1e-13)
+            assert rel_error(c, q.value) * q.value <= q.error, list(c)
+
+    def test_counters_describe_the_grid(self):
+        c = [0.8, 1.5, 2.5, 1.2]
+        q = scalar_fiber_integral(c, tol=1e-10)
+        assert q.step == FIRST_STEP / 2**q.halvings
+        assert q.window == pytest.approx(FIRST_STEP + math.log(16 * 3 / 1e-10))
+        for x, n in zip(c[1:], q.nodes):
+            centre = math.log(c[0] / x)
+            assert n == math.floor((centre + q.window) / q.step) - math.ceil((centre - q.window) / q.step) + 1
+        value, err = q
+        assert (value, err) == (q.value, q.error)
+
+    def test_halving_nests_the_grids(self):
+        # the step-2h sums over the parity classes average to the step-h sum
+        c, h = [1.0, 2.0, 0.5, 3.0], 0.6
+        ks = [np.arange(-20, 21), np.arange(-15, 31), np.arange(-33, 2)]
+        value, coarse = fiberint._trapezoid_sums(c, h, ks)
+        assert coarse.shape == (8,)
+        assert np.mean(coarse) == pytest.approx(value, rel=1e-15)
+        even = [k[k % 2 == 0] // 2 for k in ks]
+        value_2h, _ = fiberint._trapezoid_sums(c, 2 * h, even)
+        assert coarse[0] == pytest.approx(value_2h, rel=1e-14)
+
+    def test_halves_until_the_estimate_meets_tol(self):
+        q = scalar_fiber_integral([1.0] * 4, tol=1e-10)
+        assert q.halvings == 1 and q.error <= 1e-10 * q.value
+
+    @pytest.mark.parametrize("block", [1, 50, 1000])
+    def test_blocks_do_not_change_the_value(self, monkeypatch, block):
+        c = [0.8, 1.5, 2.5, 1.2]
+        want = scalar_fiber_integral(c, tol=1e-10)
+        monkeypatch.setattr(fiberint, "BLOCK_POINTS", block)
+        got = scalar_fiber_integral(c, tol=1e-10)
+        assert got.value == pytest.approx(want.value, rel=1e-15)
+        assert got.error == pytest.approx(want.error, rel=1e-6)
+
+    @pytest.mark.parametrize("tol", [1.0, 1e300])
+    def test_loose_tol_keeps_a_window(self, tol):
+        q = scalar_fiber_integral([1.0, 2.0, 0.5], tol=tol)
+        assert min(q.nodes) > 1 and abs(q.value - 1) < 0.2
+
+    def test_tol_below_roundoff_is_named(self):
+        with pytest.raises(QuadratureError, match="roundoff"):
+            scalar_fiber_integral([1.0, 2.0, 0.5], tol=1e-15)
 
     def test_memory_stays_small(self):
-        # the whole 340^3 grid would take 900 MB
         tracemalloc.start()
         try:
             scalar_fiber_integral([0.8, 1.5, 2.5, 1.2], tol=1e-10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 4 * 2**20
+
+
+class TestMonteCarloBlocks:
+    """The oracle draws its sample in blocks from one random stream."""
+
+    def test_blocks_draw_the_points_of_one_draw(self):
+        budget, d = 2 * MC_BLOCK_ROWS + 123, 3
+        t = np.concatenate([t for t, _ in _proposal_blocks(budget, d, seed=9)])
+        u = np.random.default_rng(9).random(size=(budget, d))
+        assert np.array_equal(t, u / (1 - u))
+
+    def test_one_block_keeps_the_whole_sample_bits(self):
+        c, budget = [1.3, 0.7, 1.9], MC_BLOCK_ROWS
+        u = np.random.default_rng(4).random(size=(budget, 2))
+        t = u / (1 - u)
+        vals = 2 * np.prod((1 + t) ** 2, axis=1) * (c[0] + t @ np.asarray(c[1:])) ** -3.0
+        want = (float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(budget)))
+        assert monte_carlo_oracle(c, budget=budget, seed=4) == want
+
+    def test_blocked_mean_and_stderr_match_the_whole_sample(self):
+        c, budget = [1.3, 0.7, 1.9, 0.55], 5 * MC_BLOCK_ROWS + 7
+        u = np.random.default_rng(5).random(size=(budget, 3))
+        t = u / (1 - u)
+        vals = 6 * np.prod((1 + t) ** 2, axis=1) * (c[0] + t @ np.asarray(c[1:])) ** -4.0
+        est, se = monte_carlo_oracle(c, budget=budget, seed=5)
+        assert est == pytest.approx(np.mean(vals), rel=1e-13)
+        assert se == pytest.approx(np.std(vals, ddof=1) / math.sqrt(budget), rel=1e-10)
+
+    def test_memory_stays_small_at_rank_eight(self):
+        # the whole sample of 5e6 rows of 7 draws peaked at 839 MB
+        tracemalloc.start()
+        try:
+            monte_carlo_oracle([1.0] * 8, budget=5_000_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

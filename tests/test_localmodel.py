@@ -31,6 +31,7 @@ from parachern.localmodel import (
     line_current_decomposition,
     make_admissible_kahler,
     pullback_form,
+    random_invariant_metric,
     rebase_cover,
     smooth_mass_descent,
 )
@@ -39,28 +40,6 @@ from parachern.localmodel import (
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
-
-
-def random_invariant_htilde(rng, weights, chart):
-    """Smooth deck-invariant positive-definite matrix function:
-    diag(c) + D(w_1) A(z_1, w') D(w_1)^* with A positive and invariant."""
-    N = chart.cover_degree
-    ks = integer_exponents(weights, N)
-    r = len(ks)
-    c = 1.0 + rng.random(r)
-    B = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-    A0 = B.conj().T @ B / r
-    u = 0.4 * (rng.normal() + 1j * rng.normal())
-
-    def htilde(w):
-        w = [complex(x) for x in w]
-        z1 = w[0] ** N
-        tail = sum(abs(x) ** 2 for x in w[1:])
-        scal = 1.0 + 0.3 * (u * z1).real + 0.2 * tail
-        d = np.array([w[0] ** k for k in ks])
-        return np.diag(c) + scal * (d[:, None] * A0 * np.conj(d)[None, :])
-
-    return htilde
 
 
 def fs_like_curvature_field(rng, rank, dim, cover_degree):
@@ -196,7 +175,7 @@ def test_round_trip_recovers_htilde():
     rng = np.random.default_rng(5)
     chart = LocalChart(dim=2, cover_degree=4)
     weights = [Fraction(1, 4), Fraction(3, 4)]
-    htilde = random_invariant_htilde(rng, weights, chart)
+    htilde = random_invariant_metric(rng, weights, chart)
     field = descend_metric(htilde, weights, chart)
     report = admissibility_check(field)
     assert report.admissible, report.reasons
@@ -222,7 +201,7 @@ def test_smooth_lift_admissible_on_deep_grids(N, annuli, dim, seed):
     is smooth in, so annuli closer to w_1 = 0 do not reject a smooth lift."""
     chart = LocalChart(dim=dim, cover_degree=N, annuli=annuli)
     weights = [Fraction(1, N), Fraction(N - 1, N)]
-    htilde = random_invariant_htilde(np.random.default_rng(seed), weights, chart)
+    htilde = random_invariant_metric(np.random.default_rng(seed), weights, chart)
     report = admissibility_check(descend_metric(htilde, weights, chart))
     assert report.admissible, report.reasons
 
@@ -253,7 +232,7 @@ def test_rebase_cover():
     chart = LocalChart(dim=1, cover_degree=3)
     weights = [Fraction(1, 3), Fraction(2, 3)]
     field = descend_metric(
-        random_invariant_htilde(rng, weights, chart), weights, chart
+        random_invariant_metric(rng, weights, chart), weights, chart
     )
     base = admissibility_check(field)
     assert base.admissible
