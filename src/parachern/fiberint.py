@@ -74,8 +74,9 @@ def _trapezoid_sums(c, h, ks):
     """Trapezoid sums of (r-1)! prod(t_i) / (c_0 + sum c_i t_i)^r over the
     nodes s_i = log t_i = k h, k in ks[i]: the step-h sum Q_h, and the step-2h
     sum over each of the 2^d parity classes of the indices (class 0, all
-    even, is the plain Q_2h).  Rows over the first d - 1 axes go in blocks
-    of at most BLOCK_POINTS points, whose sums math.fsum adds."""
+    even, is the plain Q_2h).  Rows over the first d - 1 axes go in blocks of
+    at most BLOCK_POINTS points; math.fsum adds the row sums of each class,
+    so the blocks leave the bits of the whole-grid evaluation."""
     r = len(c)
     d = r - 1
     t = [np.exp(h * k) for k in ks]
@@ -88,15 +89,14 @@ def _trapezoid_sums(c, h, ks):
         P = P + (ks[i] % 2 << i).reshape(sh)
     S, W, P = S.reshape(-1, 1), W.reshape(-1, 1), P.reshape(-1)
     last_S, last_W, first = c[d] * t[-1], t[-1], int(ks[-1][0] % 2)
-    rows, half = max(1, BLOCK_POINTS // last_S.size), 2 ** (d - 1)
-    parts = []
+    rows, sums = max(1, BLOCK_POINTS // last_S.size), np.empty((2, S.shape[0]))
     for a in range(0, S.shape[0], rows):
         v = (S[a : a + rows] + last_S) ** -r
         v *= W[a : a + rows]
         v *= last_W
-        sums = [v[:, j::2].sum(axis=1) for j in (first, 1 - first)]  # even, odd last index
-        parts.append(np.concatenate([np.bincount(P[a : a + rows], x, half) for x in sums]))
-    classes = np.array([math.fsum(col) for col in np.transpose(parts)])
+        for j in (0, 1):  # even, odd last index
+            sums[j, a : a + rows] = v[:, (first + j) % 2 :: 2].sum(axis=1)
+    classes = np.array([math.fsum(x[P == p].tolist()) for x in sums for p in range(2 ** (d - 1))])
     scale = math.factorial(d) * h**d
     return scale * math.fsum(classes), scale * 2**d * classes
 

@@ -154,9 +154,75 @@ ESTIMATE_CASES = [
 ]
 
 
+def window_indices(c, q):
+    """Node indices k, s = k h, of each axis of the grid q was evaluated on."""
+    return [
+        np.arange(math.ceil((m - q.window) / q.step), math.floor((m + q.window) / q.step) + 1)
+        for m in (math.log(c[0] / x) for x in c[1:])
+    ]
+
+
+def dense_trapezoid_sums(c, h, ks):
+    """fiberint._trapezoid_sums on the whole grid at once: one broadcast,
+    numpy's even- and odd-index sums along the last axis, and math.fsum over
+    the rows of each parity class.  Reference for the bits."""
+    r, d = len(c), len(c) - 1
+    S, W, P = np.full([1] * d, c[0]), np.ones([1] * d), np.zeros([1] * d, int)
+    for i, k in enumerate(ks):
+        t = np.exp(h * k).reshape([-1 if j == i else 1 for j in range(d)])
+        S = S + c[i + 1] * t
+        if i < d - 1:
+            W, P = W * t, P + (k % 2 << i).reshape(t.shape)
+    v = S**-r
+    v *= W
+    v *= t
+    v, P, first = v.reshape(-1, ks[-1].size), P.reshape(-1), ks[-1][0] % 2
+    sums = [v[:, first::2].sum(axis=1), v[:, 1 - first :: 2].sum(axis=1)]
+    classes = np.array([math.fsum(x[P == p]) for x in sums for p in range(2 ** (d - 1))])
+    scale = math.factorial(d) * h**d
+    return scale * math.fsum(classes), scale * 2**d * classes
+
+
+# c and how many rows of the grid go in one block of the second evaluation
+BIT_CASES = [
+    ([1.3, 0.7], 10),
+    ([2.0, 0.3], 10),
+    ([0.05, 7.0], 10),
+    ([1.0, 2.0, 0.5], 10),
+    ([0.5, 1.7, 0.9], 10),
+    ([1.0, 20.0, 0.05], 10),
+    ([0.8, 1.5, 2.5, 1.2], 3),
+    ([1.3, 0.7, 1.9, 0.55], 4),
+    ([10.0, 3.0, 5.0, 4.0], 5),
+]
+
+
 class TestBlockedQuadrature:
     """The trapezoid rule in log t: its value, its error estimate, the
     nested grids and the blocks of bounded size it is evaluated in."""
+
+    @pytest.mark.parametrize("leaf", [None, 1000])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("c,rows", BIT_CASES)
+    def test_same_bits_as_dense_grid(self, monkeypatch, c, rows, tol, leaf):
+        # blocks of leaf points (None: the default), then of a few whole rows
+        if leaf:
+            monkeypatch.setattr(fiberint, "BLOCK_POINTS", leaf)
+        q = scalar_fiber_integral(c, tol=tol)
+        ks = window_indices(c, q)
+        value, coarse = dense_trapezoid_sums(c, q.step, ks)
+        assert q.value == value
+        monkeypatch.setattr(fiberint, "BLOCK_POINTS", rows * ks[-1].size)
+        got, got_coarse = fiberint._trapezoid_sums(c, q.step, ks)
+        assert got == value and np.array_equal(got_coarse, coarse)
+
+    @pytest.mark.parametrize("leaf", [None, 1000])
+    def test_same_bits_on_the_full_rank_four_grid(self, monkeypatch, leaf):
+        if leaf:
+            monkeypatch.setattr(fiberint, "BLOCK_POINTS", leaf)
+        c = [2.0, 3.0, 4.0, 5.0]  # 61^3 points
+        q = scalar_fiber_integral(c, tol=1e-6)
+        assert q.value == dense_trapezoid_sums(c, q.step, window_indices(c, q))[0]
 
     @pytest.mark.parametrize("c,tol", ESTIMATE_CASES)
     def test_estimate_bounds_the_error(self, c, tol):
@@ -214,7 +280,7 @@ class TestBlockedQuadrature:
         want = scalar_fiber_integral(c, tol=1e-10)
         monkeypatch.setattr(fiberint, "BLOCK_POINTS", block)
         got = scalar_fiber_integral(c, tol=1e-10)
-        assert got.value == pytest.approx(want.value, rel=1e-15)
+        assert got.value == want.value
         assert got.error == pytest.approx(want.error, rel=1e-6)
 
     @pytest.mark.parametrize("tol", [1.0, 1e300])
