@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class PointSetMismatchError(ValueError):
@@ -25,22 +25,17 @@ class InvalidModelError(ValueError):
     """Raised when a model violates its invariants."""
 
 
-def _as_weight(x) -> Fraction:
-    w = x if type(x) is Fraction else Fraction(x)
-    if not 0 <= w.numerator < w.denominator:
-        raise InvalidModelError(f"weight {w} outside [0, 1)")
-    return w
-
-
 def _as_integer(key: str, x) -> int:
     if type(x) is not int:  # a JSON integer: not a float, a string or a bool
         raise InvalidModelError(f"{key} must be an integer, got {x!r:.40}")
     return x
 
 
-def _over(w: Fraction, den: int) -> int:
-    """The numerator of w over den, a multiple of w's denominator."""
-    return w.numerator * (den // w.denominator)
+def _set(obj, **fields):
+    """Set fields of a frozen dataclass instance; returns it."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -49,38 +44,63 @@ class ParabolicModel:
 
     ``points`` maps point labels to nondecreasing tuples of Fractions, one
     weight per rank.  ``cover_degree`` is the lcm of all weight denominators
-    (1 for weightless models).
+    (1 for weightless models).  Inside this module the weights are the
+    integer numerators ``_numerators`` over ``cover_degree``.
     """
 
     rank: int
     degree: int
     points: Mapping[str, tuple[Fraction, ...]] = field(default_factory=dict)
     cover_degree: int = field(init=False, repr=False, compare=False)
+    _numerators: Mapping[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise InvalidModelError("rank must be positive")
-        pts, cover = {}, 1
-        for label, ws in dict(self.points).items():
-            ws = [_as_weight(w) for w in ws]
-            den = math.lcm(*(w.denominator for w in ws))
-            ws = tuple(sorted(ws, key=lambda w: _over(w, den)))
-            if len(ws) != self.rank:
+        weights = {label: [Fraction(w) for w in ws] for label, ws in dict(self.points).items()}
+        den = math.lcm(*(w.denominator for ws in weights.values() for w in ws))
+        self._settle(den, {label: [w.numerator * (den // w.denominator) for w in ws]
+                           for label, ws in weights.items()})
+        del self.__dict__["points"]  # made again, sorted, on first read
+
+    @classmethod
+    def _from_numerators(cls, rank: int, degree: int, den: int, nums) -> "ParabolicModel":
+        """The model whose weights at each label are ``nums[label]`` over
+        ``den``, in any order."""
+        return _set(object.__new__(cls), rank=rank, degree=degree)._settle(den, nums)
+
+    def _settle(self, den: int, nums) -> "ParabolicModel":
+        """Check and store the weights ``nums`` over ``den``, reduced to the
+        lcm of their denominators; ``points`` is made on first read."""
+        g = math.gcd(den, *(k for ks in nums.values() for k in ks))
+        numerators = {}
+        for label, ks in nums.items():
+            if len(ks) != self.rank:
                 raise InvalidModelError(
-                    f"point {label!r}: {len(ws)} weights for rank {self.rank}"
+                    f"point {label!r}: {len(ks)} weights for rank {self.rank}"
                 )
-            pts[label] = ws
-            cover = math.lcm(cover, den)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "cover_degree", cover)
+            srt = sorted(ks)
+            if srt[0] < 0 or srt[-1] >= den:
+                bad = next(k for k in ks if not 0 <= k < den)  # the first, in input order
+                raise InvalidModelError(f"weight {Fraction(bad, den)} outside [0, 1)")
+            numerators[label] = tuple(srt) if g == 1 else tuple(k // g for k in srt)
+        return _set(self, cover_degree=den // g, _numerators=numerators)
+
+    def __getattr__(self, name):
+        # points are made from the numerators on first read
+        if name != "points":
+            raise AttributeError(name)
+        den = self.cover_degree
+        return _set(self, points={label: tuple(Fraction(k, den) for k in ks)
+                                  for label, ks in self._numerators.items()}).points
 
     @property
     def num_points(self) -> int:
-        return len(self.points)
+        return len(self._numerators)
 
     def is_parabolic(self) -> bool:
         """False for the trivial structure (every weight zero or no points)."""
-        return any(w != 0 for ws in self.points.values() for w in ws)
+        return any(ks[-1] for ks in self._numerators.values())
 
     # -- serialization (the CLI's canonical input format) --
 
@@ -165,7 +185,7 @@ class FilterFunction:
         total = 0
         # step function: value on (t_k, t_{k+1}] is degree_after of jump k;
         # the cuts are numerators over den
-        cuts = [0] + [_over(j.t, den) for j in self.jumps] + [den]
+        cuts = [0] + [j.t.numerator * (den // j.t.denominator) for j in self.jumps] + [den]
         vals = [self.degree_at_zero] + [j.degree_after for j in self.jumps]
         # a jump at 0 applies immediately (right jump at t=0)
         for (a, b), v in zip(zip(cuts, cuts[1:]), vals):
@@ -176,12 +196,11 @@ class FilterFunction:
 def my_filtration(model: ParabolicModel) -> FilterFunction:
     """Step filtration of the model: a jump of size (multiplicity of w) at
     each t = w, aggregated over the marked points."""
-    den = model.cover_degree
-    drops: dict[int, int] = {}  # numerator of t over den -> multiplicity
-    for ws in model.points.values():
-        for w in ws:
-            k = _over(w, den)
+    drops: dict[int, int] = {}  # numerator of t over the cover degree -> multiplicity
+    for ks in model._numerators.values():
+        for k in ks:
             drops[k] = drops.get(k, 0) + 1
+    den = model.cover_degree
     deg = model.degree
     jumps = []
     for k in sorted(drops):
@@ -201,7 +220,7 @@ def par_degree(model: ParabolicModel) -> Fraction:
     raises ArithmeticError when the two values differ.
     """
     den = model.cover_degree
-    weights = sum(_over(w, den) for ws in model.points.values() for w in ws)
+    weights = sum(sum(ks) for ks in model._numerators.values())
     sum_form = Fraction(model.degree * den + weights, den)
     filt = my_filtration(model)
     integral_form = (
@@ -221,23 +240,18 @@ def slope(model: ParabolicModel) -> Fraction:
 def dual(model: ParabolicModel) -> ParabolicModel:
     """Parabolic dual: weights w -> 1-w (w>0 fixed at 0), underlying degree
     read off the dualized filtration so that par-deg negates exactly."""
-    zero_count = sum(1 for ws in model.points.values() for w in ws if w.numerator == 0)
-    new_points = {
-        label: tuple(
-            w if w.numerator == 0 else Fraction(w.denominator - w.numerator, w.denominator)
-            for w in ws
-        )
-        for label, ws in model.points.items()
-    }
+    den = model.cover_degree
+    nums = {label: [den - k if k else 0 for k in ks] for label, ks in model._numerators.items()}
+    zero_count = sum(ks.count(0) for ks in model._numerators.values())
     # degree of the dual of the sheaf just past 0, twisted back by the divisor
     new_degree = -model.degree + zero_count - model.rank * model.num_points
-    return ParabolicModel(rank=model.rank, degree=new_degree, points=new_points)
+    return ParabolicModel._from_numerators(model.rank, new_degree, den, nums)
 
 
 def _require_same_points(a: ParabolicModel, b: ParabolicModel):
-    if set(a.points) != set(b.points):
+    if a._numerators.keys() != b._numerators.keys():
         raise PointSetMismatchError(
-            f"incompatible parabolic divisors: {sorted(a.points)} vs {sorted(b.points)}"
+            f"incompatible parabolic divisors: {sorted(a._numerators)} vs {sorted(b._numerators)}"
         )
 
 
@@ -246,45 +260,47 @@ def tensor(a: ParabolicModel, b: ParabolicModel) -> ParabolicModel:
     {x + y mod 1}; each wrap-around bumps the underlying degree."""
     _require_same_points(a, b)
     den = math.lcm(a.cover_degree, b.cover_degree)
-    new_points = {}
+    sa, sb = den // a.cover_degree, den // b.cover_degree
+    nums = {}
     wraps = 0
-    for label in a.points:
-        ys = [_over(y, den) for y in b.points[label]]
+    for label, xs in a._numerators.items():
+        ys = [y * sb for y in b._numerators[label]]
         ws = []
-        for x in a.points[label]:
-            x = _over(x, den)
+        for x in xs:
+            x *= sa
             for y in ys:
                 s = x + y
                 if s >= den:
                     s -= den
                     wraps += 1
-                ws.append(Fraction(s, den))
-        new_points[label] = tuple(ws)
+                ws.append(s)
+        nums[label] = ws
     new_degree = b.rank * a.degree + a.rank * b.degree + wraps
-    return ParabolicModel(rank=a.rank * b.rank, degree=new_degree, points=new_points)
+    return ParabolicModel._from_numerators(a.rank * b.rank, new_degree, den, nums)
 
 
 def direct_sum(a: ParabolicModel, b: ParabolicModel) -> ParabolicModel:
     _require_same_points(a, b)
-    new_points = {
-        label: a.points[label] + b.points[label] for label in a.points
+    den = math.lcm(a.cover_degree, b.cover_degree)
+    sa, sb = den // a.cover_degree, den // b.cover_degree
+    nums = {
+        label: [x * sa for x in xs] + [y * sb for y in b._numerators[label]]
+        for label, xs in a._numerators.items()
     }
-    return ParabolicModel(
-        rank=a.rank + b.rank, degree=a.degree + b.degree, points=new_points
-    )
+    return ParabolicModel._from_numerators(a.rank + b.rank, a.degree + b.degree, den, nums)
 
 
 def det(model: ParabolicModel) -> ParabolicModel:
     """Determinant line: per point the weight is (sum of weights) mod 1; the
     integer part of the sum moves into the underlying degree."""
     den = model.cover_degree
-    new_points = {}
+    nums = {}
     shift = 0
-    for label, ws in model.points.items():
-        q, r = divmod(sum(_over(w, den) for w in ws), den)
+    for label, ks in model._numerators.items():
+        q, r = divmod(sum(ks), den)
         shift += q
-        new_points[label] = (Fraction(r, den),)
-    return ParabolicModel(rank=1, degree=model.degree + shift, points=new_points)
+        nums[label] = (r,)
+    return ParabolicModel._from_numerators(1, model.degree + shift, den, nums)
 
 
 @dataclass(frozen=True)
@@ -364,9 +380,10 @@ def random_model(
     rank = int(rng.integers(1, max_rank + 1))
     degree = int(rng.integers(-degree_span, degree_span + 1))
     npts = int(rng.integers(0, max_points + 1))
-    points = {}
-    for p in range(npts):
+    drawn = []  # (n, numerators over n) per point
+    for _ in range(npts):
         n = int(rng.integers(1, max_cover + 1))
-        ws = tuple(Fraction(int(rng.integers(0, n)), n) for _ in range(rank))
-        points[f"p{p}"] = ws
-    return ParabolicModel(rank=rank, degree=degree, points=points)
+        drawn.append((n, [int(rng.integers(0, n)) for _ in range(rank)]))
+    den = math.lcm(*(n for n, _ in drawn))
+    nums = {f"p{p}": [k * (den // n) for k in ks] for p, (n, ks) in enumerate(drawn)}
+    return ParabolicModel._from_numerators(rank, degree, den, nums)

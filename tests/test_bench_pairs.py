@@ -1,0 +1,51 @@
+"""The summary of tools/bench_pairs.py on made-up runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def run(wall, rss, setup, failed=0, correct=True):
+    values = {"wall_s": wall, "peak_rss_mb": rss, "setup_s": setup}
+    return {"correct": correct, "attempted": 20, "failed": failed,
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+def pairs(base, change):
+    return [{"seed": i, "first": "base", "base": b, "change": c}
+            for i, (b, c) in enumerate(zip(base, change))]
+
+
+def test_gain_wins_and_bounds():
+    base = [run(1.0 + 0.01 * i, 50.0, 0.2) for i in range(10)]
+    change = [run(0.7 + 0.01 * i, 50.0 + 0.5 * i, 0.2) for i in range(9)] + [run(1.5, 60.0, 0.2)]
+    s = bench_pairs.summarize(pairs(base, change), END_TO_END)
+    wall = s["wall_s"]
+    assert wall["base"]["median"] == pytest.approx(1.045)
+    assert wall["base"]["iqr"] == pytest.approx(0.045)
+    assert wall["change"]["median"] == pytest.approx(0.745)
+    assert (wall["pairs_won"], wall["pairs"]) == (9, 10)
+    assert wall["gain_claimable"] and wall["within_bound"]
+    rss = s["peak_rss_mb"]
+    assert rss["pairs_won"] == 0 and not rss["gain_claimable"]
+    assert rss["change"]["median"] == pytest.approx(52.25) and rss["within_bound"]
+    assert s["setup_s"]["pairs_won"] == 0 and not s["setup_s"]["gain_claimable"]
+
+
+def test_regression_beyond_bound_and_failures():
+    base = [run(1.0, 50.0, 0.2) for _ in range(4)]
+    change = [run(1.3, 56.0, 0.2, failed=1, correct=i != 2) for i in range(4)]
+    s = bench_pairs.summarize(pairs(base, change), END_TO_END)
+    assert not s["wall_s"]["within_bound"] and not s["peak_rss_mb"]["within_bound"]
+    assert s["setup_s"]["within_bound"]
+    assert s["base_runs"] == {"all_correct": True, "attempted": 80, "failed": 0}
+    assert s["change_runs"] == {"all_correct": False, "attempted": 80, "failed": 4}

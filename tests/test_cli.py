@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parachern import cli
+from parachern.fiberint import FiberQuadrature
 
 
 def run(tmp_path, *argv):
@@ -111,6 +112,28 @@ class TestAdmissible:
         assert run(tmp_path, "admissible", "--input", path, "--seed", str(seed)) == 0
         assert read_report(tmp_path, "admissible")["admissible"]
 
+    def test_tol_below_roundoff_ends_in_a_verdict(self, tmp_path):
+        """--tol bounds the round trip, not the deck-invariance check, so a
+        tol below roundoff fails the round trip instead of raising."""
+        assert run(tmp_path, "admissible", "--tol", "1e-17") == 1
+        rep = read_report(tmp_path, "admissible")
+        assert rep["admissible"] and 1e-17 <= rep["roundTripMaxDeviation"] < 1e-10
+        assert not rep["pass"]
+
+    @pytest.mark.parametrize("defect", [1e-11, 1e-9])
+    def test_small_invariance_defect_rejected(self, tmp_path, monkeypatch, defect):
+        """Deck invariance has its own bound at the roundoff scale, whatever
+        --tol is: a fixture that breaks it by 1e-11 is a runtime error."""
+        make = cli.random_invariant_metric
+
+        def broken(rng, weights, chart):
+            htilde = make(rng, weights, chart)
+            return lambda w: htilde(w) + defect * w[0].real
+
+        monkeypatch.setattr(cli, "random_invariant_metric", broken)
+        for tol in ("1e-10", "1e-6"):
+            assert run(tmp_path, "admissible", "--tol", tol) == 3
+
     def test_bad_weight_denominator(self, tmp_path):
         cfg = tmp_path / "adm.json"
         cfg.write_text(json.dumps({"N": 3, "weights": ["1/2"]}))
@@ -160,6 +183,18 @@ class TestPushforward:
         cfg.write_text(json.dumps({"c": [0.3, 2.0, 5.0, 1.0, 0.7]}))
         assert run(tmp_path, "pushforward", "--input", str(cfg), "--samples", "1", "--tol", "1e-9") == 0
         assert read_report(tmp_path, "pushforward")["pass"]
+
+    def test_closed_form_check_is_relative(self, tmp_path, monkeypatch):
+        """A quadrature of 0 against the closed form 1e-18 fails on its own,
+        with the Monte Carlo oracle stubbed to agree with it."""
+        monkeypatch.setattr(cli, "scalar_fiber_integral", lambda c, tol: FiberQuadrature(0.0, 0.0))
+        monkeypatch.setattr(cli, "monte_carlo_oracle", lambda c, budget, seed: (0.0, 1e-30))
+        cfg = tmp_path / "pf.json"
+        cfg.write_text(json.dumps({"c": [1e6] * 3}))
+        assert run(tmp_path, "pushforward", "--input", str(cfg), "--samples", "1") == 1
+        rep = read_report(tmp_path, "pushforward")
+        assert rep["closedForm"] == pytest.approx(1e-18) and rep["maxCoeffDeviation"] == 0.0
+        assert not rep["pass"]
 
     def test_nonpositive_c_rejected(self, tmp_path):
         cfg = tmp_path / "pf.json"

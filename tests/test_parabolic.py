@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import subprocess
@@ -378,6 +379,15 @@ def test_weight_outside_unit_interval_rejected(w):
         ParabolicModel(rank=2, degree=0, points={"p": (F(1, 2), w)})
 
 
+def test_first_weight_outside_unit_interval_is_named():
+    """The first bad weight in input order is reported, as the sorting of
+    the weights comes after the range check."""
+    with pytest.raises(InvalidModelError, match=r"weight 3/2 outside \[0, 1\)"):
+        ParabolicModel(rank=2, degree=0, points={"p": ("3/2", "-1/2")})
+    with pytest.raises(InvalidModelError, match=r"weight -1/2 outside \[0, 1\)"):
+        ParabolicModel(rank=2, degree=0, points={"p": ("-1/2", "3/2")})
+
+
 def test_json_rejects_out_of_range_weight():
     bad = '{"rank": 1, "degree": 0, "points": {"p": ["3/2"]}}'
     with pytest.raises(InvalidModelError):
@@ -538,3 +548,76 @@ def test_integer_arithmetic_matches_fraction_reference(pair):
     assert_matches_reference(det(a), *ref_det(a))
     assert_matches_reference(tensor(a, b), *ref_tensor(a, b))
     assert_matches_reference(direct_sum(a, b), *ref_direct_sum(a, b))
+
+
+def ref_random_model(rng, max_rank=5, max_cover=12, max_points=4, degree_span=6):
+    """random_model's draws, with each weight built as a Fraction k/n."""
+    rank = int(rng.integers(1, max_rank + 1))
+    degree = int(rng.integers(-degree_span, degree_span + 1))
+    points = {}
+    for p in range(int(rng.integers(0, max_points + 1))):
+        n = int(rng.integers(1, max_cover + 1))
+        points[f"p{p}"] = tuple(F(int(rng.integers(0, n)), n) for _ in range(rank))
+    return rank, degree, ref_points(points)
+
+
+GENERATOR_ARGS = [{}, {"max_rank": 3, "max_cover": 6, "max_points": 2},
+                  {"max_rank": 4, "max_cover": 8, "max_points": 3}, {"max_cover": 30}]
+
+
+@pytest.mark.parametrize("kwargs", GENERATOR_ARGS)
+def test_random_model_stream_is_pinned(kwargs):
+    """For a fixed seed random_model returns the models of the Fraction-built
+    generator and leaves the stream where it does, so every --seed of `ops`
+    sweeps the same models."""
+    seeds = [np.random.default_rng(s) for s in range(5)]
+    seeds += [np.random.default_rng((s, i)) for s in (0, 61) for i in range(40)]
+    for rng in seeds:
+        ref_rng = copy.deepcopy(rng)
+        for _ in range(5):
+            assert_matches_reference(random_model(rng, **kwargs), *ref_random_model(ref_rng, **kwargs))
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_operations_match_fraction_reference_on_seeded_corpus(seed):
+    rng = np.random.default_rng(200 + seed)
+    for _ in range(40):
+        a = random_model(rng, max_rank=4)
+        b = random_model(rng, max_rank=4)
+        while set(b.points) != set(a.points):
+            b = random_model(rng, max_rank=4)
+        assert_matches_reference(dual(a), *ref_dual(a))
+        assert_matches_reference(dual(dual(a)), a.rank, a.degree, a.points)
+        assert_matches_reference(det(a), *ref_det(a))
+        assert_matches_reference(tensor(a, b), *ref_tensor(a, b))
+        assert_matches_reference(direct_sum(a, b), *ref_direct_sum(a, b))
+
+
+@pytest.mark.parametrize(
+    "op,models,cover",
+    [
+        # halves tensored to 0: the cover degree falls from 2 to 1
+        (tensor, [line(0, F(1, 2)), line(0, F(1, 2))], 1),
+        (tensor, [ParabolicModel(2, 0, {"p": (F(1, 4), F(3, 4))}), line(1, F(1, 4), "p")], 2),
+        (tensor, [line(0, F(1, 6)), line(0, F(1, 3))], 2),
+        # weights that sum to an integer: the det weight is 0 over 1
+        (det, [ParabolicModel(2, 0, {"p": (F(1, 3), F(2, 3))})], 1),
+        (det, [ParabolicModel(3, -1, {"p": (F(1, 6), F(1, 2), F(1, 3)), "q": (F(1, 4),) * 3})], 4),
+        (det, [ParabolicModel(4, 2, {"p": (F(1, 2), F(1, 2), F(3, 4), F(1, 4))})], 1),
+    ],
+)
+def test_cover_degree_shrinks_to_the_weight_lcm(op, models, cover):
+    ref = {tensor: ref_tensor, det: ref_det}[op]
+    result = op(*models)
+    assert result.cover_degree == cover < max(m.cover_degree for m in models)
+    assert_matches_reference(result, *ref(*models))
+
+
+def test_numerators_outside_the_unit_interval_rejected():
+    with pytest.raises(InvalidModelError, match=r"weight 4/3 outside \[0, 1\)"):
+        ParabolicModel._from_numerators(2, 0, 6, {"p": [3, 8]})
+    with pytest.raises(InvalidModelError, match=r"weight -1/6 outside \[0, 1\)"):
+        ParabolicModel._from_numerators(2, 0, 6, {"p": [3, -1]})
+    with pytest.raises(InvalidModelError, match="1 weights for rank 2"):
+        ParabolicModel._from_numerators(2, 0, 6, {"p": [3]})
