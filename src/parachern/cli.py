@@ -96,6 +96,10 @@ LIMITS = {
 }
 # --samples of every subcommand; pushforward draws 1000 Monte Carlo rows per sample
 SAMPLES_MAX = 5000
+# pushforward's Monte Carlo test: |quad - mc| <= MC_GATE_SE standard errors.
+# Correct runs reach 4.0 se over seeds 0-999 of c = [1, 2, 0.5], [1, 2] and
+# [1, 3, 0.5, 2] at --samples 50, and 3 se failed 21 of those 3,000 runs.
+MC_GATE_SE = 5
 
 
 # ---------------------------------------------------------------------------
@@ -222,41 +226,33 @@ def cmd_pardeg(args, spec, outdir: Path):
     }
 
 
-def _identity_rows(model: ParabolicModel, other: ParabolicModel):
+def _identity_rows(model: ParabolicModel):
     rows = []
 
     def check(name, ok):
         rows.append({"identity": name, "result": "PASS" if ok else "FAIL"})
 
     # each par_degree call checks its sum form against its integral form
-    pd, pd_other = par_degree(model), par_degree(other)
-    check("dual negates par-deg", par_degree(dual(model)) == -pd)
-    dd = dual(dual(model))
-    check(
-        "double dual round trip",
-        (dd.rank, dd.degree, dict(dd.points))
-        == (model.rank, model.degree, dict(model.points)),
-    )
+    pd = par_degree(model)
+    d = dual(model)
+    check("dual negates par-deg", par_degree(d) == -pd)
+    check("double dual round trip", dual(d) == model)
     dm = det(model)
     check("det preserves par-deg", par_degree(dm) == pd and dm.rank == 1)
-    check("direct sum adds par-deg", par_degree(direct_sum(model, other)) == pd + pd_other)
-    check(
-        "tensor bilinear rule",
-        par_degree(tensor(model, other)) == other.rank * pd + model.rank * pd_other,
-    )
+    # binary identities need matching point sets: run them on (model, model)
+    check("direct sum adds par-deg", par_degree(direct_sum(model, model)) == 2 * pd)
+    check("tensor bilinear rule", par_degree(tensor(model, model)) == 2 * model.rank * pd)
     return rows
 
 
 def cmd_ops(args, spec, outdir: Path):
     half = Fraction(1, 2)
     model = _read_model(args, spec, ParabolicModel(2, 1, {"p": (half, half)}))
-    rows = _identity_rows(model, model)
+    rows = _identity_rows(model)
 
     def sweep(i):
         rng = np.random.default_rng((args.seed, i))
-        a = random_model(rng)
-        # binary identities need matching point sets: run them on (a, a)
-        return all(r["result"] == "PASS" for r in _identity_rows(a, a))
+        return all(r["result"] == "PASS" for r in _identity_rows(random_model(rng)))
 
     sweep_ok = all(sweep(i) for i in range(args.samples))
     sweep_name = f"randomized sweep ({args.samples} models)"
@@ -370,7 +366,7 @@ def cmd_pushforward(args, spec, outdir: Path):
 
     ok = (
         abs(quad.value - closed) < 1e-6 * closed
-        and abs(quad.value - mc) <= 3 * mc_se
+        and abs(quad.value - mc) <= MC_GATE_SE * mc_se
         and max_dev == 0.0
     )
     report = {

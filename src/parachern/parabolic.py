@@ -3,16 +3,17 @@
 A parabolic model is a vector bundle of given rank and degree together with,
 at finitely many marked points, a multiset of rational weights in [0, 1).
 All degree/slope computations are exact, on integer numerators over the cover
-degree (every weight is k/N with N dividing it); fractions.Fraction appears
-only at the API: stored weights, filtration parameters and returned values.
-No floats enter this module.
+degree (every weight is k/N with N dividing it), which are the one stored form
+of the weights; fractions.Fraction appears only at the API: the read-only
+views ``ParabolicModel.points`` and ``FilterFunction.jumps``, and returned
+values.  No floats enter this module.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -31,76 +32,67 @@ def _as_integer(key: str, x) -> int:
     return x
 
 
-def _set(obj, **fields):
-    """Set fields of a frozen dataclass instance; returns it."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # __init__ is our own, which dataclass keeps
 class ParabolicModel:
     """Rank, underlying degree, and per-point sorted weight multisets.
 
-    ``points`` maps point labels to nondecreasing tuples of Fractions, one
-    weight per rank.  ``cover_degree`` is the lcm of all weight denominators
-    (1 for weightless models).  Inside this module the weights are the
-    integer numerators ``_numerators`` over ``cover_degree``.
+    The weights at each point label are the nondecreasing integer
+    ``numerators`` over ``cover_degree``, the lcm of all weight denominators
+    (1 for weightless models).  ``points`` is their view as Fractions.
     """
 
     rank: int
     degree: int
-    points: Mapping[str, tuple[Fraction, ...]] = field(default_factory=dict)
-    cover_degree: int = field(init=False, repr=False, compare=False)
-    _numerators: Mapping[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    cover_degree: int
+    numerators: Mapping[str, tuple[int, ...]]
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidModelError("rank must be positive")
-        weights = {label: [Fraction(w) for w in ws] for label, ws in dict(self.points).items()}
+    def __init__(self, rank: int, degree: int, points: Mapping | None = None):
+        weights = {label: [Fraction(w) for w in ws] for label, ws in dict(points or {}).items()}
         den = math.lcm(*(w.denominator for ws in weights.values() for w in ws))
-        self._settle(den, {label: [w.numerator * (den // w.denominator) for w in ws]
-                           for label, ws in weights.items()})
-        del self.__dict__["points"]  # made again, sorted, on first read
+        self._settle(rank, degree, den, {label: [w.numerator * (den // w.denominator) for w in ws]
+                                         for label, ws in weights.items()})
 
     @classmethod
     def _from_numerators(cls, rank: int, degree: int, den: int, nums) -> "ParabolicModel":
         """The model whose weights at each label are ``nums[label]`` over
         ``den``, in any order."""
-        return _set(object.__new__(cls), rank=rank, degree=degree)._settle(den, nums)
+        model = object.__new__(cls)
+        model._settle(rank, degree, den, nums)
+        return model
 
-    def _settle(self, den: int, nums) -> "ParabolicModel":
-        """Check and store the weights ``nums`` over ``den``, reduced to the
-        lcm of their denominators; ``points`` is made on first read."""
+    def _settle(self, rank: int, degree: int, den: int, nums):
+        """Check the weights ``nums`` over ``den`` and store them sorted,
+        reduced to the lcm of their denominators."""
+        if rank < 1:
+            raise InvalidModelError("rank must be positive")
         g = math.gcd(den, *(k for ks in nums.values() for k in ks))
         numerators = {}
         for label, ks in nums.items():
-            if len(ks) != self.rank:
-                raise InvalidModelError(
-                    f"point {label!r}: {len(ks)} weights for rank {self.rank}"
-                )
+            if len(ks) != rank:
+                raise InvalidModelError(f"point {label!r}: {len(ks)} weights for rank {rank}")
             srt = sorted(ks)
             if srt[0] < 0 or srt[-1] >= den:
                 bad = next(k for k in ks if not 0 <= k < den)  # the first, in input order
                 raise InvalidModelError(f"weight {Fraction(bad, den)} outside [0, 1)")
             numerators[label] = tuple(srt) if g == 1 else tuple(k // g for k in srt)
-        return _set(self, cover_degree=den // g, _numerators=numerators)
+        # frozen: the fields are set once, here
+        for name, value in (("rank", rank), ("degree", degree),
+                            ("cover_degree", den // g), ("numerators", numerators)):
+            object.__setattr__(self, name, value)
 
-    def __getattr__(self, name):
-        # points are made from the numerators on first read
-        if name != "points":
-            raise AttributeError(name)
+    @property
+    def points(self) -> dict[str, tuple[Fraction, ...]]:
+        """The weights as nondecreasing tuples of Fractions, made on each read."""
         den = self.cover_degree
-        return _set(self, points={label: tuple(Fraction(k, den) for k in ks)
-                                  for label, ks in self._numerators.items()}).points
+        return {label: tuple(Fraction(k, den) for k in ks) for label, ks in self.numerators.items()}
 
     @property
     def num_points(self) -> int:
-        return len(self._numerators)
+        return len(self.numerators)
 
     def is_parabolic(self) -> bool:
         """False for the trivial structure (every weight zero or no points)."""
-        return any(ks[-1] for ks in self._numerators.values())
+        return any(ks[-1] for ks in self.numerators.values())
 
     # -- serialization (the CLI's canonical input format) --
 
@@ -160,13 +152,22 @@ class FilterJump:
 class FilterFunction:
     """Left-continuous step filtration on [0, 1) plus the period datum.
 
-    Twisting by the divisor shifts the parameter by one and the degree by
-    ``period_degree_shift`` = -rank * (number of marked points).
+    ``steps`` holds the jumps as integers ``(k, rank_drop, degree_after)``,
+    the jump at t = k / ``denominator``, in increasing k; ``jumps`` is their
+    view as ``FilterJump``s.  Twisting by the divisor shifts the parameter by
+    one and the degree by ``period_degree_shift`` = -rank * (number of marked
+    points).
     """
 
     degree_at_zero: int
-    jumps: tuple[FilterJump, ...]
+    denominator: int
+    steps: tuple[tuple[int, int, int], ...]
     period_degree_shift: int
+
+    @property
+    def jumps(self) -> tuple[FilterJump, ...]:
+        return tuple(FilterJump(Fraction(k, self.denominator), drop, after)
+                     for k, drop, after in self.steps)
 
     def degree_at(self, t: Fraction) -> int:
         """deg E_t for t in [0, 1], left-continuous in t."""
@@ -174,41 +175,37 @@ class FilterFunction:
         if not (0 <= t <= 1):
             raise ValueError("parameter must lie in [0, 1]")
         d = self.degree_at_zero
-        for j in self.jumps:
-            if j.t < t:
-                d = j.degree_after
+        for k, _, after in self.steps:
+            if k * t.denominator < t.numerator * self.denominator:  # k / denominator < t
+                d = after
         return d
 
     def integral_degree(self) -> Fraction:
         """Exact value of the integral of deg E_t over [0, 1)."""
-        den = math.lcm(*(j.t.denominator for j in self.jumps))
-        total = 0
         # step function: value on (t_k, t_{k+1}] is degree_after of jump k;
-        # the cuts are numerators over den
-        cuts = [0] + [j.t.numerator * (den // j.t.denominator) for j in self.jumps] + [den]
-        vals = [self.degree_at_zero] + [j.degree_after for j in self.jumps]
         # a jump at 0 applies immediately (right jump at t=0)
-        for (a, b), v in zip(zip(cuts, cuts[1:]), vals):
-            total += v * (b - a)
-        return Fraction(total, den)
+        cuts = [0] + [k for k, _, _ in self.steps] + [self.denominator]
+        vals = [self.degree_at_zero] + [after for _, _, after in self.steps]
+        total = sum(v * (b - a) for a, b, v in zip(cuts, cuts[1:], vals))
+        return Fraction(total, self.denominator)
 
 
 def my_filtration(model: ParabolicModel) -> FilterFunction:
     """Step filtration of the model: a jump of size (multiplicity of w) at
     each t = w, aggregated over the marked points."""
     drops: dict[int, int] = {}  # numerator of t over the cover degree -> multiplicity
-    for ks in model._numerators.values():
+    for ks in model.numerators.values():
         for k in ks:
             drops[k] = drops.get(k, 0) + 1
-    den = model.cover_degree
     deg = model.degree
-    jumps = []
+    steps = []
     for k in sorted(drops):
         deg -= drops[k]
-        jumps.append(FilterJump(t=Fraction(k, den), rank_drop=drops[k], degree_after=deg))
+        steps.append((k, drops[k], deg))
     return FilterFunction(
         degree_at_zero=model.degree,
-        jumps=tuple(jumps),
+        denominator=model.cover_degree,
+        steps=tuple(steps),
         period_degree_shift=-model.rank * model.num_points,
     )
 
@@ -220,7 +217,7 @@ def par_degree(model: ParabolicModel) -> Fraction:
     raises ArithmeticError when the two values differ.
     """
     den = model.cover_degree
-    weights = sum(sum(ks) for ks in model._numerators.values())
+    weights = sum(sum(ks) for ks in model.numerators.values())
     sum_form = Fraction(model.degree * den + weights, den)
     filt = my_filtration(model)
     integral_form = (
@@ -241,17 +238,17 @@ def dual(model: ParabolicModel) -> ParabolicModel:
     """Parabolic dual: weights w -> 1-w (w>0 fixed at 0), underlying degree
     read off the dualized filtration so that par-deg negates exactly."""
     den = model.cover_degree
-    nums = {label: [den - k if k else 0 for k in ks] for label, ks in model._numerators.items()}
-    zero_count = sum(ks.count(0) for ks in model._numerators.values())
+    nums = {label: [den - k if k else 0 for k in ks] for label, ks in model.numerators.items()}
+    zero_count = sum(ks.count(0) for ks in model.numerators.values())
     # degree of the dual of the sheaf just past 0, twisted back by the divisor
     new_degree = -model.degree + zero_count - model.rank * model.num_points
     return ParabolicModel._from_numerators(model.rank, new_degree, den, nums)
 
 
 def _require_same_points(a: ParabolicModel, b: ParabolicModel):
-    if a._numerators.keys() != b._numerators.keys():
+    if a.numerators.keys() != b.numerators.keys():
         raise PointSetMismatchError(
-            f"incompatible parabolic divisors: {sorted(a._numerators)} vs {sorted(b._numerators)}"
+            f"incompatible parabolic divisors: {sorted(a.numerators)} vs {sorted(b.numerators)}"
         )
 
 
@@ -263,8 +260,8 @@ def tensor(a: ParabolicModel, b: ParabolicModel) -> ParabolicModel:
     sa, sb = den // a.cover_degree, den // b.cover_degree
     nums = {}
     wraps = 0
-    for label, xs in a._numerators.items():
-        ys = [y * sb for y in b._numerators[label]]
+    for label, xs in a.numerators.items():
+        ys = [y * sb for y in b.numerators[label]]
         ws = []
         for x in xs:
             x *= sa
@@ -284,8 +281,8 @@ def direct_sum(a: ParabolicModel, b: ParabolicModel) -> ParabolicModel:
     den = math.lcm(a.cover_degree, b.cover_degree)
     sa, sb = den // a.cover_degree, den // b.cover_degree
     nums = {
-        label: [x * sa for x in xs] + [y * sb for y in b._numerators[label]]
-        for label, xs in a._numerators.items()
+        label: [x * sa for x in xs] + [y * sb for y in b.numerators[label]]
+        for label, xs in a.numerators.items()
     }
     return ParabolicModel._from_numerators(a.rank + b.rank, a.degree + b.degree, den, nums)
 
@@ -296,7 +293,7 @@ def det(model: ParabolicModel) -> ParabolicModel:
     den = model.cover_degree
     nums = {}
     shift = 0
-    for label, ks in model._numerators.items():
+    for label, ks in model.numerators.items():
         q, r = divmod(sum(ks), den)
         shift += q
         nums[label] = (r,)
@@ -360,11 +357,7 @@ def ample_degree_test(
     total = summands[0]
     for s in summands[1:]:
         total = direct_sum(total, s)
-    if (total.rank, total.degree, dict(total.points)) != (
-        model.rank,
-        model.degree,
-        dict(model.points),
-    ):
+    if total != model:
         raise InvalidModelError("summands do not reassemble the model")
     return all(par_degree(s) > 0 for s in summands)
 

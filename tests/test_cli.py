@@ -201,6 +201,28 @@ class TestPushforward:
         cfg.write_text(json.dumps({"c": [1.0, -2.0]}))
         assert run(tmp_path, "pushforward", "--input", str(cfg)) == 2
 
+    @pytest.mark.parametrize("seed", [145, 836])
+    def test_monte_carlo_gate_passes_correct_runs(self, tmp_path, seed):
+        """At c = [1, 2, 0.5] these seeds draw a Monte Carlo estimate 3.4
+        and 4.0 standard errors from a quadrature that matches the closed
+        form; a gate of 3 se failed them."""
+        cfg = tmp_path / "pf.json"
+        cfg.write_text(json.dumps({"c": [1, 2, 0.5]}))
+        assert run(tmp_path, "pushforward", "--input", str(cfg), "--samples", "50",
+                   "--seed", str(seed)) == 0
+        rep = read_report(tmp_path, "pushforward")
+        assert abs(rep["quadrature"]["value"] - 1) < 1e-10
+        mc = rep["monteCarlo"]
+        assert 3 < abs(rep["quadrature"]["value"] - mc["estimate"]) / mc["stderr"] <= cli.MC_GATE_SE
+
+    def test_monte_carlo_beyond_the_gate_fails(self, tmp_path, monkeypatch):
+        se = 1e-3
+        monkeypatch.setattr(cli, "monte_carlo_oracle",
+                            lambda c, budget, seed: (0.5 + (cli.MC_GATE_SE + 1) * se, se))
+        assert run(tmp_path, "pushforward", "--samples", "10") == 1
+        rep = read_report(tmp_path, "pushforward")
+        assert abs(rep["quadrature"]["value"] - rep["closedForm"]) < 1e-10 and not rep["pass"]
+
 
 class TestMASolve:
     def test_constant_fixture_zero_iterations(self, tmp_path):

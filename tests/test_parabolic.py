@@ -621,3 +621,52 @@ def test_numerators_outside_the_unit_interval_rejected():
         ParabolicModel._from_numerators(2, 0, 6, {"p": [3, -1]})
     with pytest.raises(InvalidModelError, match="1 weights for rank 2"):
         ParabolicModel._from_numerators(2, 0, 6, {"p": [3]})
+
+
+# ---------------------------------------------------------------------------
+# one stored form: integer numerators, with Fraction views
+# ---------------------------------------------------------------------------
+
+def test_points_is_a_read_only_view():
+    m = ParabolicModel(rank=2, degree=1, points={"p": (F(1, 2), F(1, 2))})
+    twin = ParabolicModel(rank=2, degree=1, points={"p": (F(1, 2), F(1, 2))})
+    view = m.points
+    view["p"] = (F(0), F(1, 3))
+    view["q"] = (F(1, 4),) * 2
+    assert m.points == {"p": (F(1, 2), F(1, 2))}
+    assert m == twin and m.numerators == {"p": (1, 1)}
+    assert par_degree(m) == 2
+
+
+def test_par_degree_builds_no_filtration_jumps(monkeypatch):
+    """The integral form sums the filtration's integer steps, so par_degree
+    never makes a FilterJump; the jumps are made only when read."""
+    def refuse(*args):
+        raise AssertionError("FilterJump built")
+
+    monkeypatch.setattr(parabolic, "FilterJump", refuse)
+    m = ParabolicModel(rank=3, degree=0,
+                       points={"p": (F(1, 3), F(1, 3), F(2, 3)), "q": (F(1, 4), F(1, 2), F(3, 4))})
+    assert par_degree(m) == F(17, 6)
+    assert my_filtration(m).integral_degree() == F(17, 6) - 6
+    with pytest.raises(AssertionError, match="FilterJump built"):
+        my_filtration(m).jumps
+
+
+def test_every_construction_gives_one_model():
+    """From Fractions, from JSON declaring a larger cover degree, and from
+    numerators over a multiple of the weight lcm: one model, with the lcm as
+    its cover degree."""
+    weights = {"p": (F(1, 2), F(1, 3)), "q": (F(0), F(5, 6))}
+    models = [
+        ParabolicModel(rank=2, degree=-1, points=weights),
+        ParabolicModel(rank=2, degree=-1, points={"q": ("5/6", 0), "p": (0.5, "1/3")}),
+        ParabolicModel.from_json_dict({"rank": 2, "degree": -1, "coverDegree": 24,
+                                       "points": {"p": ["1/3", "1/2"], "q": ["0", "5/6"]}}),
+        ParabolicModel._from_numerators(2, -1, 24, {"p": [12, 8], "q": [20, 0]}),
+    ]
+    for m in models:
+        assert m == models[0] and m.cover_degree == 6
+        assert m.numerators == {"p": (2, 3), "q": (0, 5)} and m.points == ref_points(weights)
+    assert models[0] != ParabolicModel(rank=2, degree=0, points=weights)
+    assert models[0] != ParabolicModel(rank=2, degree=-1, points={"p": weights["p"]})
