@@ -34,7 +34,6 @@ except Exception:  # pragma: no cover - editable-install fallback
 
 from .fiberint import monte_carlo_oracle, scalar_fiber_integral, symbolic_pushforward
 from .forms import (
-    FormValue,
     QQi,
     chern_forms,
     chern_forms_minors,
@@ -258,7 +257,7 @@ def cmd_ops(args, spec, outdir: Path):
     sweep_name = f"randomized sweep ({args.samples} models)"
     rows.append({"identity": sweep_name, "result": "PASS" if sweep_ok else "FAIL"})
     ok = all(r["result"] == "PASS" for r in rows)
-    report = {"model": json.loads(model.to_json()), "identities": rows, "pass": ok}
+    report = {"model": model.to_json_dict(), "identities": rows, "pass": ok}
     _write_csv(outdir, "ops_identities.csv", "identity,result",
                (f"{r['identity']},{r['result']}" for r in rows))
     return report
@@ -316,7 +315,6 @@ def cmd_chern(args, spec, outdir: Path):
 
     minors_ok = True
     conj_ok = True
-    segre_ok = True
     for _ in range(args.samples):
         theta = random_exact_curvature(rng, r, n)
         c = chern_forms(theta)
@@ -327,19 +325,11 @@ def cmd_chern(args, spec, outdir: Path):
         d = [QQi(Fraction(rng.randint(1, 5), rng.randint(1, 5))) for _ in range(r)]
         cc = chern_forms(theta.conjugated(d))
         conj_ok &= all((c[k] - cc[k]).is_zero() for k in range(r + 1))
-        s = segre_forms(c, n)
-        # convolution: sum_i c_i wedge s_{k-i} = 0 for k >= 1
-        for k in range(1, n + 1):
-            acc = FormValue.zero(n)
-            for i in range(0, min(k, r) + 1):
-                acc = acc + c[i].wedge(s[k - i])
-            segre_ok &= acc.is_zero()
     rows = [
         {"check": "Newton vs principal minors", "result": "PASS" if minors_ok else "FAIL"},
         {"check": "diagonal conjugation invariance", "result": "PASS" if conj_ok else "FAIL"},
-        {"check": "Segre convolution inverse", "result": "PASS" if segre_ok else "FAIL"},
     ]
-    ok = minors_ok and conj_ok and segre_ok
+    ok = minors_ok and conj_ok
     return {"rank": r, "dim": n, "checks": rows, "pass": bool(ok)}
 
 

@@ -220,9 +220,9 @@ def moment_exact(m, s) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def symbolic_pushforward(theta: CurvatureMatrix, max_degree=None) -> list[FormValue]:
+def symbolic_pushforward(theta: CurvatureMatrix) -> list[FormValue]:
     """Exact fiber integral of the Segre series 1/(1 + c_1(O(1))) over
-    P^{r-1}: returns [s_0, s_1, ..., s_maxDegree] as base forms.
+    P^{r-1}: returns [s_0, s_1, ..., s_n] as base forms, n the base dimension.
 
     On the affine chart w_i = X_i / X_0, c_1(O(1)) = omega_FS + tau with
     tau = [sum Theta_AB x_A xbar_B] / (1+|w|^2), x = (1, w_1, ..., w_d).
@@ -235,17 +235,13 @@ def symbolic_pushforward(theta: CurvatureMatrix, max_degree=None) -> list[FormVa
     of w^a wbar^b to a base (k,k)-form; unbalanced pairs integrate to
     zero over the angles."""
     r, n = theta.rank, theta.dim
-    if max_degree is None:
-        max_degree = n
-    if max_degree > n:
-        raise ValueError("truncation degree exceeds the base dimension")
     d = r - 1
     x = [tuple(int(A == i + 1) for i in range(d)) for A in range(r)]
     twist = [(x[A], x[B], theta.entries[A][B]) for A in range(r) for B in range(r)]
     one = QQi(1) if exact_mode(theta, QQi(1)) else 1.0  # all zero counts as exact
     power = {(x[0], x[0]): FormValue.scalar(n, one)}
     out = []
-    for k in range(max_degree + 1):
+    for k in range(n + 1):
         if k:
             nxt = {}
             for (a, b), val in power.items():

@@ -286,12 +286,6 @@ class FormValue:
     def is_pure(self, p, q) -> bool:
         return all((len(I), len(J)) == (p, q) for I, J in self.coeffs)
 
-    def component(self, p, q) -> "FormValue":
-        return FormValue(
-            self.dim,
-            {k: c for k, c in self.coeffs.items() if (len(k[0]), len(k[1])) == (p, q)},
-        )
-
     def max_abs(self) -> float:
         return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
 
@@ -311,33 +305,6 @@ class FormValue:
     def __repr__(self):
         terms = ", ".join(f"{I}|{J}: {c}" for (I, J), c in sorted(self.coeffs.items()))
         return f"FormValue(dim={self.dim}, {{{terms}}})"
-
-    # -- serialization --
-
-    def to_json_list(self):
-        out = []
-        for (I, J), c in sorted(self.coeffs.items()):
-            if isinstance(c, QQi):
-                out.append(
-                    {"I": list(I), "J": list(J),
-                     "re": str(c.re), "im": str(c.im)}
-                )
-            else:
-                z = complex(c)
-                out.append({"I": list(I), "J": list(J), "re": z.real, "im": z.imag})
-        return out
-
-    @classmethod
-    def from_json_list(cls, dim, items, exact=False):
-        coeffs = {}
-        for item in items:
-            I, J = tuple(item["I"]), tuple(item["J"])
-            if exact:
-                c = QQi(Fraction(item["re"]), Fraction(item["im"]))
-            else:
-                c = float(item["re"]) + 1j * float(item["im"])
-            coeffs[(I, J)] = coeffs.get((I, J), 0) + c
-        return cls(dim, coeffs)
 
 
 def _zero_like(c):
@@ -656,7 +623,6 @@ class PositivityVerdict:
     verdict: str  # "positive" | "semipositive" | "indefinite"
     margin: float
     witness: tuple | None = None
-    note: str = "sample-based verdict"
 
     @classmethod
     def classify(cls, margin, tol, witness=None) -> "PositivityVerdict":

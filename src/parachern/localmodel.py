@@ -20,9 +20,8 @@ negative real z_1-axis; sample grids avoid the cut.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -157,25 +156,6 @@ class LocalMetricField:
         w1 = self.chart.w1_of_z1(z[0], branch)
         return _frame(np.array([w1 ** (-k) for k in self.exponents]), self(z))
 
-    def to_json(self) -> str:
-        points = [p for layer in self.chart.sample_points() for p in layer]
-        return json.dumps(
-            {
-                "grid": self.chart.to_json_dict(),
-                "weights": [str(w) for w in self.weights],
-                "values": [
-                    {
-                        "z": [[zz.real, zz.imag] for zz in map(complex, p)],
-                        "H": [
-                            [[v.real, v.imag] for v in row]
-                            for row in self(p).tolist()
-                        ],
-                    }
-                    for p in points
-                ],
-            }
-        )
-
 
 def random_invariant_metric(rng, weights, chart: LocalChart):
     """Seeded smooth deck-invariant positive-definite matrix function:
@@ -280,25 +260,17 @@ def admissibility_check(field: LocalMetricField) -> AdmissibilityReport:
     chart = field.chart
     if chart.annuli < 4:
         raise GridError("at least 4 annuli required for the certificate")
-    layers = chart.sample_points()
-    # radii of the annuli in |w_1| = |z_1|^(1/N), the coordinate the lift is smooth in
-    radii = [r ** (1.0 / chart.cover_degree) for r in chart.radii()]
-    lifts = [[field.lift(z) for z in layer] for layer in layers]
+    # radii of the annuli in |w_1| = |z_1|^(1/N), the coordinate the lift is
+    # smooth in; Python's ** per radius, whose bits numpy's ** does not keep
+    radii = np.array([r ** (1.0 / chart.cover_degree) for r in chart.radii()])
+    # lifts[annulus, point]: the points angle-major with companion minor
+    lifts = np.array([[field.lift(z) for z in layer] for layer in chart.sample_points()])
 
-    annulus_max = [max(float(np.max(np.abs(H))) for H in layer) for layer in lifts]
-    annulus_min_eig = [
-        min(float(np.min(np.linalg.eigvalsh((H + H.conj().T) / 2))) for H in layer)
-        for layer in lifts
-    ]
-    annulus_deriv = []
-    for k in range(len(lifts) - 1):
-        dr = radii[k] - radii[k + 1]
-        annulus_deriv.append(
-            max(
-                float(np.max(np.abs(a - b))) / dr
-                for a, b in zip(lifts[k], lifts[k + 1])
-            )
-        )
+    annulus_max = np.abs(lifts).max(axis=(1, 2, 3)).tolist()
+    herm = (lifts + lifts.conj().swapaxes(-1, -2)) / 2
+    annulus_min_eig = np.linalg.eigvalsh(herm).min(axis=(1, 2)).tolist()
+    step = np.abs(lifts[:-1] - lifts[1:]).max(axis=(1, 2, 3))
+    annulus_deriv = (step / (radii[:-1] - radii[1:])).tolist()
 
     reasons = []
     ref = max(annulus_max[0], 1e-12)
@@ -322,17 +294,10 @@ def admissibility_check(field: LocalMetricField) -> AdmissibilityReport:
     # angular continuity across the cut: the jump between the two extreme
     # angles (deck phase applied) must look like one more interior grid step
     P = deck_phases(field.exponents, chart.cover_degree)
-    n_comp = len(chart.companions)
-    cut_defect = 0.0
-    interior_jump = 1e-300
-    for layer in lifts:
-        # layer is ordered angle-major with companion minor
-        for c in range(n_comp):
-            seq = layer[c::n_comp]
-            for a, b in zip(seq, seq[1:]):
-                interior_jump = max(interior_jump, float(np.max(np.abs(a - b))))
-            jump = float(np.max(np.abs(seq[-1] - P * seq[0])))
-            cut_defect = max(cut_defect, jump)
+    rings = lifts.reshape(chart.annuli, chart.angular_nodes, len(chart.companions),
+                          field.rank, field.rank)
+    interior_jump = float(np.abs(rings[:, 1:] - rings[:, :-1]).max(initial=1e-300))
+    cut_defect = float(np.abs(rings[:, -1] - P * rings[:, 0]).max())
     cut_tolerance = 3.0 * interior_jump + 1e-8
     if cut_defect > cut_tolerance:
         reasons.append(
@@ -564,10 +529,11 @@ def make_admissible_kahler(omega, h_D, alpha, chart: LocalChart):
 # ---------------------------------------------------------------------------
 
 
-def annulus_weight_quadrature(N: int, tol=1e-8, nodes=24):
+def annulus_weight_quadrature(N: int):
     """integral over the unit disk of |z_1|^{2/N - 2} dA via geometric
-    annuli with Gauss-Legendre radial rule; closed form is pi * N."""
-    x, wq = np.polynomial.legendre.leggauss(nodes)
+    annuli with a 24-node Gauss-Legendre radial rule, stopping once the
+    analytic tail is below 1e-8; closed form is pi * N."""
+    x, wq = np.polynomial.legendre.leggauss(24)
     total = 0.0
     outer = 1.0
     p = 2.0 / N - 1.0
@@ -577,12 +543,12 @@ def annulus_weight_quadrature(N: int, tol=1e-8, nodes=24):
         total += float(np.sum(wq * r ** p)) * (outer - inner) / 2 * 2 * math.pi
         # analytic tail over [0, inner]
         tail = 2 * math.pi * inner ** (p + 1) / (p + 1)
-        if tail < tol:
+        if tail < 1e-8:
             return total + tail
         outer = inner
 
 
-def line_current_decomposition(h_field: LocalMetricField, alpha, chart=None):
+def line_current_decomposition(h_field: LocalMetricField, alpha):
     """Split c_1(h) of an admissible line metric h = htilde(w) |z_1|^{2 alpha}
     into the smooth descended part and the divisor mass alpha.
 
@@ -590,7 +556,7 @@ def line_current_decomposition(h_field: LocalMetricField, alpha, chart=None):
     descended (1,1)-form field -(i/2pi-free, raw) del-delbar ln htilde and
     l1_check compares the annulus quadrature of the singular weight
     |z_1|^{2/N-2} with its closed form pi*N."""
-    chart = chart or h_field.chart
+    chart = h_field.chart
     alpha = Fraction(alpha)
     report = admissibility_check(h_field)
     if not report:
@@ -615,11 +581,11 @@ def line_current_decomposition(h_field: LocalMetricField, alpha, chart=None):
     return smooth_part, alpha, l1_check
 
 
-def smooth_mass_descent(theta_tilde, chart: LocalChart, radius=0.6,
-                        radial_nodes=48, angular_nodes=32):
-    """Integrals of a (1,1) w-form upstairs over |w_1| < radius^{1/N} and of
-    its descent downstairs over |z_1| < radius (n = 1 slice); the descended
-    mass must equal the upstairs mass divided by N."""
+def smooth_mass_descent(theta_tilde, chart: LocalChart):
+    """Integrals of a (1,1) w-form upstairs over |w_1| < 0.6^{1/N} and of
+    its descent downstairs over |z_1| < 0.6 (n = 1 slice); the descended
+    mass must equal the upstairs mass divided by N.  Each disk is split into
+    60 geometric panels, each with 48 Gauss-Legendre radii and 32 angles."""
     if chart.dim != 1:
         raise ValueError("mass descent check is a one-variable computation")
     N = chart.cover_degree
@@ -627,17 +593,17 @@ def smooth_mass_descent(theta_tilde, chart: LocalChart, radius=0.6,
 
     # mass of f dz dzbar in the (i/2pi) normalization:
     # (i/2pi) * (-2i) * integral f dA = (1/pi) * integral f dA
-    def mass(form_field, R, panels=60):
-        x, wq = np.polynomial.legendre.leggauss(radial_nodes)
+    def mass(form_field, R):
+        x, wq = np.polynomial.legendre.leggauss(48)
         total = 0j
-        dtheta = 2 * math.pi / angular_nodes
+        dtheta = 2 * math.pi / 32
         outer = R
-        for _ in range(panels):  # geometric panels absorb the r^{2/N-2} blocks
+        for _ in range(60):  # geometric panels absorb the r^{2/N-2} blocks
             inner = outer / 2
             r = inner + (outer - inner) * (x + 1) / 2
             wr = wq * (outer - inner) / 2
             for rr, ww in zip(r, wr):
-                for j in range(angular_nodes):
+                for j in range(32):
                     t = -math.pi + (j + 0.5) * dtheta
                     z = (rr * cmath.exp(1j * t),)
                     c = complex(form_field(z).coefficient((0,), (0,)))
@@ -645,8 +611,8 @@ def smooth_mass_descent(theta_tilde, chart: LocalChart, radius=0.6,
             outer = inner
         return total.real / math.pi
 
-    up = mass(theta_tilde, radius ** (1.0 / N))
-    down = mass(eta, radius)
+    up = mass(theta_tilde, 0.6 ** (1.0 / N))
+    down = mass(eta, 0.6)
     return up, down
 
 
@@ -741,16 +707,17 @@ def griffiths_margin_transfer(
     return dev, ratios
 
 
-def boundary_residual(eta, eps: float, z_tail, nodes=96):
-    """Contour integrals over |z_1| = eps of the dz_1 / dzbar_1 components in
-    the dzbar_2-slice of eta (the boundary pairing against the test form
-    dz_2).  Returns (block_magnitude, signed_sum): the per-block magnitude
-    decays like eps^{2/N} for descended singular blocks, while the signed sum
-    is the residue itself -- zero for closed invariant forms."""
+def boundary_residual(eta, eps: float, z_tail):
+    """Contour integrals, by the 96-node midpoint rule, over |z_1| = eps of
+    the dz_1 / dzbar_1 components in the dzbar_2-slice of eta (the boundary
+    pairing against the test form dz_2).  Returns (block_magnitude,
+    signed_sum): the per-block magnitude decays like eps^{2/N} for descended
+    singular blocks, while the signed sum is the residue itself -- zero for
+    closed invariant forms."""
     a_sum = 0j
     b_sum = 0j
-    dtheta = 2 * math.pi / nodes
-    for j in range(nodes):
+    dtheta = 2 * math.pi / 96
+    for j in range(96):
         t = -math.pi + (j + 0.5) * dtheta
         z1 = eps * cmath.exp(1j * t)
         f = eta((z1,) + tuple(z_tail))
@@ -762,11 +729,11 @@ def boundary_residual(eta, eps: float, z_tail, nodes=96):
     return abs(a_sum) + abs(b_sum), abs(a_sum + b_sum)
 
 
-def closedness_decay_slope(eta, chart: LocalChart, z_tail=(0.1,), eps_count=6):
-    """Log-log slope of the block boundary residual over shrinking radii,
-    plus the largest signed residue encountered."""
-    eps = [chart.rho * 2.0 ** (-k) for k in range(1, eps_count + 1)]
-    pairs = [boundary_residual(eta, e, z_tail) for e in eps]
+def closedness_decay_slope(eta, chart: LocalChart):
+    """Log-log slope of the block boundary residual at z_2 = 0.1 over the
+    radii rho 2^{-k}, k = 1..6, plus the largest signed residue encountered."""
+    eps = [chart.rho * 2.0 ** (-k) for k in range(1, 7)]
+    pairs = [boundary_residual(eta, e, (0.1,)) for e in eps]
     blocks = [p[0] for p in pairs]
     residues = [p[1] for p in pairs]
     logs = np.log([max(r, 1e-300) for r in blocks])

@@ -90,9 +90,6 @@ class TorusField:
     def mean(self):
         return self.data.mean(axis=(0, 1))
 
-    def shifted(self, s1: int, s2: int) -> "TorusField":
-        return TorusField(self.kind, np.roll(self.data, (s1, s2), axis=(0, 1)))
-
     # -- I/O: row-major CSV ---------------------------------------------------
 
     def save_csv(self, path):
@@ -358,7 +355,8 @@ def _preconditioned_jacobian(problem: MAProblem, g: np.ndarray):
     half = M // 2 + 1
     k = _wavenumbers(M)
     k_flip = k.copy()
-    k_flip[M // 2] *= -1
+    if M % 2 == 0:  # only an even M has a Nyquist wavenumber
+        k_flip[M // 2] *= -1
 
     def even(f):
         # v -> Re ifft2(m fft2 v) multiplies by the mean of m over both signs

@@ -80,6 +80,10 @@ class ParabolicModel:
                             ("cover_degree", den // g), ("numerators", numerators)):
             object.__setattr__(self, name, value)
 
+    def __hash__(self):
+        # the generated hash would hash the numerators dict; this one agrees with ==
+        return hash((self.rank, self.degree, self.cover_degree, frozenset(self.numerators.items())))
+
     @property
     def points(self) -> dict[str, tuple[Fraction, ...]]:
         """The weights as nondecreasing tuples of Fractions, made on each read."""
@@ -304,11 +308,6 @@ def det(model: ParabolicModel) -> ParabolicModel:
 class StabilityVerdict:
     verdict: str  # "stable" | "semistable" | "unstable"
     witness: ParabolicModel | None = None
-
-    def __str__(self):
-        if self.witness is None:
-            return self.verdict
-        return f"{self.verdict} (witness slope {slope(self.witness)})"
 
 
 def is_stable(

@@ -49,3 +49,15 @@ def test_regression_beyond_bound_and_failures():
     assert s["setup_s"]["within_bound"]
     assert s["base_runs"] == {"all_correct": True, "attempted": 80, "failed": 0}
     assert s["change_runs"] == {"all_correct": False, "attempted": 80, "failed": 4}
+
+
+def test_src_lines_counts_python_sources_under_src(tmp_path):
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir()
+    (tmp_path / "src" / "pkg" / "a.py").write_text("import os\n\nx = 1\n")
+    (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text("y = 2\nz = 3")  # no final newline
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "pkg" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\n\n\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "c.py").write_text("outside src\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

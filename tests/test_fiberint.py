@@ -413,11 +413,6 @@ class TestSymbolicPushforward:
         ref = segre_forms(chern_forms(theta, normalization=1.0), n)
         assert max((got - want).max_abs() for got, want in zip(s, ref)) < 1e-11
 
-    def test_truncation_degree_guard(self):
-        theta = CurvatureMatrix([[FormValue.zero(1)]])
-        with pytest.raises(ValueError):
-            symbolic_pushforward(theta, max_degree=5)
-
 
 class TestUnitaryInvariance:
     def test_householder_is_exact_unitary(self):

@@ -259,6 +259,8 @@ def test_wedge_identity_and_zero():
     assert a.wedge(one) == a
     assert one.wedge(a) == a
     assert a.wedge(FormValue.zero(3)).is_zero()
+    # an exact and a float form compare like their scalars: QQi(1) != 1.0
+    assert (FormValue.scalar(2, 1.0) == FormValue.scalar(2, QQi(1))) is False
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -315,18 +317,6 @@ def test_dimension_mismatch_raises():
     b = FormValue.monomial(3, (0,), ())
     with pytest.raises(ValueError):
         a.wedge(b)
-
-
-def test_serialization_round_trip():
-    rng = np.random.default_rng(13)
-    a = random_exact_form(rng, 2, 1, 1)
-    back = FormValue.from_json_list(2, a.to_json_list(), exact=True)
-    assert back == a
-    f = FormValue(2, {((0,), (1,)): 0.5 - 2j})
-    back = FormValue.from_json_list(2, f.to_json_list())
-    assert back.approx_equal(f)
-    # an exact and a float form compare like their scalars: QQi(1) != 1.0
-    assert (FormValue.scalar(2, 1.0) == FormValue.scalar(2, QQi(1))) is False
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from parachern.localmodel import (
     cone_metric,
     curvature_descend,
     ddbar_numeric,
+    deck_phases,
     descend_form,
     descend_metric,
     griffiths_margin_transfer,
@@ -255,15 +256,117 @@ def test_report_csv():
     assert len(rows) == chart.annuli + 1
 
 
-def test_metric_field_json():
-    chart = LocalChart(dim=1, cover_degree=2, annuli=4, angular_nodes=4)
-    field = LocalMetricField(chart, [Fraction(1, 2)], lambda z: np.array([[abs(z[0])]]))
-    import json
+def reference_admissibility_check(field):
+    """admissibility_check computed matrix by matrix in Python loops: the
+    reference that its array reductions must match bit for bit."""
+    chart = field.chart
+    if chart.annuli < 4:
+        raise GridError("at least 4 annuli required for the certificate")
+    layers = chart.sample_points()
+    radii = [r ** (1.0 / chart.cover_degree) for r in chart.radii()]
+    lifts = [[field.lift(z) for z in layer] for layer in layers]
 
-    doc = json.loads(field.to_json())
-    assert doc["grid"]["N"] == 2
-    assert doc["weights"] == ["1/2"]
-    assert len(doc["values"]) == 16
+    annulus_max = [max(float(np.max(np.abs(H))) for H in layer) for layer in lifts]
+    annulus_min_eig = [
+        min(float(np.min(np.linalg.eigvalsh((H + H.conj().T) / 2))) for H in layer)
+        for layer in lifts
+    ]
+    annulus_deriv = []
+    for k in range(len(lifts) - 1):
+        dr = radii[k] - radii[k + 1]
+        annulus_deriv.append(
+            max(float(np.max(np.abs(a - b))) / dr for a, b in zip(lifts[k], lifts[k + 1]))
+        )
+
+    reasons = []
+    ref = max(annulus_max[0], 1e-12)
+    if max(annulus_max) > 25.0 * ref:
+        reasons.append(
+            f"lift unbounded: inner/outer value ratio {max(annulus_max) / ref:.2e}"
+        )
+    dref = max(annulus_deriv[0], 1e-12 * ref / radii[0])
+    if max(annulus_deriv) > 25.0 * dref:
+        reasons.append(
+            "lift derivative unbounded: difference-quotient growth "
+            f"{max(annulus_deriv) / dref:.2e}"
+        )
+    median_eig = float(np.median(annulus_min_eig))
+    inner_eig = min(annulus_min_eig[-2:])
+    if min(annulus_min_eig) < 1e-10 or inner_eig < 0.05 * max(median_eig, 1e-10):
+        reasons.append(
+            f"lift not uniformly positive: inner least eigenvalue {inner_eig:.3e}"
+        )
+
+    P = deck_phases(field.exponents, chart.cover_degree)
+    n_comp = len(chart.companions)
+    cut_defect = 0.0
+    interior_jump = 1e-300
+    for layer in lifts:
+        for c in range(n_comp):
+            seq = layer[c::n_comp]
+            for a, b in zip(seq, seq[1:]):
+                interior_jump = max(interior_jump, float(np.max(np.abs(a - b))))
+            cut_defect = max(cut_defect, float(np.max(np.abs(seq[-1] - P * seq[0]))))
+    cut_tolerance = 3.0 * interior_jump + 1e-8
+    if cut_defect > cut_tolerance:
+        reasons.append(
+            f"branch-cut mismatch {cut_defect:.3e} exceeds continuity "
+            f"tolerance {cut_tolerance:.3e}"
+        )
+    return AdmissibilityReport(not reasons, reasons, annulus_max, annulus_deriv,
+                               annulus_min_eig, cut_defect, cut_tolerance)
+
+
+CERTIFICATE_KINDS = ("smooth", "nonsmooth", "cut", "nonpositive")
+
+
+def certificate_fixture(kind, seed):
+    """A seeded field on a seeded chart: N 1-12, dim 1-3, rank 1-4, 4-12
+    annuli, 2-9 angles, and one or three companions.  `kind` is a smooth
+    descended lift, or that lift times 1 + |w_1|^(1/2) (N 1-3 and 20-32
+    annuli, deep enough to see the derivative grow), times a factor that
+    jumps across the cut, or minus 2.5 times the identity."""
+    rng = np.random.default_rng([CERTIFICATE_KINDS.index(kind), seed])
+    deep = kind == "nonsmooth"
+    N, dim, rank = (int(rng.integers(1, hi + 1)) for hi in (3 if deep else 12, 3, 4))
+    companions = ()
+    if dim > 1 and seed % 2:
+        companions = tuple(
+            tuple(complex(0.3 * rng.normal(), 0.3 * rng.normal()) for _ in range(dim - 1))
+            for _ in range(3)
+        )
+    annuli = int(rng.integers(20, 33) if deep else rng.integers(4, 13))
+    chart = LocalChart(dim=dim, cover_degree=N, rho=0.2 + 0.7 * rng.random(), annuli=annuli,
+                       angular_nodes=int(rng.integers(2, 10)), companions=companions)
+    weights = [Fraction(int(k), N) for k in sorted(rng.integers(0, N, size=rank))]
+    smooth = random_invariant_metric(rng, weights, chart)
+    shift = 2.5 if kind == "nonpositive" else 0.0
+    H = descend_metric(lambda w: smooth(w) - shift * np.eye(rank), weights, chart)
+    factor = {
+        "nonsmooth": lambda z: 1.0 + abs(z[0]) ** (0.5 / N),
+        "cut": lambda z: 2.0 + chart.w1_of_z1(z[0]).imag,
+    }.get(kind, lambda z: 1.0)
+    return LocalMetricField(chart, weights, lambda z: factor(z) * H(z))
+
+
+@pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
+def test_array_certificate_matches_loop_reference(kind):
+    """The array reductions give the loop reference's report, field for
+    field and row for row, and each kind of fault gets rejected."""
+    expect = {"nonsmooth": "derivative unbounded", "cut": "branch-cut",
+              "nonpositive": "not uniformly positive"}.get(kind)
+    rejected = 0
+    for seed in range(15):
+        field = certificate_fixture(kind, seed)
+        got, want = admissibility_check(field), reference_admissibility_check(field)
+        assert got == want
+        assert got.csv_rows() == want.csv_rows()
+        assert type(got.cut_defect) is float and type(got.annulus_max[0]) is float
+        if expect is None:
+            assert got.admissible, got.reasons
+        else:
+            rejected += any(expect in r for r in got.reasons)
+    assert expect is None or rejected >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +587,7 @@ def test_mass_descent():
     def theta_tilde(w):
         return FormValue(1, {((0,), (0,)): 1.0 + abs(complex(w[0])) ** 4})
 
-    up, down = smooth_mass_descent(theta_tilde, chart, radius=0.6)
+    up, down = smooth_mass_descent(theta_tilde, chart)
     assert abs(down - up / 2) < 1e-6 * abs(up)
 
 

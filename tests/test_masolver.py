@@ -122,10 +122,6 @@ class TestTorusField:
         with pytest.raises(ValueError):
             TorusField("(1,1)", data)
 
-    def test_shift(self):
-        f = TorusField("scalar", np.arange(16.0).reshape(4, 4))
-        assert np.array_equal(f.shifted(1, 0).data, np.roll(f.data, 1, axis=0))
-
 
 class TestOperators:
     def test_spectral_hessian_exact_on_modes(self):
@@ -452,7 +448,7 @@ class TestNewtonKrylov:
         with pytest.raises(ConvergenceError, match="stalled"):
             masolver._gmres(lambda v: np.roll(v, 1), b, 1e-10)
 
-    @pytest.mark.parametrize("M", [16, 32])
+    @pytest.mark.parametrize("M", [15, 16, 32, 33])
     @pytest.mark.parametrize("unclosed", [False, True])
     def test_fused_operator_matches_complex_fft(self, M, unclosed):
         prob = unclosed_problem(M)[0] if unclosed else hermite_einstein_problem(M)

@@ -670,3 +670,21 @@ def test_every_construction_gives_one_model():
         assert m.numerators == {"p": (2, 3), "q": (0, 5)} and m.points == ref_points(weights)
     assert models[0] != ParabolicModel(rank=2, degree=0, points=weights)
     assert models[0] != ParabolicModel(rank=2, degree=-1, points={"p": weights["p"]})
+
+
+def test_equal_models_hash_equal():
+    """Models equal under == hash the same, however they were built, so a set
+    keeps one of them."""
+    weights = {"p": (F(1, 2), F(1, 3)), "q": (F(0), F(5, 6))}
+    models = [
+        ParabolicModel(rank=2, degree=-1, points=weights),
+        ParabolicModel.from_json_dict({"rank": 2, "degree": -1, "coverDegree": 24,
+                                       "points": {"q": ["0", "5/6"], "p": ["1/3", "1/2"]}}),
+        ParabolicModel._from_numerators(2, -1, 24, {"p": [12, 8], "q": [20, 0]}),
+    ]
+    assert len({hash(m) for m in models}) == 1
+    assert len(set(models)) == 1
+    assert hash(ParabolicModel(1, 0)) == hash(ParabolicModel(1, 0, {}))
+    others = {models[0], ParabolicModel(rank=2, degree=0, points=weights),
+              ParabolicModel(rank=2, degree=-1, points={"p": weights["p"]})}
+    assert len(others) == 3

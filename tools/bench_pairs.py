@@ -17,7 +17,8 @@ ones.
 The result is ``BENCH_<label>.json`` at the root of the checkout: the
 machine, both commits, the git tree of ``src`` that each side ran (the
 change's taken from its working tree, so uncommitted edits are named too),
-every run's output, and per workload and end-to-end
+the line count of ``src/**/*.py`` of each side (the base worktree and the
+change's working tree), every run's output, and per workload and end-to-end
 metric the medians and interquartile ranges, the pairs the change won, the
 bound of ``BENCHMARK.json`` and whether the change's median stays inside it,
 and whether a gain may be claimed (the change wins at least nine tenths of
@@ -107,6 +108,11 @@ def src_tree(rev: str) -> str:
     return git("rev-parse", f"{rev}:src")
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of ``src/**/*.py`` in ``checkout``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def machine() -> dict:
     import numpy
     return {"cpu_count": os.cpu_count(), "platform": platform.platform(),
@@ -139,7 +145,9 @@ def main(argv=None) -> int:
     if BASE_DIR.exists():
         git("worktree", "remove", "--force", str(BASE_DIR))
     git("worktree", "add", "--detach", str(BASE_DIR), commits["base"])
-    result = {"machine": machine(), "commits": commits, "seconds": seconds, "workloads": {}}
+    result = {"machine": machine(), "commits": commits, "seconds": seconds,
+              "src_lines": {"base": src_lines(BASE_DIR), "change": src_lines(ROOT)},
+              "workloads": {}}
     try:
         for checkout in (BASE_DIR, ROOT):
             compile_sources(checkout)
