@@ -3,10 +3,11 @@ and emit machine-readable JSON reports plus CSV diagnostic series.
 
 Subcommands: pardeg, ops, admissible, chern, pushforward, masolve, all.
 Exit codes: 0 all checks pass, 1 a check failed, 2 invalid input, 3 any
-other error (its traceback goes to the DEBUG log).  Reports embed the tool
-version, a hash of the resolved configuration, and the seed, and are
-byte-identical for identical config + seed.  PARACHERN_LOG sets the logging
-level.
+other error (its traceback goes to the DEBUG log).  Each subcommand takes
+only the flags that FLAGS gives it.  Reports embed the tool version, a hash
+of the configuration (those flags and the input) and, where --seed is read,
+the seed; they are byte-identical for identical configuration.
+PARACHERN_LOG sets the logging level.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ from .localmodel import (
 from .masolver import (
     MAProblem,
     TorusField,
-    ddc_potential,
-    grid_coordinates,
+    fixture_problem,
     normalize_problem,
     solve,
     verify_conclusion,
-    wedge_density,
 )
 from .parabolic import (
     InvalidModelError,
@@ -93,7 +92,12 @@ LIMITS = {
     # the fixtures divide by the rank before MAProblem can check it
     "masolve": {"M": (8, 512), "rank": (1, 64), "eps": (-10.0, 10.0)},
 }
-# --samples of every subcommand; pushforward draws 1000 Monte Carlo rows per sample
+# The flags each subcommand reads, beyond --input and --out: build_parser
+# accepts these and no other, and _provenance records these and no other.
+FLAGS = {"pardeg": (), "ops": ("samples", "seed"), "chern": ("samples", "seed"),
+         "admissible": ("tol", "seed"), "masolve": ("tol",),
+         "pushforward": ("tol", "samples", "seed"), "all": ("tol", "samples", "seed")}
+# --samples wherever it is read; pushforward draws 1000 Monte Carlo rows per sample
 SAMPLES_MAX = 5000
 # pushforward's Monte Carlo test: |quad - mc| <= MC_GATE_SE standard errors.
 # Correct runs reach 4.0 se over seeds 0-999 of c = [1, 2, 0.5], [1, 2] and
@@ -113,14 +117,12 @@ def _canonical(obj) -> str:
 def _provenance(args, input_text):
     cfg = {
         "subcommand": args.subcommand,
-        "tol": args.tol,
-        "samples": args.samples,
-        "seed": args.seed,
+        **{flag: getattr(args, flag) for flag in FLAGS[args.subcommand]},
         "inputSha256": hashlib.sha256((input_text or "").encode()).hexdigest(),
     }
     return {
         "version": VERSION,
-        "seed": args.seed,
+        **({"seed": cfg["seed"]} if "seed" in cfg else {}),
         "configHash": hashlib.sha256(
             json.dumps(cfg, sort_keys=True).encode()
         ).hexdigest(),
@@ -391,35 +393,11 @@ def _masolve_problem(spec):
         return problem
     fixture = field("fixture", str, "constant")
     M = field("M", int, 64)
-    if fixture == "constant":
-        c1 = np.broadcast_to(r * np.eye(2), (M, M, 2, 2)).copy()
-        c2 = np.full((M, M), 1.5)
-        eta = np.full((M, M), 1.0)
-    elif fixture == "perturbed":
-        eps = field("eps", float, 0.1)
-        x1, _ = grid_coordinates(M)
-        c1 = np.broadcast_to(r * np.eye(2), (M, M, 2, 2)).copy()
-        kl = np.full((M, M), 0.4)
-        c2 = (2 * r * kl + (r - 1) * wedge_density(c1, c1)) / (2 * r)
-        eta = 1 + eps * np.cos(2 * np.pi * x1)
-    elif fixture == "hermite-einstein":
-        x1, x2 = grid_coordinates(M)
-        psi = 0.05 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
-        c1 = r * (
-            np.broadcast_to(np.eye(2), (M, M, 2, 2)).copy() + ddc_potential(psi)
-        )
-        c2 = (r - 1) / (2 * r) * wedge_density(c1, c1) + 0.3 * (
-            1 + 0.2 * np.cos(2 * np.pi * x2)
-        )
-        eta = 1.0 + 0.1 * np.cos(2 * np.pi * x1)
-    else:
-        raise InputError(f"unknown fixture {fixture!r}")
-    return MAProblem(
-        r,
-        TorusField("(1,1)", c1),
-        TorusField("(2,2)", c2),
-        TorusField("(2,2)", eta),
-    )
+    eps = field("eps", float, 0.1) if fixture == "perturbed" else None
+    try:
+        return fixture_problem(fixture, M, r, eps)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def cmd_masolve(args, spec, outdir: Path):
@@ -493,14 +471,18 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
     # all runs every suite on its defaults, so it takes no --input
     parser.set_defaults(input=None)
+    options = {
+        "tol": {"type": _above(0, float), "default": 1e-10},
+        "samples": {"type": _above(0, int, SAMPLES_MAX), "default": 50},
+        "seed": {"type": _above(-1, int), "default": 0},
+    }
     for name in COMMANDS:
         p = subs.add_parser(name)
         if name != "all":
             p.add_argument("--input", help="input JSON file (format per subcommand)")
         p.add_argument("--out", default=".", help="output directory for reports")
-        p.add_argument("--tol", type=_above(0, float), default=1e-10)
-        p.add_argument("--samples", type=_above(0, int, SAMPLES_MAX), default=50)
-        p.add_argument("--seed", type=_above(-1, int), default=0)
+        for flag in FLAGS[name]:
+            p.add_argument(f"--{flag}", **options[flag])
     return parser
 
 

@@ -55,9 +55,9 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiberQuadrature:
-    """Value and error estimate of :func:`scalar_fiber_integral`, which it
-    unpacks to, with the final step h, the window half-width L, the nodes
-    per axis and how often h was halved from FIRST_STEP."""
+    """Value and error estimate of :func:`scalar_fiber_integral`, with the
+    final step h, the window half-width L, the nodes per axis and how often
+    h was halved from FIRST_STEP."""
 
     value: float
     error: float
@@ -65,9 +65,6 @@ class FiberQuadrature:
     window: float = 0.0
     nodes: tuple = ()
     halvings: int = 0
-
-    def __iter__(self):
-        return iter((self.value, self.error))
 
 
 def _trapezoid_sums(c, h, ks):

@@ -267,6 +267,31 @@ def normalize_problem(raw: MAProblem) -> MAProblem:
     return scaled
 
 
+def fixture_problem(fixture: str, M: int, r=2, eps=0.1) -> MAProblem:
+    """The built-in raw problem of rank r on the M x M grid: "constant"
+    (c_1 = r I, c_2 = 1.5, eta = 1), "perturbed" (c_1 = r I, eta = 1 + eps
+    cos 2 pi x_1) or "hermite-einstein" (c_1 = r (I + dd^c psi), psi small)."""
+    if fixture == "constant":
+        c1 = np.broadcast_to(r * np.eye(2), (M, M, 2, 2)).copy()
+        c2 = np.full((M, M), 1.5)
+        eta = np.full((M, M), 1.0)
+    elif fixture == "perturbed":
+        x1, _ = grid_coordinates(M)
+        c1 = np.broadcast_to(r * np.eye(2), (M, M, 2, 2)).copy()
+        kl = np.full((M, M), 0.4)
+        c2 = (2 * r * kl + (r - 1) * wedge_density(c1, c1)) / (2 * r)
+        eta = 1 + eps * np.cos(2 * np.pi * x1)
+    elif fixture == "hermite-einstein":
+        x1, x2 = grid_coordinates(M)
+        psi = 0.05 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
+        c1 = r * (np.broadcast_to(np.eye(2), (M, M, 2, 2)).copy() + ddc_potential(psi))
+        c2 = (r - 1) / (2 * r) * wedge_density(c1, c1) + 0.3 * (1 + 0.2 * np.cos(2 * np.pi * x2))
+        eta = 1.0 + 0.1 * np.cos(2 * np.pi * x1)
+    else:
+        raise ValueError(f"unknown fixture {fixture!r}")
+    return MAProblem(r, TorusField("(1,1)", c1), TorusField("(2,2)", c2), TorusField("(2,2)", eta))
+
+
 # ---------------------------------------------------------------------------
 # damped inexact Newton solver
 # ---------------------------------------------------------------------------
@@ -411,7 +436,8 @@ def solve(problem: MAProblem, tol=1e-10, max_iter=50):
     1996), but never past half of what the outer test still needs.  Steps
     are accepted only if the sup-norm residual decreases and the metric g
     stays positive at every node; otherwise the step is halved.  When the
-    solve stalls with tol below _roundoff_floor(problem), the error says so.
+    solve stalls with tol below _roundoff_floor(problem), or with its
+    residual below twice that floor, the error names the floor.
     Returns (phi: TorusField('scalar'), SolveDiagnostics)."""
     if not problem.normalized and problem.compatibility_defect() > 1e-10:
         raise ValueError("problem must be normalized first")
@@ -432,6 +458,8 @@ def solve(problem: MAProblem, tol=1e-10, max_iter=50):
         floor = _roundoff_floor(problem)
         if tol < floor:
             message = f"tol {tol:.1e} is below the roundoff floor {floor:.1e} of this problem"
+        elif res < 2 * floor:
+            message += f", within twice the roundoff floor {floor:.1e} of this problem"
         return ConvergenceError(f"{message} (residual reached {res:.3e})")
 
     forcing = 0.5

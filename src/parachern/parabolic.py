@@ -11,7 +11,6 @@ values.  No floats enter this module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,9 +110,6 @@ class ParabolicModel:
             "coverDegree": self.cover_degree,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ParabolicModel":
         try:
@@ -135,10 +131,6 @@ class ParabolicModel:
                 f"the weight lcm {model.cover_degree}"
             )
         return model
-
-    @classmethod
-    def from_json(cls, s: str) -> "ParabolicModel":
-        return cls.from_json_dict(json.loads(s))
 
 
 @dataclass(frozen=True)

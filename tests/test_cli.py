@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report provenance, reproducibility."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -17,8 +18,26 @@ from parachern import cli
 from parachern.fiberint import FiberQuadrature
 
 
+# The flags each subcommand reads, beyond --input and --out.
+READS = {
+    "pardeg": set(),
+    "ops": {"samples", "seed"},
+    "chern": {"samples", "seed"},
+    "admissible": {"tol", "seed"},
+    "masolve": {"tol"},
+    "pushforward": {"tol", "samples", "seed"},
+    "all": {"tol", "samples", "seed"},
+}
+
+
 def run(tmp_path, *argv):
     return cli.main([*argv, "--out", str(tmp_path)])
+
+
+def flags_read(sub, **values):
+    """--flag value for each of `values` that `sub` reads."""
+    return [x for flag, value in values.items() if flag in READS[sub]
+            for x in (f"--{flag}", str(value))]
 
 
 def read_report(tmp_path, sub):
@@ -66,12 +85,20 @@ class TestParDeg:
         assert run(tmp_path, "pardeg", "--input", model) == 2
 
     def test_provenance_fields(self, tmp_path):
+        """pardeg reads no flag: its configuration is its input, and its
+        report has no seed."""
         model = write_model(tmp_path, GOOD_MODEL)
-        run(tmp_path, "pardeg", "--input", model, "--seed", "7")
+        assert run(tmp_path, "pardeg", "--input", model) == 0
         rep = read_report(tmp_path, "pardeg")
-        assert rep["seed"] == 7
+        assert "seed" not in rep
+        assert rep["config"] == {
+            "subcommand": "pardeg",
+            "inputSha256": hashlib.sha256(Path(model).read_bytes()).hexdigest(),
+        }
         assert len(rep["configHash"]) == 64
         assert rep["version"]
+        assert run(tmp_path, "ops", "--input", model, "--samples", "1", "--seed", "7") == 0
+        assert read_report(tmp_path, "ops")["seed"] == 7
 
 
 class TestOps:
@@ -299,7 +326,7 @@ class TestReproducibility:
     def test_byte_identical_reports(self, tmp_path, sub):
         """Two runs with the same config and seed write the same bytes in
         every report and CSV."""
-        argv = [sub, "--samples", "10", "--seed", "3"]
+        argv = [sub, *flags_read(sub, samples=10, seed=3)]
         if sub == "pardeg":
             argv += ["--input", write_model(tmp_path, GOOD_MODEL)]
         a, b = tmp_path / "a", tmp_path / "b"
@@ -349,7 +376,7 @@ class TestInputContract:
         ("chern", {"rank": -1}, []),
         ("chern", {"dim": 0}, []),
         ("chern", {}, ["--samples", "-1"]),
-        ("chern", {}, ["--tol", "-1"]),
+        ("admissible", {}, ["--tol", "-1"]),
         ("pushforward", {"c": ["x"]}, []),
         ("pushforward", {"c": []}, []),
         ("pushforward", {"c": [1] * 6}, []),
@@ -410,6 +437,54 @@ class TestInputContract:
         assert len(err.splitlines()) == 1
 
 
+def parser_flags(sub):
+    """The flags of `sub`'s parser, beyond --help, --input and --out."""
+    subs = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        s[2:] for a in subs.choices[sub]._actions for s in a.option_strings if s.startswith("--")
+    } - {"help", "input", "out"}
+
+
+class TestFlagContract:
+    """Each subcommand takes the flags it reads and no other, and its report
+    records exactly those."""
+
+    VALUES = {"tol": 1e-9, "samples": 2, "seed": 1}
+    UNREAD = [
+        (sub, f"--{flag}", value)
+        for sub in cli.COMMANDS
+        for flag, value in (("tol", "1e-3"), ("samples", "5"), ("seed", "7"))
+        if flag not in READS[sub]
+    ]
+
+    @pytest.mark.parametrize("sub", list(cli.COMMANDS))
+    def test_parser_and_report_take_the_flags_read(self, tmp_path, sub):
+        assert set(cli.FLAGS[sub]) == parser_flags(sub) == READS[sub]
+        argv = [sub, *flags_read(sub, **self.VALUES)]
+        if sub == "pardeg":
+            argv += ["--input", write_model(tmp_path, GOOD_MODEL)]
+        assert run(tmp_path, *argv) == 0
+        # all records its own flags, and each suite it runs only the suite's
+        for name in [sub, *read_report(tmp_path, sub).get("suites", ())]:
+            rep = read_report(tmp_path, name)
+            assert rep["config"] == {
+                "subcommand": name,
+                "inputSha256": rep["config"]["inputSha256"],
+                **{flag: self.VALUES[flag] for flag in READS[name]},
+            }
+            assert rep.get("seed") == rep["config"].get("seed")
+            assert ("seed" in rep) == ("seed" in READS[name])
+
+    @pytest.mark.parametrize("sub,flag,value", UNREAD, ids=[" ".join(c) for c in UNREAD])
+    def test_unread_flag_exits_two(self, tmp_path, capsys, sub, flag, value):
+        assert run(tmp_path, sub, flag, value) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not any(tmp_path.iterdir())
+
+
 KNOWN_KEYS = {
     "pardeg": ["rank", "degree", "points", "coverDegree"],
     "ops": ["rank", "degree", "points", "coverDegree"],
@@ -452,6 +527,6 @@ def test_fuzzed_input_ends_in_a_documented_exit_code(case):
     ), contextlib.redirect_stdout(io.StringIO()):
         path = Path(tmp) / "input.json"
         path.write_text(json.dumps(spec))
-        code = cli.main([sub, "--input", str(path), "--samples", "1", "--out", tmp])
+        code = cli.main([sub, "--input", str(path), *flags_read(sub, samples=1), "--out", tmp])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()

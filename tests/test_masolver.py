@@ -20,6 +20,7 @@ from parachern.masolver import (
     ddc_potential,
     det_field,
     fd_hessian,
+    fixture_problem,
     grid_coordinates,
     interpolant_residual,
     min_eigenvalue,
@@ -36,38 +37,6 @@ def constant_problem(M=32, r=2, c=2.0, c2val=3.0, etaval=1.0):
     c2 = TorusField("(2,2)", np.full((M, M), c2val))
     eta = TorusField("(2,2)", np.full((M, M), etaval))
     return MAProblem(r, c1, c2, eta)
-
-
-def perturbed_problem(M=64, r=2, eps=0.1):
-    """F = (1 + eps cos 2 pi x1) * compatible constant, via eta."""
-    x1, x2 = grid_coordinates(M)
-    c1 = np.broadcast_to(r * np.eye(2), (M, M, 2, 2)).copy()
-    c1sq = wedge_density(c1, c1)
-    kl = np.full((M, M), 0.4)
-    c2 = (2 * r * kl + (r - 1) * c1sq) / (2 * r)
-    eta = (1 + eps * np.cos(2 * np.pi * x1)) * 1.0
-    return MAProblem(
-        r,
-        TorusField("(1,1)", c1),
-        TorusField("(2,2)", c2),
-        TorusField("(2,2)", eta),
-    )
-
-
-def hermite_einstein_problem(M=64, r=2):
-    """Synthetic Hermite-Einstein-like fields with non-constant c1."""
-    x1, x2 = grid_coordinates(M)
-    psi = 0.05 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
-    c1 = r * (np.broadcast_to(np.eye(2), (M, M, 2, 2)).copy() + ddc_potential(psi))
-    c1sq = wedge_density(c1, c1)
-    c2 = (r - 1) / (2 * r) * c1sq + 0.3 * (1 + 0.2 * np.cos(2 * np.pi * x2))
-    eta = 1.0 + 0.1 * np.cos(2 * np.pi * x1)
-    return MAProblem(
-        r,
-        TorusField("(1,1)", c1),
-        TorusField("(2,2)", c2),
-        TorusField("(2,2)", eta),
-    )
 
 
 def manufactured_problem(M, r=2, amp=0.02):
@@ -183,7 +152,7 @@ class TestNormalize:
         assert abs(prob.eta_scale - 1.0) < 1e-12
 
     def test_doubled_eta_scale_half(self):
-        raw1 = hermite_einstein_problem(M=16)
+        raw1 = fixture_problem("hermite-einstein", 16)
         raw2 = MAProblem(
             raw1.rank, raw1.c1, raw1.c2, TorusField("(2,2)", 2 * raw1.eta.data)
         )
@@ -195,14 +164,14 @@ class TestNormalize:
         rng = np.random.default_rng(3)
         M = 16
         x1, x2 = grid_coordinates(M)
-        raw = hermite_einstein_problem(M=M)
+        raw = fixture_problem("hermite-einstein", M)
         eta = 1.0 + 0.3 * np.cos(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
         raw = MAProblem(raw.rank, raw.c1, raw.c2, TorusField("(2,2)", eta))
         prob = normalize_problem(raw)
         assert prob.compatibility_defect() < 1e-12
 
     def test_rejects_nonpositive_rhs(self):
-        raw = hermite_einstein_problem(M=16)
+        raw = fixture_problem("hermite-einstein", 16)
         bad = MAProblem(
             raw.rank,
             raw.c1,
@@ -237,25 +206,25 @@ class TestSolve:
         assert np.abs(phi.data).max() == 0.0
 
     def test_perturbed_residual_below_1e8_at_64(self):
-        prob = normalize_problem(perturbed_problem(M=64, eps=0.1))
+        prob = normalize_problem(fixture_problem("perturbed", 64))
         phi, diag = solve(prob, tol=1e-9)
         assert diag.converged
         assert diag.residuals[-1] < 1e-8
         assert abs(phi.data.mean()) < 1e-13
 
     def test_hermite_einstein_like_converges_positive(self):
-        prob = normalize_problem(hermite_einstein_problem(M=64))
+        prob = normalize_problem(fixture_problem("hermite-einstein", 64))
         phi, diag = solve(prob, tol=1e-10)
         assert diag.converged
         assert min(diag.min_eigs) > 0
 
     def test_monotone_residuals(self):
-        prob = normalize_problem(hermite_einstein_problem(M=32))
+        prob = normalize_problem(fixture_problem("hermite-einstein", 32))
         _, diag = solve(prob, tol=1e-10)
         assert all(b < a for a, b in zip(diag.residuals, diag.residuals[1:]))
 
     def test_discrete_conservation(self):
-        prob = normalize_problem(hermite_einstein_problem(M=32))
+        prob = normalize_problem(fixture_problem("hermite-einstein", 32))
         _, diag = solve(prob, tol=1e-10)
         assert max(diag.conservation) < 1e-12
 
@@ -282,10 +251,10 @@ class TestSolve:
 
     def test_unnormalized_problem_rejected(self):
         with pytest.raises(ValueError):
-            solve(perturbed_problem(M=16, eps=0.1))
+            solve(fixture_problem("perturbed", 16))
 
     def test_nonconvergence_raises(self):
-        prob = normalize_problem(hermite_einstein_problem(M=16))
+        prob = normalize_problem(fixture_problem("hermite-einstein", 16))
         with pytest.raises(ConvergenceError):
             solve(prob, tol=1e-13, max_iter=1)
 
@@ -322,7 +291,7 @@ class TestConclusion:
         assert rep.eta_match < 1e-12
 
     def test_perturbed_case_positive_margins(self):
-        prob = normalize_problem(hermite_einstein_problem(M=64))
+        prob = normalize_problem(fixture_problem("hermite-einstein", 64))
         phi, _ = solve(prob, tol=1e-10)
         rep = verify_conclusion(phi, prob)
         assert rep.c1_min_eig > 0 and rep.c2_min > 0 and rep.schur_min > 0
@@ -368,7 +337,7 @@ class TestConclusion:
     def test_conformal_fields_algebra(self):
         # c1^2 - c2 of the conformal change minus eta equals the equation
         # residual: zero at the solution by construction
-        prob = normalize_problem(hermite_einstein_problem(M=32))
+        prob = normalize_problem(fixture_problem("hermite-einstein", 32))
         phi, _ = solve(prob, tol=1e-11)
         c1G, c2G = conformal_fields(prob, phi.data)
         schur = wedge_density(c1G, c1G) - c2G
@@ -451,7 +420,7 @@ class TestNewtonKrylov:
     @pytest.mark.parametrize("M", [15, 16, 32, 33])
     @pytest.mark.parametrize("unclosed", [False, True])
     def test_fused_operator_matches_complex_fft(self, M, unclosed):
-        prob = unclosed_problem(M)[0] if unclosed else hermite_einstein_problem(M)
+        prob = unclosed_problem(M)[0] if unclosed else fixture_problem("hermite-einstein", M)
         prob = normalize_problem(prob)
         rng = np.random.default_rng(M)
         phi = 0.01 * rng.normal(size=(M, M))
@@ -500,11 +469,32 @@ class TestNewtonKrylov:
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-14, 1e-15])
     def test_tol_below_roundoff_floor_named(self, tol):
-        prob = normalize_problem(hermite_einstein_problem(M=128))
+        prob = normalize_problem(fixture_problem("hermite-einstein", 128))
         with pytest.raises(ConvergenceError, match="below the roundoff floor") as exc:
             solve(prob, tol=tol)
         assert f"tol {tol:.1e}" in str(exc.value)
         assert "residual reached" in str(exc.value)
+
+    @pytest.mark.parametrize("ratio,named", [(0.6, True), (0.4, False)])
+    def test_stall_within_twice_the_floor_names_it(self, monkeypatch, ratio, named):
+        """A solve may stall with tol above the floor estimate but its residual
+        just above tol, as hermite-einstein at M = 511 does (tol 1e-10, floor
+        9.6e-11, stalled at 1.07e-10).  Here a zero Newton step stalls the
+        solve at its first residual res0, the floor is ratio * res0 and tol
+        lies between the floor and res0; the floor is named iff res0 is below
+        twice it."""
+        prob = normalize_problem(fixture_problem("hermite-einstein", 16))
+        g = masolver._metric(prob, np.zeros((16, 16)))
+        res0 = np.abs(masolver._residual(prob, g, prob.rhs())).max()
+        monkeypatch.setattr(masolver, "_newton_step", lambda p, g, R, rtol: (0 * R, 1))
+        monkeypatch.setattr(masolver, "_roundoff_floor", lambda p: ratio * res0)
+        with pytest.raises(ConvergenceError, match="step rejected below minimal damping") as exc:
+            solve(prob, tol=0.8 * res0)
+        message = str(exc.value)
+        assert "below the roundoff floor" not in message
+        named_floor = f"within twice the roundoff floor {ratio * res0:.1e} of this problem"
+        assert (named_floor in message) == named
+        assert f"(residual reached {res0:.3e})" in message
 
     def test_cli_import_loads_no_scipy(self):
         code = (

@@ -365,7 +365,7 @@ def test_filtration_jump_locations_are_weights():
 
 def test_json_roundtrip():
     m = ParabolicModel(rank=2, degree=1, points={"p": (F(1, 2), F(1, 2))})
-    m2 = ParabolicModel.from_json(m.to_json())
+    m2 = ParabolicModel.from_json_dict(m.to_json_dict())
     assert (m2.rank, m2.degree, dict(m2.points)) == (m.rank, m.degree, dict(m.points))
     assert m.to_json_dict()["points"]["p"] == ["1/2", "1/2"]
     assert m.to_json_dict()["coverDegree"] == 2
@@ -389,9 +389,9 @@ def test_first_weight_outside_unit_interval_is_named():
 
 
 def test_json_rejects_out_of_range_weight():
-    bad = '{"rank": 1, "degree": 0, "points": {"p": ["3/2"]}}'
+    bad = {"rank": 1, "degree": 0, "points": {"p": ["3/2"]}}
     with pytest.raises(InvalidModelError):
-        ParabolicModel.from_json(bad)
+        ParabolicModel.from_json_dict(bad)
 
 
 # ---------------------------------------------------------------------------
