@@ -412,6 +412,7 @@ def cmd_masolve(args, spec, outdir: Path):
         "etaScale": prob.eta_scale,
         "iterations": diag.iterations,
         "gmresIterations": diag.gmres,
+        "damping": diag.damping,
         "finalResidual": diag.residuals[-1],
         "maxConservationDefect": max(diag.conservation),
         "conclusion": rep.to_json_dict(),

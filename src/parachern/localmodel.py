@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -284,7 +285,7 @@ def admissibility_check(field: LocalMetricField) -> AdmissibilityReport:
             "lift derivative unbounded: difference-quotient growth "
             f"{max(annulus_deriv) / dref:.2e}"
         )
-    median_eig = float(np.median(annulus_min_eig))
+    median_eig = statistics.median(annulus_min_eig)
     inner_eig = min(annulus_min_eig[-2:])
     if min(annulus_min_eig) < 1e-10 or inner_eig < 0.05 * max(median_eig, 1e-10):
         reasons.append(

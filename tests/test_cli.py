@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -120,6 +122,24 @@ class TestAdmissible:
         assert rep["admissible"]
         assert rep["roundTripMaxDeviation"] < 1e-10
         assert (tmp_path / "admissible_annuli.csv").exists()
+
+    def test_default_run_leaves_numpy_ma_unimported(self, tmp_path):
+        """np.median imports numpy.ma on its first call; the annulus median
+        does without it."""
+        code = (
+            "import sys; from parachern import cli; "
+            f"assert cli.main(['admissible', '--out', {str(tmp_path)!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": src, "PATH": ""},
+        )
+        assert out.stdout.strip().splitlines()[-1] == "False"
 
     def test_custom_cover(self, tmp_path):
         cfg = tmp_path / "adm.json"
@@ -251,6 +271,21 @@ class TestPushforward:
         assert abs(rep["quadrature"]["value"] - rep["closedForm"]) < 1e-10 and not rep["pass"]
 
 
+def write_csv_fields(tmp_path, M, first_entry=None):
+    """CSV files of the constant fixture on the M x M grid, with the first
+    entry of each field named in `first_entry` replaced; returns the spec."""
+    spec = {}
+    for key, cols, value in (("c1Csv", 4 * M, 0.0), ("c2Csv", M, 1.5), ("etaCsv", M, 1.0)):
+        field = np.full((M, cols), value)
+        if key == "c1Csv":
+            field.reshape(M, M, 2, 2)[..., [0, 1], [0, 1]] = 2.0
+        if first_entry and key in first_entry:
+            field[0, 0] = first_entry[key]
+        np.savetxt(tmp_path / f"{key}.csv", field, delimiter=",")
+        spec[key] = str(tmp_path / f"{key}.csv")
+    return spec
+
+
 class TestMASolve:
     def test_constant_fixture_zero_iterations(self, tmp_path):
         assert run(tmp_path, "masolve") == 0
@@ -275,16 +310,18 @@ class TestMASolve:
     def test_csv_fields(self, tmp_path, M, code):
         """The constant fixture read from CSV files; grids below the
         smallest allowed size are input errors."""
-        spec = {}
-        for key, cols, value in (("c1Csv", 4 * M, 0.0), ("c2Csv", M, 1.5), ("etaCsv", M, 1.0)):
-            field = np.full((M, cols), value)
-            if key == "c1Csv":
-                field.reshape(M, M, 2, 2)[..., [0, 1], [0, 1]] = 2.0
-            np.savetxt(tmp_path / f"{key}.csv", field, delimiter=",")
-            spec[key] = str(tmp_path / f"{key}.csv")
+        spec = write_csv_fields(tmp_path, M)
         assert run(tmp_path, "masolve", "--input", write_model(tmp_path, spec)) == code
         del spec["etaCsv"]
         assert run(tmp_path, "masolve", "--input", write_model(tmp_path, spec)) == 2
+
+    @pytest.mark.parametrize(
+        "key,value", [("etaCsv", "nan"), ("etaCsv", "inf"), ("c1Csv", "nan"), ("c2Csv", "-inf")]
+    )
+    def test_nonfinite_csv_fields_rejected(self, tmp_path, capsys, key, value):
+        spec = write_csv_fields(tmp_path, 8, {key: float(value)})
+        assert run(tmp_path, "masolve", "--input", write_model(tmp_path, spec)) == 2
+        assert "field data must be finite" in capsys.readouterr().err
 
     def test_unknown_fixture_rejected(self, tmp_path):
         cfg = tmp_path / "ma.json"
@@ -300,14 +337,24 @@ class TestMASolveDiagnostics:
         rep = read_report(tmp_path, "masolve")
         counts = rep["gmresIterations"]
         assert len(counts) == rep["iterations"] > 0 and min(counts) >= 1
+        assert len(rep["damping"]) == rep["iterations"]
+        assert all(0 < t <= 1 for t in rep["damping"])
         lines = (tmp_path / "masolve_residuals.csv").read_text().splitlines()
         assert lines[0] == "iteration,residual,minEig,conservation,gmres"
         assert [int(line.split(",")[-1]) for line in lines[1:]] == [0, *counts]
 
+    def test_tol_1e13_passes_at_512(self, tmp_path):
+        cfg = tmp_path / "ma.json"
+        cfg.write_text(json.dumps({"fixture": "hermite-einstein", "M": 512}))
+        assert run(tmp_path, "masolve", "--input", str(cfg), "--tol", "1e-13") == 0
+        rep = read_report(tmp_path, "masolve")
+        assert rep["pass"] and rep["finalResidual"] < 1e-13
+
     @pytest.mark.parametrize("tol", ["1e-13", "1e-14", "1e-15"])
     def test_tol_below_roundoff_floor(self, tmp_path, capsys, tol):
+        """At rank 64, max|F| puts the floor estimate near 6.5e-11."""
         cfg = tmp_path / "ma.json"
-        cfg.write_text(json.dumps({"fixture": "hermite-einstein", "M": 128}))
+        cfg.write_text(json.dumps({"fixture": "hermite-einstein", "M": 128, "rank": 64}))
         assert run(tmp_path, "masolve", "--input", str(cfg), "--tol", tol) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
