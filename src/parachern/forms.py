@@ -13,12 +13,17 @@ A :class:`QQi` holds Gaussian-integer numerators a, b over one integer
 denominator d, as (a + b*i)/d with d > 0 and gcd(a, b, d) = 1.  Its
 arithmetic uses only int operations and one gcd per result, which is several
 times cheaper than a pair of Fractions; ``re`` and ``im`` read back as
-Fractions.
+Fractions.  An exact :meth:`FormValue.wedge` builds no QQi per term: it sums
+the Gaussian-integer products a1*a2 - b1*b2 and a1*b2 + b1*a2 of each output
+coefficient, grouped by the denominator d1*d2, and reduces the coefficient
+once.  The float loop is kept as it is, so float results keep their bits.
 
 The Chern normalization i/(2*pi) is applied inside :func:`chern_forms` only
 (float mode); raw curvature matrices carry no normalization.  In exact mode
 the caller supplies curvature that is already normalized, so that every
-coefficient stays in Q(i).
+coefficient stays in Q(i).  On an n-fold c_k is a (k,k)-form, so it
+vanishes for k > n: :func:`chern_forms` and :func:`chern_forms_minors`
+compute c_1 ... c_m, m = min(r, n), and return c_(m+1) ... c_r as zero forms.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -244,6 +249,8 @@ class FormValue:
 
     def wedge(self, other: "FormValue") -> "FormValue":
         self._check(other)
+        if exact_mode(self, other):
+            return self._exact_wedge(other)
         out = {}
         for (I1, J1), c1 in self.coeffs.items():
             for (I2, J2), c2 in other.coeffs.items():
@@ -258,6 +265,51 @@ class FormValue:
                 key = (I, J)
                 term = sign * (c1 * c2)
                 out[key] = out.get(key, _zero_like(term)) + term
+        return FormValue(self.dim, out)
+
+    def _exact_wedge(self, other: "FormValue") -> "FormValue":
+        """The wedge over Q(i): each output coefficient sums the
+        Gaussian-integer products of its terms, grouped by the denominator
+        d1*d2, and is reduced once.  Keys come in the generic loop's order."""
+        right = [(I2, J2, len(I2) % 2, *_exact_parts(c2))
+                 for (I2, J2), c2 in other.coeffs.items()]
+        sums = {}  # (I, J) -> {denominator: [real numerator, imaginary numerator]}
+        for (I1, J1), c1 in self.coeffs.items():
+            a1, b1, d1 = _exact_parts(c1)
+            odd = len(J1) % 2
+            for I2, J2, odd2, a2, b2, d2 in right:
+                I, si = _merge_sign(I1, I2)
+                if si == 0:
+                    continue
+                J, sj = _merge_sign(J1, J2)
+                if sj == 0:
+                    continue
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                # move dzbar^J1 (len |J1|) across dz^I2 (len |I2|)
+                if si * sj * (-1 if odd & odd2 else 1) < 0:
+                    re, im = -re, -im
+                groups = sums.get((I, J))
+                if groups is None:
+                    groups = sums[(I, J)] = {}
+                d = d1 * d2
+                acc = groups.get(d)
+                if acc is None:
+                    groups[d] = [re, im]
+                else:
+                    acc[0] += re
+                    acc[1] += im
+        out = {}
+        for key, groups in sums.items():
+            if len(groups) == 1:
+                ((d, (a, b)),) = groups.items()
+            else:
+                d = lcm(*groups)
+                a = b = 0
+                for e, (x, y) in groups.items():
+                    a += x * (d // e)
+                    b += y * (d // e)
+            if a or b:
+                out[key] = _reduced(a, b, d)
         return FormValue(self.dim, out)
 
     def conjugate(self) -> "FormValue":
@@ -309,6 +361,15 @@ class FormValue:
 
 def _zero_like(c):
     return _QQI_ZERO if isinstance(c, QQi) else 0j
+
+
+def _exact_parts(c) -> tuple:
+    """(a, b, d) with c = (a + b*i)/d, for a QQi, int or Fraction."""
+    if type(c) is QQi:
+        return c._a, c._b, c._d
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, 0, c.denominator
+    raise TypeError(f"not an exact coefficient: {c!r}")
 
 
 def volume_normalizer(dim: int):
@@ -440,15 +501,14 @@ def random_exact_curvature(rng: random.Random, r: int, n: int) -> CurvatureMatri
     return CurvatureMatrix(E)
 
 
+def _product_entry(A, B, i, j, dim):
+    """Entry (i, j) of the matrix wedge product A B."""
+    return sum((A[i][k].wedge(B[k][j]) for k in range(len(A))), FormValue.zero(dim))
+
+
 def _mat_wedge(A, B, dim):
     r = len(A)
-    return [
-        [
-            sum((A[i][k].wedge(B[k][j]) for k in range(r)), FormValue.zero(dim))
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
+    return [[_product_entry(A, B, i, j, dim) for j in range(r)] for i in range(r)]
 
 
 @dataclass(frozen=True)
@@ -474,7 +534,9 @@ class ChernData:
 
 
 def _scalars(item):
-    if isinstance(item, CurvatureMatrix):
+    if isinstance(item, FormValue):
+        yield from item.coeffs.values()
+    elif isinstance(item, CurvatureMatrix):
         for row in item.entries:
             for f in row:
                 yield from f.coeffs.values()
@@ -488,7 +550,7 @@ def _scalars(item):
 def exact_mode(*items) -> bool:
     """True when a computation on ``items`` runs over Q(i), False when it
     runs over complex floats.  The first coefficient found decides, reading
-    the given curvature matrices, Chern data and scalars in order.
+    the given forms, curvature matrices, Chern data and scalars in order.
     Callers pass the structure first, so a scalar such as a normalization
     decides only when the structure stores no coefficient (all zero).  Only
     QQi is exact: an int coefficient, such as the default of
@@ -506,7 +568,11 @@ def _rational(p: int, q: int, exact: bool):
 
 def _normalized(theta: CurvatureMatrix, normalization):
     """(exact, X) with X = normalization * theta entrywise; the default
-    normalization is 1 in exact mode and i/(2 pi) in float mode."""
+    normalization is 1 in exact mode and i/(2 pi) in float mode.  The
+    entries must have no part of degree below 2, as a curvature has none, so
+    that a wedge of more than n of them vanishes."""
+    if any(len(I) + len(J) < 2 for row in theta.entries for f in row for I, J in f.coeffs):
+        raise ValueError("curvature entries must have no 0-form or 1-form part")
     exact = exact_mode(theta, normalization)
     if normalization is None:
         normalization = QQi(1) if exact else 1j / (2 * math.pi)
@@ -527,36 +593,45 @@ def _leibniz_terms(entry, k: int, one: FormValue):
 
 def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
     """Elementary symmetric functions of the normalized curvature via
-    Newton's identities on the power traces."""
+    Newton's identities on the power traces.  c_k is a (k,k)-form, so only
+    c_1 ... c_m with m = min(r, n) are computed; c_(m+1) ... c_r are zero."""
     exact, X = _normalized(theta, normalization)
     r, n = theta.rank, theta.dim
-    # power traces p_k, k = 1..r (entries even, so products commute)
+    m = min(r, n)
+    # power traces p_k, k = 1..m (entries even, so products commute); X^k is
+    # formed for k < m, and of X^(m-1) X only the diagonal
     traces = []
     P = X
-    for k in range(1, r + 1):
-        traces.append(
-            sum((P[i][i] for i in range(r)), FormValue.zero(n))
-        )
-        if k < r:
+    for k in range(1, m + 1):
+        if k == 1:
+            diagonal = (X[i][i] for i in range(r))
+        elif k < m:
             P = _mat_wedge(P, X, n)
+            diagonal = (P[i][i] for i in range(r))
+        else:
+            diagonal = (_product_entry(P, X, i, i, n) for i in range(r))
+        traces.append(sum(diagonal, FormValue.zero(n)))
     e = [FormValue.scalar(n, _rational(1, 1, exact))]
-    for k in range(1, r + 1):
+    for k in range(1, m + 1):
         acc = FormValue.zero(n)
         for i in range(1, k + 1):
             term = e[k - i].wedge(traces[i - 1])
             acc = acc + ((-1) ** (i - 1)) * term
         e.append(_rational(1, k, exact) * acc)
+    e += [FormValue.zero(n) for _ in range(m, r)]
     return ChernData(tuple(e))
 
 
 def chern_forms_minors(theta: CurvatureMatrix, normalization=None) -> ChernData:
     """Independent oracle: c_k as the sum of principal k x k minors of the
-    normalized curvature, each expanded over permutations."""
+    normalized curvature, each expanded over permutations, for k up to
+    m = min(r, n); a minor of size k > n is a (k,k)-form, so c_(m+1) ... c_r
+    are zero."""
     exact, X = _normalized(theta, normalization)
     r, n = theta.rank, theta.dim
     one = FormValue.scalar(n, _rational(1, 1, exact))
     forms = [one]
-    for k in range(1, r + 1):
+    for k in range(1, min(r, n) + 1):
         # one left fold over all minors: summing each minor first changes
         # the last bits in float mode
         terms = (
@@ -565,6 +640,7 @@ def chern_forms_minors(theta: CurvatureMatrix, normalization=None) -> ChernData:
             for t in _leibniz_terms(lambda i, j, S=S: X[S[i]][S[j]], k, one)
         )
         forms.append(sum(terms, FormValue.zero(n)))
+    forms += [FormValue.zero(n) for _ in range(len(forms), r + 1)]
     return ChernData(tuple(forms))
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from parachern import cli
 from parachern.fiberint import FiberQuadrature
+from parachern.forms import ChernData, FormValue, QQi
 
 
 # The flags each subcommand reads, beyond --input and --out.
@@ -192,6 +193,26 @@ class TestChern:
         assert run(tmp_path, "chern", "--samples", "5") == 0
         rep = read_report(tmp_path, "chern")
         assert all(r["result"] == "PASS" for r in rep["checks"])
+        # rank 3 on a surface: c_0, four c_1 terms and one c_2 term per sample
+        assert [(r["termsCompared"], r["termsDiffering"]) for r in rep["checks"]] == \
+            [(30, 0), (30, 0)]
+
+    def test_minors_off_by_one_coefficient_fails(self, tmp_path, monkeypatch):
+        real = cli.chern_forms_minors
+
+        def off_by_one(theta):
+            c = real(theta)
+            forms = list(c.forms)
+            forms[1] = forms[1] + FormValue.monomial(c.dim, (0,), (0,), QQi(1))
+            return ChernData(tuple(forms))
+
+        monkeypatch.setattr(cli, "chern_forms_minors", off_by_one)
+        assert run(tmp_path, "chern", "--samples", "3") == 1
+        rep = read_report(tmp_path, "chern")
+        minors, conj = rep["checks"]
+        assert minors["result"] == "FAIL" and minors["termsDiffering"] >= 1
+        assert conj["result"] == "PASS" and conj["termsDiffering"] == 0
+        assert rep["pass"] is False
 
 
 class TestPushforward:

@@ -283,6 +283,103 @@ def test_wedge_matches_word_oracle(seed):
     assert got == FormValue(n, expect)
 
 
+def reference_wedge(a, b):
+    """FormValue.wedge as one generic loop: each term pays c1*c2, the sign
+    product and an add into its key.  Reference for the exact kernel."""
+    out = {}
+    for (I1, J1), c1 in a.coeffs.items():
+        for (I2, J2), c2 in b.coeffs.items():
+            I, si = _merge_sign(I1, I2)
+            if si == 0:
+                continue
+            J, sj = _merge_sign(J1, J2)
+            if sj == 0:
+                continue
+            sign = si * sj * (-1 if (len(J1) * len(I2)) % 2 else 1)
+            term = sign * (c1 * c2)
+            out[(I, J)] = out.get((I, J), QQi() if isinstance(term, QQi) else 0j) + term
+    return FormValue(a.dim, out)
+
+
+def random_mixed_form(rng, dim, span=3):
+    """Exact form with monomials of every bidegree, each kept with
+    probability 1/2, and Gaussian-rational coefficients whose denominators
+    differ (1 to 6)."""
+    coeffs = {}
+    for p in range(dim + 1):
+        for q in range(dim + 1):
+            for I in combinations(range(dim), p):
+                for J in combinations(range(dim), q):
+                    if rng.random() < 0.5:
+                        coeffs[(I, J)] = QQi(
+                            Fraction(int(rng.integers(-span, span + 1)), int(rng.integers(1, 7))),
+                            Fraction(int(rng.integers(-span, span + 1)), int(rng.integers(1, 7))),
+                        )
+    return FormValue(dim, coeffs)
+
+
+def assert_same_form(got, want):
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)
+    assert all(type(c) is QQi for c in got.coeffs.values())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_wedge_matches_loop_reference(dim, seed):
+    """The exact kernel gives the generic loop's value and key order on
+    forms of mixed bidegree, whose terms land in one key with unequal
+    denominators, and on wedges whose terms all cancel."""
+    rng = np.random.default_rng([dim, seed, 17])
+    forms = [random_mixed_form(rng, dim) for _ in range(3)]
+    for a in forms:
+        for b in forms:
+            assert_same_form(a.wedge(b), reference_wedge(a, b))
+    # odd forms square to zero: every term cancels against its mirror
+    odd = FormValue(dim, {k: c for k, c in forms[0].coeffs.items()
+                          if (len(k[0]) + len(k[1])) % 2})
+    if odd.coeffs:
+        assert odd.wedge(odd).coeffs == {} == reference_wedge(odd, odd).coeffs
+
+
+def test_exact_wedge_cancels_across_denominators():
+    # (1/2 dz0 + 1/3 dz1) ^ (2/3 dz1 + dz0) = (1/3 - 1/3) dz0 dz1: the two
+    # terms have denominators 6 and 3
+    a = FormValue(2, {((0,), ()): QQi(Fraction(1, 2)), ((1,), ()): QQi(Fraction(1, 3))})
+    b = FormValue(2, {((1,), ()): QQi(Fraction(2, 3)), ((0,), ()): QQi(1)})
+    assert a.wedge(b).coeffs == {} == reference_wedge(a, b).coeffs
+    c = FormValue(2, {((1,), ()): QQi(Fraction(2, 3)), ((0,), ()): QQi(Fraction(1, 5), 2)})
+    assert_same_form(a.wedge(c), reference_wedge(a, c))
+    assert a.wedge(c).coefficient((0, 1), ()) == QQi(Fraction(1, 3) - Fraction(1, 15),
+                                                      Fraction(-2, 3))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_wedge_mixes_int_and_fraction_coefficients(seed):
+    """A form whose first coefficient is a QQi runs in exact mode although
+    other coefficients are int or Fraction; every term has a QQi factor, so
+    the generic loop gives QQi values too, and both agree."""
+    rng = np.random.default_rng([seed, 29])
+    dim = 3
+    pure = random_mixed_form(rng, dim)
+    mixed = random_mixed_form(rng, dim)
+    for i, key in enumerate(list(mixed.coeffs)[1:]):
+        if i % 3 == 0:
+            mixed.coeffs[key] = int(rng.integers(1, 5))
+        elif i % 3 == 1:
+            mixed.coeffs[key] = Fraction(int(rng.integers(-5, 5)) or 1, int(rng.integers(2, 7)))
+    assert {type(c) for c in mixed.coeffs.values()} == {QQi, int, Fraction}
+    assert exact_mode(mixed) and exact_mode(pure)
+    assert_same_form(mixed.wedge(pure), reference_wedge(mixed, pure))
+    assert_same_form(pure.wedge(mixed), reference_wedge(pure, mixed))
+
+
+def test_exact_wedge_rejects_float_coefficients():
+    a = FormValue(2, {((0,), ()): QQi(1), ((1,), ()): 0.5})
+    with pytest.raises(TypeError):
+        a.wedge(FormValue.monomial(2, (), (0,), QQi(1)))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_graded_commutativity_and_associativity(seed):
     rng = np.random.default_rng(100 + seed)
@@ -621,6 +718,99 @@ def test_permutation_expansions_keep_their_bits(exact, r, n):
             for lam in partitions(k, k):
                 if len(lam) <= r:
                     assert schur_form(lam, c) == reference_schur_form(lam, c), lam
+
+
+# ---------------------------------------------------------------------------
+# degree truncation of the Chern forms
+# ---------------------------------------------------------------------------
+
+
+def reference_chern_forms(theta, normalization=None):
+    """chern_forms without the degree truncation: every power X^1 ... X^r
+    in full and Newton's identities up to c_r.  Reference for the values
+    and for the float bits."""
+    exact = exact_mode(theta, normalization)
+    if normalization is None:
+        normalization = QQi(1) if exact else 1j / (2 * math.pi)
+    r, n = theta.rank, theta.dim
+    X = [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
+    traces = []
+    P = X
+    for k in range(1, r + 1):
+        traces.append(sum((P[i][i] for i in range(r)), FormValue.zero(n)))
+        if k < r:
+            P = [[sum((P[i][m].wedge(X[m][j]) for m in range(r)), FormValue.zero(n))
+                  for j in range(r)] for i in range(r)]
+    e = [FormValue.scalar(n, QQi(1) if exact else 1.0)]
+    for k in range(1, r + 1):
+        acc = FormValue.zero(n)
+        for i in range(1, k + 1):
+            acc = acc + ((-1) ** (i - 1)) * e[k - i].wedge(traces[i - 1])
+        e.append((QQi(Fraction(1, k)) if exact else 1 / k) * acc)
+    return e
+
+
+@pytest.mark.parametrize("r,n", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (4, 3),
+                                 (5, 3), (6, 3), (3, 4), (5, 4), (6, 4)])
+def test_truncated_chern_forms_match_untruncated_loops(r, n):
+    """Both truncated computations equal (==) each other and the loops that
+    run to degree r; c_k is the zero form for k > n, and the rank stays r."""
+    rng = np.random.default_rng([r, n, 61])
+    theta = random_exact_curvature(rng, r, n)
+    c, cm = chern_forms(theta), chern_forms_minors(theta)
+    assert c.rank == cm.rank == r
+    assert list(c.forms) == list(cm.forms) == reference_chern_forms(theta)
+    assert list(cm.forms) == reference_chern_forms_minors(theta)
+    for k in range(n + 1, r + 1):
+        assert c[k].coeffs == {} == cm[k].coeffs
+
+
+def test_chern_wedge_counts_stop_at_degree_n(monkeypatch):
+    """At r = 5, n = 3 chern_forms forms X^2 and the diagonal of X^2 X
+    (125 + 25 wedges) and 1 + 2 + 3 Newton terms; the minors oracle wedges
+    k factors per permutation of each minor up to k = 3."""
+    theta = random_exact_curvature(np.random.default_rng(5), 5, 3)
+    calls = []
+    wedge = FormValue.wedge
+    monkeypatch.setattr(FormValue, "wedge", lambda a, b: calls.append(1) or wedge(a, b))
+    chern_forms(theta)
+    assert len(calls) == 125 + 25 + 6
+    calls.clear()
+    chern_forms_minors(theta)
+    assert len(calls) == sum(math.comb(5, k) * math.factorial(k) * k for k in range(1, 4))
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for f, g in zip(got, want):
+        assert list(f.coeffs) == list(g.coeffs)
+        for key, x in f.coeffs.items():
+            y = g.coeffs[key]
+            assert np.asarray(x).dtype == np.asarray(y).dtype
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), key
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (3, 3), (4, 3)])
+def test_float_chern_forms_keep_their_bits(r, n):
+    """Float chern_forms has the untruncated loop's bits, with coefficients
+    that are arrays over a 3 x 3 block of nodes and normalization 1, as
+    chern_crosscheck passes them, and with scalar coefficients."""
+    rng = np.random.default_rng([r, n, 71])
+    T = rng.normal(size=(3, 3, r, r, n, n)) + 1j * rng.normal(size=(3, 3, r, r, n, n))
+    T = T + np.conj(np.transpose(T, (0, 1, 3, 2, 5, 4)))
+    theta = curvature_from(T, lambda c: c)
+    assert_same_bits(chern_forms(theta, normalization=1.0 + 0.0j).forms,
+                     reference_chern_forms(theta, normalization=1.0 + 0.0j))
+    theta = random_float_curvature(rng, r, n)
+    assert_same_bits(chern_forms(theta).forms, reference_chern_forms(theta))
+
+
+def test_curvature_of_low_degree_rejected():
+    """A 0-form entry would break the vanishing above degree n."""
+    theta = CurvatureMatrix([[FormValue.scalar(2, QQi(1))]])
+    for chern in (chern_forms, chern_forms_minors):
+        with pytest.raises(ValueError, match="0-form or 1-form"):
+            chern(theta)
 
 
 # ---------------------------------------------------------------------------
