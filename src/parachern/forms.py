@@ -24,6 +24,8 @@ the caller supplies curvature that is already normalized, so that every
 coefficient stays in Q(i).  On an n-fold c_k is a (k,k)-form, so it
 vanishes for k > n: :func:`chern_forms` and :func:`chern_forms_minors`
 compute c_1 ... c_m, m = min(r, n), and return c_(m+1) ... c_r as zero forms.
+The first uses Newton's identities; the oracle and :func:`schur_form` use one
+division-free Berkowitz recursion, :func:`_elementary`, with no power trace.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -580,15 +581,27 @@ def _normalized(theta: CurvatureMatrix, normalization):
     return exact, [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
 
 
-def _leibniz_terms(entry, k: int, one: FormValue):
-    """Signed terms sign(perm) * entry(0, perm[0]) ^ ... ^ entry(k-1, perm[k-1])
-    of a k x k determinant, one per permutation in lexicographic order."""
-    for perm in permutations(range(k)):
-        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
-        term = one
-        for i in range(k):
-            term = term.wedge(entry(i, perm[i]))
-        yield (-1 if inversions % 2 else 1) * term
+def _elementary(A, top: int, one: FormValue) -> list[FormValue]:
+    """[e_0 = one, e_1, ..., e_top] with det(I + tA) = sum_k e_k t^k, for a
+    square matrix A of even forms (they commute), by Berkowitz's recursion:
+    bordering the leading block A_m by a column C, a row R and a corner a
+    multiplies the polynomial by 1 + a t + sum_j (-1)^(j+1) R A_m^j C t^(j+2).
+    Degrees above top, or above m + 1 for A_m, are never formed; no division."""
+    zero = FormValue.zero(one.dim)
+    e = [one] + [zero] * top
+    for m in range(len(A)):
+        deg = min(m + 1, top)
+        q = [one, A[m][m]]  # q[d]: the factor's coefficient of t^d
+        v = [A[i][m] for i in range(m)]  # A_m^j C for j = d - 2
+        for d in range(2, deg + 1):
+            if d > 2:
+                v = [sum((A[i][k].wedge(v[k]) for k in range(m)), zero) for i in range(m)]
+            Rv = sum((A[m][k].wedge(v[k]) for k in range(m)), zero)
+            q.append(Rv if d % 2 else -Rv)
+        # descending k, so that each e[k - d] is still the old coefficient
+        for k in range(deg, 0, -1):
+            e[k] = sum((e[k - d].wedge(q[d]) for d in range(1, k)), e[k] + q[k])
+    return e
 
 
 def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
@@ -623,23 +636,12 @@ def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
 
 
 def chern_forms_minors(theta: CurvatureMatrix, normalization=None) -> ChernData:
-    """Independent oracle: c_k as the sum of principal k x k minors of the
-    normalized curvature, each expanded over permutations, for k up to
-    m = min(r, n); a minor of size k > n is a (k,k)-form, so c_(m+1) ... c_r
-    are zero."""
+    """Independent oracle: c_k = e_k(X), the sum of the principal k x k minors
+    of the normalized curvature X, from det(I + tX).  No power trace and no
+    division, so it shares no step with the Newton identities it checks."""
     exact, X = _normalized(theta, normalization)
     r, n = theta.rank, theta.dim
-    one = FormValue.scalar(n, _rational(1, 1, exact))
-    forms = [one]
-    for k in range(1, min(r, n) + 1):
-        # one left fold over all minors: summing each minor first changes
-        # the last bits in float mode
-        terms = (
-            t
-            for S in combinations(range(r), k)
-            for t in _leibniz_terms(lambda i, j, S=S: X[S[i]][S[j]], k, one)
-        )
-        forms.append(sum(terms, FormValue.zero(n)))
+    forms = _elementary(X, min(r, n), FormValue.scalar(n, _rational(1, 1, exact)))
     forms += [FormValue.zero(n) for _ in range(len(forms), r + 1)]
     return ChernData(tuple(forms))
 
@@ -659,26 +661,24 @@ def segre_forms(c: ChernData, max_degree: int) -> list[FormValue]:
 
 def schur_form(lam: Sequence[int], c: ChernData) -> FormValue:
     """Giambelli determinant det(h_{lam_i - i + j}) with h_k the signed
-    Segre form (-1)^k s_k, so that S_(2) = c1^2 - c2 and S_(1,1) = c2."""
+    Segre form (-1)^k s_k, so that S_(2) = c1^2 - c2 and S_(1,1) = c2, as e_l
+    of the l x l matrix.  Zero parts are dropped; a negative part raises."""
+    if any(int(x) < 0 for x in lam):
+        raise ValueError("partition parts must be nonnegative")
     lam = [int(x) for x in lam if int(x) > 0]
     if sorted(lam, reverse=True) != lam:
         raise ValueError("partition must be nonincreasing")
     if len(lam) > c.rank:
         raise ValueError("partition longer than the rank")
-    n = c.dim
     if not lam:
         return c[0]
-    ell = len(lam)
-    top = lam[0] + ell - 1
-    s = segre_forms(c, top)
-    h = [((-1) ** k) * s[k] for k in range(top + 1)]
-
-    def entry(i, j):
-        k = lam[i] - i + j
-        return h[k] if k >= 0 else FormValue.zero(n)
-
-    one = FormValue.scalar(n, _rational(1, 1, exact_mode(c)))
-    return sum(_leibniz_terms(entry, ell, one), FormValue.zero(n))
+    n, ell = c.dim, len(lam)
+    s = segre_forms(c, lam[0] + ell - 1)
+    h = [((-1) ** k) * s[k] for k in range(len(s))]
+    # rows and columns reversed, which keeps det: short parts lead, fewer terms
+    M = [[h[k] if k >= 0 else FormValue.zero(n) for k in range(x + i, x + i - ell, -1)]
+         for i, x in enumerate(reversed(lam))]
+    return _elementary(M, ell, FormValue.scalar(n, _rational(1, 1, exact_mode(c))))[ell]
 
 
 def kobayashi_lubke_rhs(c: ChernData, r: int) -> FormValue:

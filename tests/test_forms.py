@@ -1,6 +1,7 @@
 """Tests for the pointwise exterior algebra and curvature invariants."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -24,10 +25,12 @@ from parachern.forms import (
     hermitian_partner,
     kobayashi_lubke_rhs,
     nakano_test,
+    random_qqi,
     schur_form,
     segre_forms,
     volume_ratio,
     weak_positivity_test,
+    _elementary,
     _merge_sign,
 )
 
@@ -638,6 +641,11 @@ def test_schur_partition_validation():
         schur_form((1, 2), c)
     with pytest.raises(ValueError):
         schur_form((1, 1, 1), c)  # longer than rank 2
+    # a negative part is an error, not dropped; a zero part is dropped
+    for lam in ((2, -1), (1, -5, 1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            schur_form(lam, c)
+    assert schur_form((2, 0), c) == schur_form((2,), c)
 
 
 # ---------------------------------------------------------------------------
@@ -654,45 +662,51 @@ def perm_sign(perm):
     return sign
 
 
+def leibniz_det(entry, k, one):
+    """det(entry(i, j)) of a k x k matrix of even forms, as the sum over
+    permutations of the signed wedge products."""
+    acc = FormValue.zero(one.dim)
+    for perm in permutations(range(k)):
+        term = one
+        for i in range(k):
+            term = term.wedge(entry(i, perm[i]))
+        acc = acc + perm_sign(perm) * term
+    return acc
+
+
+def leibniz_elementary(A, one):
+    """[e_0, ..., e_r] of an r x r matrix of even forms, e_k the sum of its
+    principal k x k minors, each expanded over permutations."""
+    r = len(A)
+    return [one] + [
+        sum((leibniz_det(lambda i, j, S=S: A[S[i]][S[j]], k, one)
+             for S in combinations(range(r), k)), FormValue.zero(one.dim))
+        for k in range(1, r + 1)
+    ]
+
+
 def reference_chern_forms_minors(theta):
-    """chern_forms_minors written out as one loop over minors and
-    permutations, with the default normalization.  Reference for the bits."""
+    """chern_forms_minors as principal-minor sums expanded over permutations,
+    with the default normalization and no degree truncation."""
     exact = exact_mode(theta)
     normalization = QQi(1) if exact else 1j / (2 * math.pi)
     r, n = theta.rank, theta.dim
-    one = QQi(1) if exact else 1.0
     X = [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
-    forms = [FormValue.scalar(n, one)]
-    for k in range(1, r + 1):
-        acc = FormValue.zero(n)
-        for S in combinations(range(r), k):
-            for perm in permutations(range(k)):
-                sign = perm_sign(perm)
-                term = FormValue.scalar(n, one)
-                for i in range(k):
-                    term = term.wedge(X[S[i]][S[perm[i]]])
-                acc = acc + sign * term
-        forms.append(acc)
-    return forms
+    return leibniz_elementary(X, FormValue.scalar(n, QQi(1) if exact else 1.0))
 
 
 def reference_schur_form(lam, c):
-    """schur_form's Giambelli determinant written out as one loop over
-    permutations.  Reference for the bits."""
+    """schur_form's Giambelli determinant expanded over permutations."""
     n, ell = c.dim, len(lam)
     top = lam[0] + ell - 1
     s = segre_forms(c, top)
     h = [((-1) ** k) * s[k] for k in range(top + 1)]
-    one = QQi(1) if exact_mode(c) else 1.0
-    acc = FormValue.zero(n)
-    for perm in permutations(range(ell)):
-        sign = perm_sign(perm)
-        term = FormValue.scalar(n, one)
-        for i in range(ell):
-            k = lam[i] - (i + 1) + (perm[i] + 1)
-            term = term.wedge(h[k] if k >= 0 else FormValue.zero(n))
-        acc = acc + sign * term
-    return acc
+
+    def entry(i, j):
+        k = lam[i] - i + j
+        return h[k] if k >= 0 else FormValue.zero(n)
+
+    return leibniz_det(entry, ell, FormValue.scalar(n, QQi(1) if exact_mode(c) else 1.0))
 
 
 def partitions(k, largest):
@@ -704,20 +718,53 @@ def partitions(k, largest):
             yield (first,) + rest
 
 
+FLOAT_RTOL = 1e-13
+
+
+def assert_close(f, g):
+    """Each coefficient of f within FLOAT_RTOL * max(1, |g_IJ|) of g's."""
+    for key in f.coeffs.keys() | g.coeffs.keys():
+        x, y = f.coefficient(*key), g.coefficient(*key)
+        assert abs(x - y) <= FLOAT_RTOL * max(1.0, abs(y)), key
+
+
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 5) for n in range(1, 4)])
 def test_permutation_expansions_keep_their_bits(exact, r, n):
-    """chern_forms_minors and schur_form equal (==) the loops above in both
-    modes: each sums its signed terms in one left fold, in the same order."""
+    """chern_forms_minors and schur_form against the permutation expansions
+    above.  Exact mode: equal (==).  Float mode: within FLOAT_RTOL per
+    coefficient, because the Berkowitz recursion rounds in another order
+    than the expansions, so the bits differ (by at most 1.1e-14 relative
+    over r <= 6, n <= 4 and five seeds)."""
     rng = np.random.default_rng([r, n, exact])
     for _ in range(2):
         theta = (random_exact_curvature if exact else random_float_curvature)(rng, r, n)
-        assert list(chern_forms_minors(theta).forms) == reference_chern_forms_minors(theta)
         c = chern_forms(theta)
-        for k in range(1, n + 1):
-            for lam in partitions(k, k):
-                if len(lam) <= r:
-                    assert schur_form(lam, c) == reference_schur_form(lam, c), lam
+        pairs = list(zip(chern_forms_minors(theta).forms, reference_chern_forms_minors(theta),
+                         strict=True))
+        pairs += [(schur_form(lam, c), reference_schur_form(lam, c))
+                  for k in range(1, n + 1) for lam in partitions(k, k) if len(lam) <= r]
+        for f, g in pairs:
+            if exact:
+                assert f == g
+            else:
+                assert_close(f, g)
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_elementary_matches_principal_minor_sums(size):
+    """With 0-form (scalar) Gaussian-rational entries no product vanishes by
+    degree, so every e_k up to det A is nonzero; each equals (==) the sum of
+    principal k x k minors expanded over permutations, and a smaller top
+    returns exactly the prefix e_0 ... e_top."""
+    rng = random.Random(size)
+    one = FormValue.scalar(1, QQi(1))
+    A = [[FormValue.scalar(1, random_qqi(rng)) for _ in range(size)] for _ in range(size)]
+    full = _elementary(A, size, one)
+    assert all(f.coeffs for f in full)
+    assert full == leibniz_elementary(A, one)
+    for top in range(size):
+        assert _elementary(A, top, one) == full[:top + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -767,17 +814,25 @@ def test_truncated_chern_forms_match_untruncated_loops(r, n):
 
 def test_chern_wedge_counts_stop_at_degree_n(monkeypatch):
     """At r = 5, n = 3 chern_forms forms X^2 and the diagonal of X^2 X
-    (125 + 25 wedges) and 1 + 2 + 3 Newton terms; the minors oracle wedges
-    k factors per permutation of each minor up to k = 3."""
-    theta = random_exact_curvature(np.random.default_rng(5), 5, 3)
+    (125 + 25 wedges) and 1 + 2 + 3 Newton terms.  The oracle runs the
+    Berkowitz recursion to m = min(r, n).  Bordering the s x s block,
+    s = 1 ... r - 1, forms R A^j C for j <= J = min(s - 1, m - 2): (J + 1) s
+    wedges for the row products and J s^2 for A^j C.  The polynomial update
+    then takes 1 + 2 + ... + (min(s + 1, m) - 1) wedges.  At (5, 3) that is
+    (1 + 1) + (8 + 3) + (15 + 3) + (24 + 3) = 58; at (6, 4) it is
+    (1 + 1) + (8 + 3) + (27 + 6) + (44 + 6) + (65 + 6) = 167, where an
+    expansion of every principal minor over permutations makes 225 and 1,866."""
+    thetas = {(r, n): random_exact_curvature(np.random.default_rng(5), r, n)
+              for r, n in ((5, 3), (6, 4))}
     calls = []
     wedge = FormValue.wedge
     monkeypatch.setattr(FormValue, "wedge", lambda a, b: calls.append(1) or wedge(a, b))
-    chern_forms(theta)
+    chern_forms(thetas[5, 3])
     assert len(calls) == 125 + 25 + 6
-    calls.clear()
-    chern_forms_minors(theta)
-    assert len(calls) == sum(math.comb(5, k) * math.factorial(k) * k for k in range(1, 4))
+    for (r, n), count in (((5, 3), 58), ((6, 4), 167)):
+        calls.clear()
+        chern_forms_minors(thetas[r, n])
+        assert len(calls) == count, (r, n)
 
 
 def assert_same_bits(got, want):
