@@ -13,10 +13,17 @@ A :class:`QQi` holds Gaussian-integer numerators a, b over one integer
 denominator d, as (a + b*i)/d with d > 0 and gcd(a, b, d) = 1.  Its
 arithmetic uses only int operations and one gcd per result, which is several
 times cheaper than a pair of Fractions; ``re`` and ``im`` read back as
-Fractions.  An exact :meth:`FormValue.wedge` builds no QQi per term: it sums
-the Gaussian-integer products a1*a2 - b1*b2 and a1*b2 + b1*a2 of each output
-coefficient, grouped by the denominator d1*d2, and reduces the coefficient
-once.  The float loop is kept as it is, so float results keep their bits.
+Fractions.
+
+A wedge depends on its operands' keys only through one plan,
+:func:`_wedge_plan`, cached per pair of key layouts: the output keys, and
+for every pair of terms whose indices do not overlap, the output slot and
+sign.  An exact :meth:`FormValue.wedge` runs the plan with no QQi per term:
+it sums the Gaussian-integer products a1*a2 - b1*b2 and a1*b2 + b1*a2 of
+each output coefficient, grouped by the denominator d1*d2, and reduces the
+coefficient once.  A float wedge adds sign * (c1 * c2) in the plan's order,
+which is the order of a loop over the terms, so float results keep that
+loop's bits.
 
 The Chern normalization i/(2*pi) is applied inside :func:`chern_forms` only
 (float mode); raw curvature matrices carry no normalization.  In exact mode
@@ -36,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -185,6 +193,33 @@ def _merge_sign(a: tuple, b: tuple):
     return merged, -1 if inv % 2 else 1
 
 
+@lru_cache(maxsize=1 << 10)
+def _wedge_plan(left: tuple, right: tuple):
+    """The index work of a wedge of a form whose keys are ``left`` by one
+    whose keys are ``right``: (keys, pairs).  pairs holds one
+    (i, j, slot, negate) per term pair whose dz and dzbar indices do not
+    overlap, in the order of a loop over left and, inside it, over right;
+    keys[slot] is the pair's output key, and keys are in the order that loop
+    first reaches them.  negate is True when merging the indices and moving
+    dzbar^J1 across dz^I2 gives the sign -1.  No coefficient is read, so one
+    plan serves both modes.  A plan holds at most 9^n pairs on an n-fold;
+    the bound keeps 2^10 plans."""
+    slots = {}
+    pairs = []
+    for i, (I1, J1) in enumerate(left):
+        for j, (I2, J2) in enumerate(right):
+            I, si = _merge_sign(I1, I2)
+            if si == 0:
+                continue
+            J, sj = _merge_sign(J1, J2)
+            if sj == 0:
+                continue
+            # move dzbar^J1 (len |J1|) across dz^I2 (len |I2|)
+            sign = si * sj * (-1 if (len(J1) * len(I2)) % 2 else 1)
+            pairs.append((i, j, slots.setdefault((I, J), len(slots)), sign < 0))
+    return tuple(slots), tuple(pairs)
+
+
 class FormValue:
     """Element of the exterior algebra at a point (or a batch of points):
     sum over (I, J) of f_IJ dz^I wedge dzbar^J."""
@@ -193,16 +228,16 @@ class FormValue:
 
     def __init__(self, dim: int, coeffs=None):
         self.dim = dim
-        self.coeffs = {}
-        if coeffs:
-            for (I, J), c in coeffs.items():
-                try:
-                    if not c:
-                        continue
-                except ValueError:  # an array over points: zero at every point
-                    if not c.any():
-                        continue
-                self.coeffs[(tuple(I), tuple(J))] = c
+        self.coeffs = _nonzero(((tuple(I), tuple(J)), c)
+                               for (I, J), c in coeffs.items()) if coeffs else {}
+
+    @classmethod
+    def _of(cls, dim: int, coeffs: dict) -> "FormValue":
+        """A form that takes ``coeffs`` as it is: its keys must be canonical
+        index tuples and its values nonzero.  Skips ``__init__``."""
+        f = object.__new__(cls)
+        f.dim, f.coeffs = dim, coeffs
+        return f
 
     # -- constructors --
 
@@ -230,7 +265,7 @@ class FormValue:
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             out[key] = out.get(key, _zero_like(c)) + c
-        return FormValue(self.dim, out)
+        return FormValue._of(self.dim, _nonzero(out.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -239,8 +274,8 @@ class FormValue:
         return (-1) * self
 
     def __rmul__(self, scalar):
-        return FormValue(
-            self.dim, {k: scalar * c for k, c in self.coeffs.items()}
+        return FormValue._of(
+            self.dim, _nonzero((k, scalar * c) for k, c in self.coeffs.items())
         )
 
     def __mul__(self, other):
@@ -249,58 +284,47 @@ class FormValue:
         return other * self
 
     def wedge(self, other: "FormValue") -> "FormValue":
+        """self ^ other, on the term pairs of :func:`_wedge_plan`.  In float
+        mode each output coefficient adds sign * (c1 * c2) over its pairs in
+        the plan's order, the order of a loop over self's terms and then
+        other's; exact mode runs :meth:`_exact_wedge`."""
         self._check(other)
         if exact_mode(self, other):
             return self._exact_wedge(other)
-        out = {}
-        for (I1, J1), c1 in self.coeffs.items():
-            for (I2, J2), c2 in other.coeffs.items():
-                I, si = _merge_sign(I1, I2)
-                if si == 0:
-                    continue
-                J, sj = _merge_sign(J1, J2)
-                if sj == 0:
-                    continue
-                # move dzbar^J1 (len |J1|) across dz^I2 (len |I2|)
-                sign = si * sj * (-1 if (len(J1) * len(I2)) % 2 else 1)
-                key = (I, J)
-                term = sign * (c1 * c2)
-                out[key] = out.get(key, _zero_like(term)) + term
-        return FormValue(self.dim, out)
+        keys, pairs = _wedge_plan(tuple(self.coeffs), tuple(other.coeffs))
+        left, right = list(self.coeffs.values()), list(other.coeffs.values())
+        out = [None] * len(keys)
+        for i, j, slot, negate in pairs:
+            term = (-1 if negate else 1) * (left[i] * right[j])
+            acc = out[slot]
+            out[slot] = (_zero_like(term) if acc is None else acc) + term
+        return FormValue._of(self.dim, _nonzero(zip(keys, out)))
 
     def _exact_wedge(self, other: "FormValue") -> "FormValue":
-        """The wedge over Q(i): each output coefficient sums the
-        Gaussian-integer products of its terms, grouped by the denominator
-        d1*d2, and is reduced once.  Keys come in the generic loop's order."""
-        right = [(I2, J2, len(I2) % 2, *_exact_parts(c2))
-                 for (I2, J2), c2 in other.coeffs.items()]
-        sums = {}  # (I, J) -> {denominator: [real numerator, imaginary numerator]}
-        for (I1, J1), c1 in self.coeffs.items():
-            a1, b1, d1 = _exact_parts(c1)
-            odd = len(J1) % 2
-            for I2, J2, odd2, a2, b2, d2 in right:
-                I, si = _merge_sign(I1, I2)
-                if si == 0:
-                    continue
-                J, sj = _merge_sign(J1, J2)
-                if sj == 0:
-                    continue
-                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                # move dzbar^J1 (len |J1|) across dz^I2 (len |I2|)
-                if si * sj * (-1 if odd & odd2 else 1) < 0:
-                    re, im = -re, -im
-                groups = sums.get((I, J))
-                if groups is None:
-                    groups = sums[(I, J)] = {}
-                d = d1 * d2
-                acc = groups.get(d)
-                if acc is None:
-                    groups[d] = [re, im]
-                else:
-                    acc[0] += re
-                    acc[1] += im
+        """The wedge over Q(i), on the term pairs of :func:`_wedge_plan`:
+        each output coefficient sums the Gaussian-integer products of its
+        terms, grouped by the denominator d1*d2, and is reduced once.  Keys
+        come in the plan's order, which is the generic loop's."""
+        keys, pairs = _wedge_plan(tuple(self.coeffs), tuple(other.coeffs))
+        left = [_exact_parts(c) for c in self.coeffs.values()]
+        right = [_exact_parts(c) for c in other.coeffs.values()]
+        sums = [{} for _ in keys]  # per key: {denominator: [real, imaginary numerator]}
+        for i, j, slot, negate in pairs:
+            a1, b1, d1 = left[i]
+            a2, b2, d2 = right[j]
+            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            if negate:
+                re, im = -re, -im
+            groups = sums[slot]
+            d = d1 * d2
+            acc = groups.get(d)
+            if acc is None:
+                groups[d] = [re, im]
+            else:
+                acc[0] += re
+                acc[1] += im
         out = {}
-        for key, groups in sums.items():
+        for key, groups in zip(keys, sums):
             if len(groups) == 1:
                 ((d, (a, b)),) = groups.items()
             else:
@@ -311,7 +335,7 @@ class FormValue:
                     b += y * (d // e)
             if a or b:
                 out[key] = _reduced(a, b, d)
-        return FormValue(self.dim, out)
+        return FormValue._of(self.dim, out)
 
     def conjugate(self) -> "FormValue":
         out = {}
@@ -358,6 +382,22 @@ class FormValue:
     def __repr__(self):
         terms = ", ".join(f"{I}|{J}: {c}" for (I, J), c in sorted(self.coeffs.items()))
         return f"FormValue(dim={self.dim}, {{{terms}}})"
+
+
+def _nonzero(items) -> dict:
+    """The (key, coefficient) pairs of ``items`` whose coefficient is
+    nonzero, as a dict; an array over points is zero when it is zero at
+    every point."""
+    out = {}
+    for key, c in items:
+        try:
+            if not c:
+                continue
+        except ValueError:  # an array over points
+            if not c.any():
+                continue
+        out[key] = c
+    return out
 
 
 def _zero_like(c):
@@ -662,10 +702,13 @@ def segre_forms(c: ChernData, max_degree: int) -> list[FormValue]:
 def schur_form(lam: Sequence[int], c: ChernData) -> FormValue:
     """Giambelli determinant det(h_{lam_i - i + j}) with h_k the signed
     Segre form (-1)^k s_k, so that S_(2) = c1^2 - c2 and S_(1,1) = c2, as e_l
-    of the l x l matrix.  Zero parts are dropped; a negative part raises."""
-    if any(int(x) < 0 for x in lam):
+    of the l x l matrix.  Zero parts are dropped; a negative part, or one
+    that is not an integer (a bool included), raises."""
+    if any(isinstance(x, bool) or not isinstance(x, Integral) for x in lam):
+        raise ValueError(f"partition parts must be integers, got {tuple(lam)!r}")
+    if any(x < 0 for x in lam):
         raise ValueError("partition parts must be nonnegative")
-    lam = [int(x) for x in lam if int(x) > 0]
+    lam = [int(x) for x in lam if x > 0]
     if sorted(lam, reverse=True) != lam:
         raise ValueError("partition must be nonincreasing")
     if len(lam) > c.rank:

@@ -271,11 +271,22 @@ def normalize_problem(raw: MAProblem) -> MAProblem:
     return scaled
 
 
+# The "constant" fixture's right side is F = 2.5 - r(r - 1), positive only
+# up to this rank.
+CONSTANT_FIXTURE_MAX_RANK = 2
+
+
 def fixture_problem(fixture: str, M: int, r=2, eps=0.1) -> MAProblem:
     """The built-in raw problem of rank r on the M x M grid: "constant"
-    (c_1 = r I, c_2 = 1.5, eta = 1), "perturbed" (c_1 = r I, eta = 1 + eps
-    cos 2 pi x_1) or "hermite-einstein" (c_1 = r (I + dd^c psi), psi small)."""
+    (c_1 = r I, c_2 = 1.5, eta = 1; rank at most
+    CONSTANT_FIXTURE_MAX_RANK), "perturbed" (c_1 = r I, eta = 1 + eps
+    cos 2 pi x_1) or "hermite-einstein" (c_1 = r (I + dd^c psi), psi small).
+    Raises ValueError for an unknown fixture or a rank it cannot serve."""
     if fixture == "constant":
+        if r > CONSTANT_FIXTURE_MAX_RANK:
+            raise ValueError(f"fixture 'constant' takes rank at most {CONSTANT_FIXTURE_MAX_RANK}"
+                             f" (its right side 2.5 - r(r - 1) is not positive above it),"
+                             f" got {r}")
         c1 = np.broadcast_to(r * np.eye(2), (M, M, 2, 2)).copy()
         c2 = np.full((M, M), 1.5)
         eta = np.full((M, M), 1.0)

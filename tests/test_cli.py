@@ -322,6 +322,18 @@ class TestMASolve:
         assert rep["finalResidual"] < 1e-8
         assert rep["conclusion"]["schur_positive"]
 
+    @pytest.mark.parametrize("rank,code", [(2, 0), (3, 2)])
+    def test_constant_fixture_rank_limit(self, tmp_path, capsys, rank, code):
+        """The constant fixture's right side 2.5 - r(r - 1) is positive only
+        up to rank 2; a higher rank is invalid input, named in one line."""
+        spec = {"fixture": "constant", "M": 16, "rank": rank}
+        assert run(tmp_path, "masolve", "--input", write_model(tmp_path, spec)) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.count("\n") == 1 and "rank at most 2" in err and "got 3" in err
+        else:
+            assert read_report(tmp_path, "masolve")["pass"]
+
     def test_hypothesis_failure_is_runtime_error(self, tmp_path):
         cfg = tmp_path / "ma.json"
         cfg.write_text(json.dumps({"fixture": "perturbed", "M": 16, "eps": 2.0}))

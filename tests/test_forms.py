@@ -32,6 +32,7 @@ from parachern.forms import (
     weak_positivity_test,
     _elementary,
     _merge_sign,
+    _wedge_plan,
 )
 
 
@@ -383,6 +384,72 @@ def test_exact_wedge_rejects_float_coefficients():
         a.wedge(FormValue.monomial(2, (), (0,), QQi(1)))
 
 
+def reversed_form(f):
+    """f with its keys inserted in the opposite order."""
+    return FormValue(f.dim, dict(reversed(list(f.coeffs.items()))))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_exact_wedge_plan_follows_key_order(dim):
+    """Two forms with one key set, inserted in two orders, get two plans;
+    each wedge has the generic loop's value and key order, and wedges of
+    odd forms with themselves cancel to zero under either plan."""
+    rng = np.random.default_rng([dim, 43])
+    a, b = random_mixed_form(rng, dim), random_mixed_form(rng, dim)
+    a_rev, b_rev = reversed_form(a), reversed_form(b)
+    assert list(a_rev.coeffs) != list(a.coeffs)
+    for x in (a, a_rev):
+        for y in (b, b_rev):
+            assert_same_form(x.wedge(y), reference_wedge(x, y))
+    assert a.wedge(b) == a_rev.wedge(b_rev)
+    assert list(a.wedge(b).coeffs) != list(a_rev.wedge(b_rev).coeffs)
+    plans = {id(_wedge_plan(tuple(x.coeffs), tuple(y.coeffs)))
+             for x in (a, a_rev) for y in (b, b_rev)}
+    assert len(plans) == 4
+    odd = FormValue(dim, {k: c for k, c in a.coeffs.items() if (len(k[0]) + len(k[1])) % 2})
+    for f in (odd, reversed_form(odd)):
+        assert f.wedge(f).coeffs == {} == reference_wedge(f, f).coeffs
+
+
+def float_copy(f, rng, nodes=None):
+    """A float form with f's keys in f's order and random complex
+    coefficients, arrays of shape ``nodes`` when given."""
+    shape = () if nodes is None else nodes
+    return FormValue(f.dim, {k: complex(rng.normal(), rng.normal()) if nodes is None
+                             else rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                             for k in f.coeffs})
+
+
+@pytest.mark.parametrize("nodes", [None, (3, 3)], ids=["scalar", "nodes"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_float_wedge_matches_loop_reference_bits(dim, nodes):
+    """The float wedge adds sign * (c1 * c2) in the generic loop's order, so
+    it has the loop's bits, on complex scalars and on arrays over nodes; a
+    float form with an exact form's keys reuses that form's plan, from a
+    bounded cache."""
+    rng = np.random.default_rng([dim, 47])
+    exact = [random_mixed_form(rng, dim) for _ in range(2)]
+    forms = [float_copy(f, rng, nodes) for f in exact]
+    forms.append(reversed_form(forms[0]))
+    for x in forms:
+        for y in forms:
+            got, want = x.wedge(y), reference_wedge(x, y)
+            assert list(got.coeffs) == list(want.coeffs)
+            for key, c in got.coeffs.items():
+                if nodes is None:
+                    assert type(c) is complex and c == want.coeffs[key]
+                else:
+                    assert np.array_equal(c, want.coeffs[key])
+                assert np.asarray(c).tobytes() == np.asarray(want.coeffs[key]).tobytes()
+    keys = tuple(exact[0].coeffs), tuple(exact[1].coeffs)
+    exact[0].wedge(exact[1])
+    hits = _wedge_plan.cache_info().hits
+    forms[0].wedge(forms[1])
+    assert _wedge_plan.cache_info().hits == hits + 1
+    assert keys == (tuple(forms[0].coeffs), tuple(forms[1].coeffs))
+    assert _wedge_plan.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_graded_commutativity_and_associativity(seed):
     rng = np.random.default_rng(100 + seed)
@@ -646,6 +713,11 @@ def test_schur_partition_validation():
         with pytest.raises(ValueError, match="nonnegative"):
             schur_form(lam, c)
     assert schur_form((2, 0), c) == schur_form((2,), c)
+    # a part that is not an int is an error, not truncated; bools included
+    for lam in ((1.5,), (True, True), (2.0,)):
+        with pytest.raises(ValueError, match="integers"):
+            schur_form(lam, c)
+    assert schur_form((np.int64(1), np.int64(1)), c) == schur_form((1, 1), c)
 
 
 # ---------------------------------------------------------------------------
