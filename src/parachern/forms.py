@@ -19,11 +19,11 @@ A wedge depends on its operands' keys only through one plan,
 :func:`_wedge_plan`, cached per pair of key layouts: the output keys, and
 for every pair of terms whose indices do not overlap, the output slot and
 sign.  An exact :meth:`FormValue.wedge` runs the plan with no QQi per term:
-it sums the Gaussian-integer products a1*a2 - b1*b2 and a1*b2 + b1*a2 of
-each output coefficient, grouped by the denominator d1*d2, and reduces the
-coefficient once.  A float wedge adds sign * (c1 * c2) in the plan's order,
-which is the order of a loop over the terms, so float results keep that
-loop's bits.
+it puts each operand over one common denominator, d1 and d2, sums the
+Gaussian-integer products a1*a2 - b1*b2 and a1*b2 + b1*a2 of each output
+coefficient over the one denominator d1*d2, and reduces the coefficient
+once.  A float wedge adds sign * (c1 * c2) in the plan's order, which is
+the order of a loop over the terms, so float results keep that loop's bits.
 
 The Chern normalization i/(2*pi) is applied inside :func:`chern_forms` only
 (float mode); raw curvature matrices carry no normalization.  In exact mode
@@ -173,7 +173,6 @@ def _reduced(a: int, b: int, d: int) -> QQi:
 
 
 _new_qqi = object.__new__
-QQI_I = QQi(0, 1)
 _QQI_ZERO = QQi()
 
 
@@ -263,9 +262,14 @@ class FormValue:
     def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
+        # only other's keys can change, so only they are tested for zero
         for key, c in other.coeffs.items():
-            out[key] = out.get(key, _zero_like(c)) + c
-        return FormValue._of(self.dim, _nonzero(out.items()))
+            total = out.get(key, _zero_like(c)) + c
+            if _is_zero(total):
+                out.pop(key, None)
+            else:
+                out[key] = total
+        return FormValue._of(self.dim, out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -302,48 +306,27 @@ class FormValue:
 
     def _exact_wedge(self, other: "FormValue") -> "FormValue":
         """The wedge over Q(i), on the term pairs of :func:`_wedge_plan`:
-        each output coefficient sums the Gaussian-integer products of its
-        terms, grouped by the denominator d1*d2, and is reduced once.  Keys
-        come in the plan's order, which is the generic loop's."""
+        each operand is put over one common denominator, d1 and d2, so every
+        output coefficient is two integer sums over d1*d2, reduced once.
+        Keys come in the plan's order, which is the generic loop's."""
         keys, pairs = _wedge_plan(tuple(self.coeffs), tuple(other.coeffs))
-        left = [_exact_parts(c) for c in self.coeffs.values()]
-        right = [_exact_parts(c) for c in other.coeffs.values()]
-        sums = [{} for _ in keys]  # per key: {denominator: [real, imaginary numerator]}
+        a1, b1, d1 = _over_one_denominator(self.coeffs.values())
+        a2, b2, d2 = _over_one_denominator(other.coeffs.values())
+        re, im = [0] * len(keys), [0] * len(keys)
         for i, j, slot, negate in pairs:
-            a1, b1, d1 = left[i]
-            a2, b2, d2 = right[j]
-            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            x, y, u, v = a1[i], b1[i], a2[j], b2[j]
             if negate:
-                re, im = -re, -im
-            groups = sums[slot]
-            d = d1 * d2
-            acc = groups.get(d)
-            if acc is None:
-                groups[d] = [re, im]
-            else:
-                acc[0] += re
-                acc[1] += im
-        out = {}
-        for key, groups in zip(keys, sums):
-            if len(groups) == 1:
-                ((d, (a, b)),) = groups.items()
-            else:
-                d = lcm(*groups)
-                a = b = 0
-                for e, (x, y) in groups.items():
-                    a += x * (d // e)
-                    b += y * (d // e)
-            if a or b:
-                out[key] = _reduced(a, b, d)
-        return FormValue._of(self.dim, out)
+                x, y = -x, -y
+            re[slot] += x * u - y * v
+            im[slot] += x * v + y * u
+        d = d1 * d2
+        return FormValue._of(self.dim, {key: _reduced(a, b, d)
+                                        for key, a, b in zip(keys, re, im) if a or b})
 
     def conjugate(self) -> "FormValue":
-        out = {}
-        for (I, J), c in self.coeffs.items():
-            sign = -1 if (len(I) * len(J)) % 2 else 1
-            key = (J, I)
-            out[key] = out.get(key, _zero_like(c)) + sign * _conj(c)
-        return FormValue(self.dim, out)
+        # (I, J) -> (J, I) is one to one, so no two terms meet
+        return FormValue._of(self.dim, {(J, I): (-1 if (len(I) * len(J)) % 2 else 1) * _conj(c)
+                                        for (I, J), c in self.coeffs.items()})
 
     # -- queries --
 
@@ -359,9 +342,6 @@ class FormValue:
 
     def bidegrees(self):
         return {(len(I), len(J)) for I, J in self.coeffs}
-
-    def is_pure(self, p, q) -> bool:
-        return all((len(I), len(J)) == (p, q) for I, J in self.coeffs)
 
     def max_abs(self) -> float:
         return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
@@ -386,18 +366,17 @@ class FormValue:
 
 def _nonzero(items) -> dict:
     """The (key, coefficient) pairs of ``items`` whose coefficient is
-    nonzero, as a dict; an array over points is zero when it is zero at
+    nonzero, as a dict."""
+    return {key: c for key, c in items if not _is_zero(c)}
+
+
+def _is_zero(c) -> bool:
+    """True when c is zero; an array over points is zero when it is zero at
     every point."""
-    out = {}
-    for key, c in items:
-        try:
-            if not c:
-                continue
-        except ValueError:  # an array over points
-            if not c.any():
-                continue
-        out[key] = c
-    return out
+    try:
+        return not c
+    except ValueError:  # an array over points
+        return not c.any()
 
 
 def _zero_like(c):
@@ -411,6 +390,14 @@ def _exact_parts(c) -> tuple:
     if isinstance(c, (int, Fraction)):
         return c.numerator, 0, c.denominator
     raise TypeError(f"not an exact coefficient: {c!r}")
+
+
+def _over_one_denominator(coeffs) -> tuple:
+    """(a, b, d) with coefficient k equal to (a[k] + b[k]*i)/d, and d the
+    lcm of the denominators of ``coeffs`` (QQi, int or Fraction)."""
+    parts = [_exact_parts(c) for c in coeffs]
+    d = lcm(*(e for _, _, e in parts))
+    return [x * (d // e) for x, _, e in parts], [y * (d // e) for _, y, e in parts], d
 
 
 def volume_normalizer(dim: int):

@@ -96,9 +96,6 @@ class TorusField:
 
     # -- I/O: row-major CSV ---------------------------------------------------
 
-    def save_csv(self, path):
-        np.savetxt(path, self.data.reshape(self.data.shape[0], -1), delimiter=",")
-
     @classmethod
     def load_csv(cls, path, kind) -> "TorusField":
         flat = np.loadtxt(path, delimiter=",", ndmin=2)
