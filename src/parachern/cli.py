@@ -339,8 +339,8 @@ def _compare_terms(a, b, counts):
     """Add to ``counts`` the coefficient terms of c_0 ... c_r that ``a`` and
     ``b`` store between them, and the number of those that differ."""
     for k in range(a.rank + 1):
-        counts[0] += len(a[k].coeffs.keys() | b[k].coeffs.keys())
-        counts[1] += len((a[k] - b[k]).coeffs)
+        counts[0] += len(a[k].keys() | b[k].keys())
+        counts[1] += len((a[k] - b[k]).keys())
 
 
 def cmd_pushforward(args, spec, outdir: Path):

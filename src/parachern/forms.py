@@ -1,29 +1,33 @@
 """Pointwise exterior algebra of (p,q)-forms and curvature invariants.
 
-Coefficients come in two modes: exact Gaussian rationals (:class:`QQi`) for
-identity checks, and complex floats for positivity sampling.  Which mode a
-computation runs in is decided in one place, :func:`exact_mode`.  A float
-coefficient may be a numpy array over a batch of points; it is dropped only
-when it is zero at every point, and queries that call ``complex()`` on a
-coefficient need scalars.  Exterior monomials are stored in the canonical
-order dz factors ascending, then dzbar factors ascending; all wedge signs
-are normalized to that order.
+Coefficients come in two modes: exact Gaussian rationals for identity
+checks, and complex floats for positivity sampling.  Which mode a
+computation runs in is decided in one place, :func:`exact_mode`, from the
+store each form holds.  A float coefficient may be a numpy array over a batch
+of points; it is dropped only when it is zero at every point, and queries
+that call ``complex()`` on a coefficient need scalars.  Exterior monomials
+are stored in the canonical order dz factors ascending, then dzbar factors
+ascending; all wedge signs are normalized to that order.
 
-A :class:`QQi` holds Gaussian-integer numerators a, b over one integer
-denominator d, as (a + b*i)/d with d > 0 and gcd(a, b, d) = 1.  Its
-arithmetic uses only int operations and one gcd per result, which is several
-times cheaper than a pair of Fractions; ``re`` and ``im`` read back as
-Fractions.
+The exact scalar at the API is :class:`QQi`, Gaussian-integer numerators a,
+b over one integer denominator d, as (a + b*i)/d with d > 0 and
+gcd(a, b, d) = 1; ``re`` and ``im`` read back as Fractions.  An exact
+:class:`FormValue` does not store QQi values.  It stores Gaussian-integer
+numerators ``{key: (a, b)}`` over one denominator d for the whole form, in
+canonical form: d > 0 and gcd(d, every a and b) = 1, found with one gcd per
+result form.  Sums, scalar products, wedges and conjugates work on those
+integers; ``coeffs`` is a read-only view that makes a QQi per coefficient
+on each read.  Berkowitz's recursion divides by nothing and Newton's
+identities only by k, so reducing once per form keeps the integers small.
 
 A wedge depends on its operands' keys only through one plan,
 :func:`_wedge_plan`, cached per pair of key layouts: the output keys, and
 for every pair of terms whose indices do not overlap, the output slot and
-sign.  An exact :meth:`FormValue.wedge` runs the plan with no QQi per term:
-it puts each operand over one common denominator, d1 and d2, sums the
-Gaussian-integer products a1*a2 - b1*b2 and a1*b2 + b1*a2 of each output
-coefficient over the one denominator d1*d2, and reduces the coefficient
-once.  A float wedge adds sign * (c1 * c2) in the plan's order, which is
-the order of a loop over the terms, so float results keep that loop's bits.
+sign.  An exact :meth:`FormValue.wedge` runs the plan on the stored
+numerators: it sums the Gaussian-integer products a1*a2 - b1*b2 and
+a1*b2 + b1*a2 of each output coefficient over the one denominator d1*d2.
+A float wedge adds sign * (c1 * c2) in the plan's order, which is the order
+of a loop over the terms, so float results keep that loop's bits.
 
 The Chern normalization i/(2*pi) is applied inside :func:`chern_forms` only
 (float mode); raw curvature matrices carry no normalization.  In exact mode
@@ -42,8 +46,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from numbers import Integral
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -173,7 +179,6 @@ def _reduced(a: int, b: int, d: int) -> QQi:
 
 
 _new_qqi = object.__new__
-_QQI_ZERO = QQi()
 
 
 def _conj(x):
@@ -221,22 +226,51 @@ def _wedge_plan(left: tuple, right: tuple):
 
 class FormValue:
     """Element of the exterior algebra at a point (or a batch of points):
-    sum over (I, J) of f_IJ dz^I wedge dzbar^J."""
+    sum over (I, J) of f_IJ dz^I wedge dzbar^J.
 
-    __slots__ = ("dim", "coeffs")
+    A form holds one of two stores.  An exact form holds Gaussian-integer
+    numerators ``{key: (a, b)}`` over one denominator d, so f_IJ =
+    (a + b*i)/d, in canonical form: d > 0 and gcd(d, every a and b) == 1.  A
+    float form holds its coefficients as given (complex numbers or arrays
+    over points) and has d None.  Zero coefficients are never stored."""
+
+    __slots__ = ("dim", "_terms", "_d")
 
     def __init__(self, dim: int, coeffs=None):
+        """``coeffs`` maps (I, J) to scalars.  When one of them is a QQi the
+        form is exact, and every other must be an int or a Fraction: a float
+        raises TypeError."""
         self.dim = dim
-        self.coeffs = _nonzero(((tuple(I), tuple(J)), c)
-                               for (I, J), c in coeffs.items()) if coeffs else {}
+        items = [((tuple(I), tuple(J)), c) for (I, J), c in coeffs.items()] if coeffs else []
+        if not any(type(c) is QQi for _, c in items):
+            self._terms, self._d = _nonzero(items), None
+            return
+        parts = [(key, _exact_parts(c)) for key, c in items]
+        d = lcm(*(e for _, (_, _, e) in parts))
+        self._terms, self._d = _canonical({key: (a * (d // e), b * (d // e))
+                                           for key, (a, b, e) in parts if a or b}, d)
 
     @classmethod
-    def _of(cls, dim: int, coeffs: dict) -> "FormValue":
-        """A form that takes ``coeffs`` as it is: its keys must be canonical
-        index tuples and its values nonzero.  Skips ``__init__``."""
+    def _of(cls, dim: int, terms: dict, d=None) -> "FormValue":
+        """A form that takes ``terms`` and ``d`` as they are: canonical keys,
+        no zero coefficient and, for an exact form, canonical numerators.
+        Skips ``__init__``."""
         f = object.__new__(cls)
-        f.dim, f.coeffs = dim, coeffs
+        f.dim, f._terms, f._d = dim, terms, d
         return f
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """The coefficients by (I, J), read-only; an exact form makes one QQi
+        per coefficient on each read."""
+        if self._d is None:
+            return MappingProxyType(self._terms)
+        d = self._d
+        return MappingProxyType({k: _reduced(a, b, d) for k, (a, b) in self._terms.items()})
+
+    def keys(self):
+        """The stored (I, J) keys, in order, without reading a coefficient."""
+        return self._terms.keys()
 
     # -- constructors --
 
@@ -261,15 +295,34 @@ class FormValue:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        # only other's keys can change, so only they are tested for zero
-        for key, c in other.coeffs.items():
-            total = out.get(key, _zero_like(c)) + c
-            if _is_zero(total):
-                out.pop(key, None)
-            else:
-                out[key] = total
-        return FormValue._of(self.dim, out)
+        if not other._terms:
+            return self
+        if self._d is None and other._d is None:
+            out = dict(self._terms)
+            # only other's keys can change, so only they are tested for zero
+            for key, c in other._terms.items():
+                total = out.get(key, 0j) + c
+                if _is_zero(total):
+                    out.pop(key, None)
+                else:
+                    out[key] = total
+            return FormValue._of(self.dim, out)
+        if not self._terms:
+            return other
+        d = lcm(self._d, other._d)
+        s, t = d // self._d, d // other._d
+        out = dict(self._terms) if s == 1 else {
+            k: (a * s, b * s) for k, (a, b) in self._terms.items()}
+        for key, (a, b) in other._terms.items():
+            old = out.get(key)
+            a, b = a * t, b * t
+            if old is not None:
+                a, b = old[0] + a, old[1] + b
+                if not (a or b):
+                    del out[key]
+                    continue
+            out[key] = (a, b)
+        return FormValue._of(self.dim, *_canonical(out, d))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -278,9 +331,16 @@ class FormValue:
         return (-1) * self
 
     def __rmul__(self, scalar):
-        return FormValue._of(
-            self.dim, _nonzero((k, scalar * c) for k, c in self.coeffs.items())
-        )
+        if self._d is None:
+            return FormValue._of(
+                self.dim, _nonzero((k, scalar * c) for k, c in self._terms.items()))
+        p, q, e = _exact_parts(scalar)
+        if not (p or q):
+            return FormValue._of(self.dim, {}, 1)
+        # a nonzero Gaussian integer times a nonzero one is nonzero
+        return FormValue._of(self.dim, *_canonical({k: (a * p - b * q, a * q + b * p)
+                                                    for k, (a, b) in self._terms.items()},
+                                                   self._d * e))
 
     def __mul__(self, other):
         if isinstance(other, FormValue):
@@ -291,48 +351,54 @@ class FormValue:
         """self ^ other, on the term pairs of :func:`_wedge_plan`.  In float
         mode each output coefficient adds sign * (c1 * c2) over its pairs in
         the plan's order, the order of a loop over self's terms and then
-        other's; exact mode runs :meth:`_exact_wedge`."""
+        other's; two exact forms run :meth:`_exact_wedge`."""
         self._check(other)
-        if exact_mode(self, other):
+        if self._d is not None and other._d is not None:
             return self._exact_wedge(other)
-        keys, pairs = _wedge_plan(tuple(self.coeffs), tuple(other.coeffs))
-        left, right = list(self.coeffs.values()), list(other.coeffs.values())
+        keys, pairs = _wedge_plan(tuple(self._terms), tuple(other._terms))
+        left, right = list(self._terms.values()), list(other._terms.values())
         out = [None] * len(keys)
         for i, j, slot, negate in pairs:
             term = (-1 if negate else 1) * (left[i] * right[j])
             acc = out[slot]
-            out[slot] = (_zero_like(term) if acc is None else acc) + term
+            out[slot] = (0j if acc is None else acc) + term
         return FormValue._of(self.dim, _nonzero(zip(keys, out)))
 
     def _exact_wedge(self, other: "FormValue") -> "FormValue":
         """The wedge over Q(i), on the term pairs of :func:`_wedge_plan`:
-        each operand is put over one common denominator, d1 and d2, so every
-        output coefficient is two integer sums over d1*d2, reduced once.
-        Keys come in the plan's order, which is the generic loop's."""
-        keys, pairs = _wedge_plan(tuple(self.coeffs), tuple(other.coeffs))
-        a1, b1, d1 = _over_one_denominator(self.coeffs.values())
-        a2, b2, d2 = _over_one_denominator(other.coeffs.values())
+        every output coefficient is two sums of Gaussian-integer products
+        of the stored numerators, over d1*d2, and the result is brought to
+        canonical form once.  Keys come in the plan's order, which is the
+        generic loop's."""
+        keys, pairs = _wedge_plan(tuple(self._terms), tuple(other._terms))
+        left, right = list(self._terms.values()), list(other._terms.values())
         re, im = [0] * len(keys), [0] * len(keys)
         for i, j, slot, negate in pairs:
-            x, y, u, v = a1[i], b1[i], a2[j], b2[j]
+            x, y = left[i]
+            u, v = right[j]
             if negate:
                 x, y = -x, -y
             re[slot] += x * u - y * v
             im[slot] += x * v + y * u
-        d = d1 * d2
-        return FormValue._of(self.dim, {key: _reduced(a, b, d)
-                                        for key, a, b in zip(keys, re, im) if a or b})
+        return FormValue._of(self.dim, *_canonical({key: (a, b) for key, a, b in zip(keys, re, im)
+                                                    if a or b}, self._d * other._d))
 
     def conjugate(self) -> "FormValue":
-        # (I, J) -> (J, I) is one to one, so no two terms meet
-        return FormValue._of(self.dim, {(J, I): (-1 if (len(I) * len(J)) % 2 else 1) * _conj(c)
-                                        for (I, J), c in self.coeffs.items()})
+        # (I, J) -> (J, I) is one to one, so no two terms meet; reordering
+        # dz^J dzbar^I gives the sign -1 when |I| |J| is odd
+        if self._d is not None:
+            return FormValue._of(self.dim, {(J, I): (-a, b) if len(I) * len(J) % 2 else (a, -b)
+                                            for (I, J), (a, b) in self._terms.items()}, self._d)
+        return FormValue._of(self.dim, {(J, I): (-1 if len(I) * len(J) % 2 else 1) * _conj(c)
+                                        for (I, J), c in self._terms.items()})
 
     # -- queries --
 
     def _check(self, other):
         if not isinstance(other, FormValue) or other.dim != self.dim:
             raise ValueError("dimension mismatch")
+        if (self._d is None) != (other._d is None) and self._terms and other._terms:
+            raise TypeError("an exact form and a float form do not mix")
 
     def is_zero(self, tol=0.0) -> bool:
         return all(abs(complex(c)) <= tol for c in self.coeffs.values())
@@ -341,7 +407,7 @@ class FormValue:
         return self.coeffs.get((tuple(I), tuple(J)), 0)
 
     def bidegrees(self):
-        return {(len(I), len(J)) for I, J in self.coeffs}
+        return {(len(I), len(J)) for I, J in self._terms}
 
     def max_abs(self) -> float:
         return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
@@ -355,13 +421,25 @@ class FormValue:
     def __eq__(self, other):
         if not isinstance(other, FormValue) or other.dim != self.dim:
             return NotImplemented
-        # zero coefficients are never stored, so equal forms store equal
-        # keys; mixed exact and float coefficients compare as scalars do
-        return self.coeffs == other.coeffs
+        # both stores are canonical and hold no zero, so two equal forms
+        # with one store hold equal items; across stores, coefficients
+        # compare as scalars do
+        if (self._d is None) == (other._d is None):
+            return self._d == other._d and self._terms == other._terms
+        return dict(self.coeffs) == dict(other.coeffs)
 
     def __repr__(self):
         terms = ", ".join(f"{I}|{J}: {c}" for (I, J), c in sorted(self.coeffs.items()))
         return f"FormValue(dim={self.dim}, {{{terms}}})"
+
+
+def _canonical(terms: dict, d: int) -> tuple:
+    """(terms, d) for nonzero numerators ``terms`` over d > 0, divided by
+    gcd(d, every numerator), with one gcd."""
+    g = gcd(d, *chain.from_iterable(terms.values()))
+    if g == 1:
+        return terms, d
+    return {k: (a // g, b // g) for k, (a, b) in terms.items()}, d // g
 
 
 def _nonzero(items) -> dict:
@@ -379,10 +457,6 @@ def _is_zero(c) -> bool:
         return not c.any()
 
 
-def _zero_like(c):
-    return _QQI_ZERO if isinstance(c, QQi) else 0j
-
-
 def _exact_parts(c) -> tuple:
     """(a, b, d) with c = (a + b*i)/d, for a QQi, int or Fraction."""
     if type(c) is QQi:
@@ -390,14 +464,6 @@ def _exact_parts(c) -> tuple:
     if isinstance(c, (int, Fraction)):
         return c.numerator, 0, c.denominator
     raise TypeError(f"not an exact coefficient: {c!r}")
-
-
-def _over_one_denominator(coeffs) -> tuple:
-    """(a, b, d) with coefficient k equal to (a[k] + b[k]*i)/d, and d the
-    lcm of the denominators of ``coeffs`` (QQi, int or Fraction)."""
-    parts = [_exact_parts(c) for c in coeffs]
-    d = lcm(*(e for _, _, e in parts))
-    return [x * (d // e) for x, _, e in parts], [y * (d // e) for _, y, e in parts], d
 
 
 def volume_normalizer(dim: int):
@@ -561,31 +627,30 @@ class ChernData:
         return self.forms[k]
 
 
-def _scalars(item):
-    if isinstance(item, FormValue):
-        yield from item.coeffs.values()
-    elif isinstance(item, CurvatureMatrix):
-        for row in item.entries:
-            for f in row:
-                yield from f.coeffs.values()
-    elif isinstance(item, ChernData):
-        for f in item.forms:
-            yield from f.coeffs.values()
-    elif item is not None:
-        yield item
-
-
 def exact_mode(*items) -> bool:
     """True when a computation on ``items`` runs over Q(i), False when it
-    runs over complex floats.  The first coefficient found decides, reading
-    the given forms, curvature matrices, Chern data and scalars in order.
-    Callers pass the structure first, so a scalar such as a normalization
-    decides only when the structure stores no coefficient (all zero).  Only
-    QQi is exact: an int coefficient, such as the default of
+    runs over complex floats.  The first form found that stores a
+    coefficient decides by its store, reading the given forms, curvature
+    matrices, Chern data and scalars in order.  Callers pass the structure
+    first, so a scalar such as a normalization decides only when the
+    structure stores no coefficient (all zero).  Only a QQi scalar is exact,
+    and a form is exact when one of the coefficients it was built from is a
+    QQi: an int coefficient alone, such as the default of
     :meth:`FormValue.monomial`, means float mode."""
     for item in items:
-        for x in _scalars(item):
-            return isinstance(x, QQi)
+        if isinstance(item, FormValue):
+            forms = (item,)
+        elif isinstance(item, CurvatureMatrix):
+            forms = (f for row in item.entries for f in row)
+        elif isinstance(item, ChernData):
+            forms = item.forms
+        elif item is None:
+            continue
+        else:
+            return isinstance(item, QQi)
+        for f in forms:
+            if f._terms:
+                return f._d is not None
     return False
 
 
@@ -599,7 +664,7 @@ def _normalized(theta: CurvatureMatrix, normalization):
     normalization is 1 in exact mode and i/(2 pi) in float mode.  The
     entries must have no part of degree below 2, as a curvature has none, so
     that a wedge of more than n of them vanishes."""
-    if any(len(I) + len(J) < 2 for row in theta.entries for f in row for I, J in f.coeffs):
+    if any(len(I) + len(J) < 2 for row in theta.entries for f in row for I, J in f.keys()):
         raise ValueError("curvature entries must have no 0-form or 1-form part")
     exact = exact_mode(theta, normalization)
     if normalization is None:

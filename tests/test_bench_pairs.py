@@ -1,7 +1,9 @@
-"""The summary of tools/bench_pairs.py on made-up runs."""
+"""The summary of tools/bench_pairs.py on made-up runs, and its extraction
+of a base revision."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,33 @@ def test_src_lines_counts_python_sources_under_src(tmp_path):
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "c.py").write_text("outside src\n")
     assert bench_pairs.src_lines(tmp_path) == 4
+
+
+def test_extract_writes_the_files_of_a_commit(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "out" / "base"
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (repo / "README").write_text("top\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    # later edits, committed or not, are not in the extracted commit
+    (repo / "src" / "pkg" / "a.py").write_text("x = 1\n")
+    (repo / "src" / "pkg" / "b.py").write_text("z = 3\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "second")
+    (repo / "src" / "pkg" / "c.py").write_text("w = 4\n")
+    dest.mkdir(parents=True)
+    (dest / "stale.py").write_text("left over\n")
+    bench_pairs.extract("HEAD~1", dest, repo)
+    assert sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file()) == \
+        ["README", "src/pkg/a.py"]
+    assert bench_pairs.src_lines(dest) == 2
+    bench_pairs.extract("HEAD", dest, repo)
+    assert bench_pairs.src_lines(dest) == 2 and (dest / "src" / "pkg" / "b.py").exists()
+    assert not (dest / "src" / "pkg" / "c.py").exists()

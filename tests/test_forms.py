@@ -24,6 +24,7 @@ from parachern.forms import (
     hermitian_partner,
     kobayashi_lubke_rhs,
     nakano_test,
+    random_exact_curvature as forms_random_exact_curvature,
     random_qqi,
     schur_form,
     segre_forms,
@@ -377,30 +378,115 @@ def test_exact_wedge_cancels_across_denominators():
     assert a.wedge(b).coefficient((0, 2), ()) == x * w - z * k * x
 
 
+def with_ints_and_fractions(f, rng):
+    """f's coefficients as a dict in f's order, with the 1st, 4th, 7th, ...
+    made ints and the 2nd, 5th, 8th, ... made Fractions; the rest stay QQi."""
+    given = dict(f.coeffs)
+    for i, key in enumerate(given):
+        if i % 3 == 0:
+            given[key] = int(rng.integers(1, 5))
+        elif i % 3 == 1:
+            given[key] = Fraction(int(rng.integers(-5, 5)) or 1, int(rng.integers(2, 7)))
+    assert {type(c) for c in given.values()} == {QQi, int, Fraction}
+    return given
+
+
+def assert_reads_back(f, given):
+    """An exact form reads every coefficient back, in the order given, as a
+    QQi that equals and hashes like the QQi, int or Fraction it was given."""
+    assert list(f.coeffs) == list(given)
+    for key, c in f.coeffs.items():
+        assert type(c) is QQi and c == given[key] and hash(c) == hash(given[key])
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_wedge_mixes_int_and_fraction_coefficients(seed):
-    """A form whose first coefficient is a QQi runs in exact mode although
-    other coefficients are int or Fraction; every term has a QQi factor, so
-    the generic loop gives QQi values too, and both agree."""
+    """A form built from QQi, int and Fraction values is exact, even when
+    its first value is an int, and reads each value back as an equal QQi;
+    its wedges have the generic loop's value and key order."""
     rng = np.random.default_rng([seed, 29])
     dim = 3
     pure = random_mixed_form(rng, dim)
-    mixed = random_mixed_form(rng, dim)
-    for i, key in enumerate(list(mixed.coeffs)[1:]):
-        if i % 3 == 0:
-            mixed.coeffs[key] = int(rng.integers(1, 5))
-        elif i % 3 == 1:
-            mixed.coeffs[key] = Fraction(int(rng.integers(-5, 5)) or 1, int(rng.integers(2, 7)))
-    assert {type(c) for c in mixed.coeffs.values()} == {QQi, int, Fraction}
+    given = with_ints_and_fractions(random_mixed_form(rng, dim), rng)
+    mixed = FormValue(dim, given)
+    assert_reads_back(mixed, given)
     assert exact_mode(mixed) and exact_mode(pure)
     assert_same_form(mixed.wedge(pure), reference_wedge(mixed, pure))
     assert_same_form(pure.wedge(mixed), reference_wedge(pure, mixed))
 
 
 def test_exact_wedge_rejects_float_coefficients():
-    a = FormValue(2, {((0,), ()): QQi(1), ((1,), ()): 0.5})
-    with pytest.raises(TypeError):
-        a.wedge(FormValue.monomial(2, (), (0,), QQi(1)))
+    """A float among the values of an exact form raises TypeError when the
+    form is built, wherever it stands; an exact form and a float form do
+    not wedge or add."""
+    for given in ({((0,), ()): QQi(1), ((1,), ()): 0.5},
+                  {((0,), ()): 0.5, ((1,), ()): QQi(1)},
+                  {((0,), ()): QQi(1), ((1,), ()): 2j}):
+        with pytest.raises(TypeError):
+            FormValue(2, given)
+    exact = FormValue.monomial(2, (), (0,), QQi(1))
+    floating = FormValue.monomial(2, (0,), (), 0.5)
+    for op in (FormValue.wedge, FormValue.__add__):
+        with pytest.raises(TypeError):
+            op(exact, floating)
+        with pytest.raises(TypeError):
+            op(floating, exact)
+
+
+def assert_canonical(f):
+    """f holds the exact store in canonical form: nonzero Gaussian-integer
+    numerators over one denominator d > 0 with gcd(d, numerators) = 1."""
+    numerators = [x for pair in f._terms.values() for x in pair]
+    assert type(f._d) is int and f._d > 0
+    assert math.gcd(f._d, *numerators) == 1
+    assert all(a or b for a, b in f._terms.values())
+
+
+def reference_sum(a, b):
+    """a + b with one QQi add per term of b, in a's key order and then b's."""
+    out = dict(a.coeffs)
+    for key, c in b.coeffs.items():
+        out[key] = out.get(key, QQi()) + c
+    return FormValue(a.dim, out)
+
+
+# bound on the bits of the numerators of chern_forms and chern_forms_minors
+# at rank 6 on a 4-fold; the largest has 26 to 28 bits over seeds 0-7 of
+# the forms' own random curvature
+NUMERATOR_BITS = 32
+
+
+def test_exact_store_stays_canonical():
+    """After +, -, wedge, scalar * and conjugate the exact store is
+    canonical and equals a QQi-per-term reference in value and key order,
+    on 2-, 3- and 4-folds; Chern forms at rank 6 on a 4-fold keep their
+    numerators under NUMERATOR_BITS, because each result is reduced once."""
+    scalars = (QQi(Fraction(2, 3), Fraction(-4, 9)), QQi(0, 5), Fraction(-6, 35), 14, 0)
+    for dim in (2, 3, 4):
+        rng = np.random.default_rng([dim, 59])
+        forms = [random_mixed_form(rng, dim),
+                 random_mixed_form(rng, dim, span=5, denominators=COPRIME_DENOMINATORS)]
+        forms.append(FormValue(dim, with_ints_and_fractions(forms[0], rng)))
+        for a in forms:
+            negated = FormValue(dim, {k: -c for k, c in a.coeffs.items()})
+            cases = [(a.conjugate(), reference_conjugate(a))]
+            cases += [(s * a, FormValue(dim, {k: s * c for k, c in a.coeffs.items()}))
+                      for s in scalars]
+            for b in forms:
+                cases += [(a + b, reference_sum(a, b)), (b - a, reference_sum(b, negated)),
+                          (a.wedge(b), reference_wedge(a, b))]
+            for got, want in cases:
+                assert_canonical(got)
+                assert_same_form(got, want)
+            assert (a - a).coeffs == {} and (a - a)._d == 1
+    for seed in range(2):
+        theta = forms_random_exact_curvature(random.Random(seed), 6, 4)
+        for c in (chern_forms(theta), chern_forms_minors(theta)):
+            for f in c.forms:
+                if f.coeffs:
+                    assert_canonical(f)
+                    assert max(abs(x) for pair in f._terms.values() for x in pair) \
+                        < 2 ** NUMERATOR_BITS
 
 
 def reversed_form(f):
@@ -510,28 +596,26 @@ def assert_same_float_form(got, want):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_conjugate_matches_loop_reference(dim):
     """conjugate gives the generic loop's value and key order: on exact
-    forms, whose int and Fraction coefficients keep their types, and on
-    float forms, on complex scalars (a real one included) and on arrays
-    over nodes.  Conjugating twice gives the input back."""
+    forms, one of them built from QQi, int and Fraction values, whose
+    coefficients read back as QQi, and on float forms, on complex scalars
+    (a real one included) and on arrays over nodes.  Conjugating twice
+    gives the input back."""
     rng = np.random.default_rng([dim, 53])
     exact = random_mixed_form(rng, dim, denominators=COPRIME_DENOMINATORS)
-    mixed = FormValue(dim, dict(exact.coeffs))
-    for i, key in enumerate(list(mixed.coeffs)[1:]):
-        if i % 3 == 1:
-            mixed.coeffs[key] = int(rng.integers(1, 5))
-        elif i % 3 == 2:
-            mixed.coeffs[key] = Fraction(-3, 7)
-    assert {type(c) for c in mixed.coeffs.values()} == {QQi, int, Fraction}
+    given = with_ints_and_fractions(exact, rng)
+    mixed = FormValue(dim, given)
+    assert_reads_back(mixed, given)
     for f in (exact, mixed):
         got, want = f.conjugate(), reference_conjugate(f)
         assert got == want and got.conjugate() == f
         assert list(got.coeffs) == list(want.coeffs)
         assert list(got.conjugate().coeffs) == list(f.coeffs)
         assert [type(c) for c in got.coeffs.values()] == [type(c) for c in want.coeffs.values()]
-    scalars = float_copy(exact, rng)
-    first = next(iter(scalars.coeffs))
-    scalars.coeffs[first] = complex(scalars.coeffs[first].real, 0.0)  # a real coefficient
-    for f in (scalars, float_copy(exact, rng, (3, 3))):
+        assert all(type(c) is QQi for c in got.coeffs.values())
+    values = dict(float_copy(exact, rng).coeffs)
+    first = next(iter(values))
+    values[first] = complex(values[first].real, 0.0)  # a real coefficient
+    for f in (FormValue(dim, values), float_copy(exact, rng, (3, 3))):
         assert_same_float_form(f.conjugate(), reference_conjugate(f))
         assert_same_float_form(f.conjugate().conjugate(), f)
 

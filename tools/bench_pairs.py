@@ -5,19 +5,19 @@ Usage, from anywhere in a checkout:
     python3 tools/bench_pairs.py --base HEAD~1 --label parabolic_ints \
         --pairs 10 --first-seed 3101
 
-The base revision is checked out with ``git worktree`` into
-``.bench_build/base`` and removed again at the end.  Both checkouts get
-``python -m compileall -q -f src``, so that no run pays for compiling the
-sources (which would count in ``peak_rss_mb`` and ``setup_s``).  For every
-workload of ``BENCHMARK.json``, pair i runs ``perfbench/run.py --trace 0`` of
-each checkout, unchanged, on seed ``first-seed + i`` for the ``run_seconds``
-of ``BENCHMARK.json``; the base runs first in even pairs and second in odd
-ones.
+The files of the base revision are extracted with ``git archive <base> |
+tar -x`` into ``.bench_build/base``, which is removed again at the end.
+Both checkouts get ``python -m compileall -q -f src``, so that no run pays
+for compiling the sources (which would count in ``peak_rss_mb`` and
+``setup_s``).  For every workload of ``BENCHMARK.json``, pair i runs
+``perfbench/run.py --trace 0`` of each checkout, unchanged, on seed
+``first-seed + i`` for the ``run_seconds`` of ``BENCHMARK.json``; the base
+runs first in even pairs and second in odd ones.
 
 The result is ``BENCH_<label>.json`` at the root of the checkout: the
 machine, both commits, the git tree of ``src`` that each side ran (the
 change's taken from its working tree, so uncommitted edits are named too),
-the line count of ``src/**/*.py`` of each side (the base worktree and the
+the line count of ``src/**/*.py`` of each side (the extracted base and the
 change's working tree), every run's output, and per workload and end-to-end
 metric the medians and interquartile ranges, the pairs the change won, the
 bound of ``BENCHMARK.json`` and whether the change's median stays inside it,
@@ -32,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +45,18 @@ BASE_DIR = ROOT / ".bench_build" / "base"
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def extract(rev: str, dest: Path, repo: Path = ROOT) -> None:
+    """Write the files of commit ``rev`` of ``repo`` into ``dest``, emptied
+    first: ``git archive rev | tar -x``."""
+    shutil.rmtree(dest, ignore_errors=True)
+    dest.mkdir(parents=True)
+    archive = subprocess.Popen(["git", "archive", rev], cwd=repo, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise subprocess.CalledProcessError(archive.returncode, archive.args)
 
 
 def compile_sources(checkout: Path) -> None:
@@ -142,9 +155,7 @@ def main(argv=None) -> int:
         "base_src_tree": src_tree(base),
         "change_src_tree": src_tree(worktree),
     }
-    if BASE_DIR.exists():
-        git("worktree", "remove", "--force", str(BASE_DIR))
-    git("worktree", "add", "--detach", str(BASE_DIR), commits["base"])
+    extract(commits["base"], BASE_DIR)
     result = {"machine": machine(), "commits": commits, "seconds": seconds,
               "src_lines": {"base": src_lines(BASE_DIR), "change": src_lines(ROOT)},
               "workloads": {}}
@@ -167,7 +178,7 @@ def main(argv=None) -> int:
             result["workloads"][workload] = {
                 "summary": summarize(pairs, bench["end_to_end"]), "pairs": pairs}
     finally:
-        git("worktree", "remove", "--force", str(BASE_DIR))
+        shutil.rmtree(BASE_DIR)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(path)
