@@ -25,6 +25,11 @@ prod(dA_i/pi) = prod(m_i!) * Gamma(s - sum m - d) / Gamma(s), valid for
 s - sum m - d >= 1 (checked).  The factor is exact in rational arithmetic.
 Every moment the push-forward needs converges: it has s = d+1+k against
 sum m <= k.
+
+The exact route uses the standard library alone.  numpy is imported inside
+the float functions that call it, at the first call: the quadrature
+(:func:`scalar_fiber_integral`) and the Monte Carlo estimates
+(:func:`monte_carlo_oracle` and :func:`monte_carlo_moment`).
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-
-import numpy as np
 
 from .forms import CurvatureMatrix, FormValue, QQi, _conj, exact_mode
 
@@ -74,6 +77,7 @@ def _trapezoid_sums(c, h, ks):
     even, is the plain Q_2h).  Rows over the first d - 1 axes go in blocks of
     at most BLOCK_POINTS points; math.fsum adds the row sums of each class,
     so the blocks leave the bits of the whole-grid evaluation."""
+    import numpy as np
     r = len(c)
     d = r - 1
     t = [np.exp(h * k) for k in ks]
@@ -108,6 +112,7 @@ def scalar_fiber_integral(c, tol=1e-8):
     classes of (Q_2h / Q_h - 1)^2 (geometric convergence squares the error
     when h halves; shifted classes see a 2h error that cancels by phase on
     the even one), the window tail and roundoff.  Returns a FiberQuadrature."""
+    import numpy as np
     c = [float(x) for x in c]
     if any(x <= 0 for x in c):
         raise ValueError("coefficients must be positive")
@@ -147,11 +152,12 @@ def _proposal_blocks(budget, d, seed):
     """budget seeded draws t_i = u_i/(1-u_i), u uniform on [0,1)^d, and
     their inverse proposal density prod (1+t_i)^2, in blocks of at most
     MC_BLOCK_ROWS rows taken in order from one random stream."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     for start in range(0, budget, MC_BLOCK_ROWS):
         u = rng.random(size=(min(MC_BLOCK_ROWS, budget - start), d))
         t = u / (1 - u)
-        yield t, np.prod((1 + t) ** 2, axis=1)
+        yield t, ((1 + t) ** 2).prod(axis=1)
 
 
 def _mean_stderr(blocks):
@@ -159,9 +165,9 @@ def _mean_stderr(blocks):
     block by block (Chan, Golub and LeVeque's pairwise update)."""
     n, mean, m2 = 0, 0.0, 0.0
     for vals in blocks:
-        k, block_mean = vals.size, float(np.mean(vals))
+        k, block_mean = vals.size, float(vals.mean())
         delta = block_mean - mean
-        m2 += float(np.sum((vals - block_mean) ** 2)) + delta**2 * n * k / (n + k)
+        m2 += float(((vals - block_mean) ** 2).sum()) + delta**2 * n * k / (n + k)
         mean, n = mean + delta * k / (n + k), n + k
     return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
@@ -171,6 +177,7 @@ def monte_carlo_oracle(c, budget=100_000, seed=0):
     t_i = u_i/(1-u_i), u uniform (density prod (1+t_i)^{-2}).
 
     Returns (estimate, stderr)."""
+    import numpy as np
     c = [float(x) for x in c]
     r = len(c)
     d = r - 1
@@ -187,10 +194,11 @@ def monte_carlo_oracle(c, budget=100_000, seed=0):
 def monte_carlo_moment(m, s, budget=200_000, seed=0):
     """Monte-Carlo check of the exact moment
     integral over C^d of prod |w|^{2 m_i} (1+|w|^2)^{-s} prod dA_i/pi."""
+    import numpy as np
     m = [int(x) for x in m]
     d = len(m)
     return _mean_stderr(
-        dens * np.prod(t ** np.asarray(m, dtype=float), axis=1) * (1 + np.sum(t, axis=1)) ** (-s)
+        dens * (t ** np.asarray(m, dtype=float)).prod(axis=1) * (1 + t.sum(axis=1)) ** (-s)
         for t, dens in _proposal_blocks(budget, d, seed)
     )
 

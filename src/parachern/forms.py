@@ -37,6 +37,12 @@ vanishes for k > n: :func:`chern_forms` and :func:`chern_forms_minors`
 compute c_1 ... c_m, m = min(r, n), and return c_(m+1) ... c_r as zero forms.
 The first uses Newton's identities; the oracle and :func:`schur_form` use one
 division-free Berkowitz recursion, :func:`_elementary`, with no power trace.
+
+Exact computations use the standard library alone.  numpy is imported inside
+the float functions that call it, at the first call:
+:meth:`CurvatureMatrix.tensor`, the positivity testers :func:`nakano_test`,
+:func:`griffiths_test`, :func:`griffiths_pairing` and
+:func:`weak_positivity_test`, and :func:`ddc_polynomial`.
 """
 
 from __future__ import annotations
@@ -50,10 +56,10 @@ from itertools import chain
 from math import gcd, lcm
 from numbers import Integral
 from types import MappingProxyType
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
+if TYPE_CHECKING:
+    import numpy as np
 
 class QQi:
     """Gaussian rational scalar (a + b*i)/d.
@@ -518,6 +524,7 @@ class CurvatureMatrix:
 
     def tensor(self) -> np.ndarray:
         """Coefficient tensor T[a,b,p,q] of dz_p wedge dzbar_q in entry (a,b)."""
+        import numpy as np
         r, n = self.rank, self.dim
         T = np.zeros((r, r, n, n), dtype=complex)
         for a in range(r):
@@ -809,11 +816,17 @@ class PositivityVerdict:
         return self.verdict == "positive"
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _assemble_bilinear(theta: CurvatureMatrix, H: np.ndarray) -> np.ndarray:
     """(n r) x (n r) Hermitian matrix M[(q,a),(p,c)] = sum_b H[a,b] T[b,c,p,q]
     whose quadratic form on u = v (x) s is
     sum conj(s_a) H[a,b] T[b,c,p,q] s_c v_p conj(v_q) = <s, Theta(v,vbar) s>_H
     (metric conjugate-linear in the first slot)."""
+    import numpy as np
     T = theta.tensor()
     r, n = theta.rank, theta.dim
     H = np.asarray(H, dtype=complex)
@@ -829,6 +842,7 @@ def _assemble_bilinear(theta: CurvatureMatrix, H: np.ndarray) -> np.ndarray:
 
 def nakano_test(theta: CurvatureMatrix, H=None, tol=1e-10) -> PositivityVerdict:
     """Least eigenvalue of the assembled (nr) x (nr) Hermitian matrix."""
+    import numpy as np
     r = theta.rank
     if H is None:
         H = np.eye(r)
@@ -840,6 +854,7 @@ def nakano_test(theta: CurvatureMatrix, H=None, tol=1e-10) -> PositivityVerdict:
 
 
 def _unit_samples(rng, dim, count):
+    import numpy as np
     v = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
@@ -849,6 +864,8 @@ def griffiths_test(
 ) -> PositivityVerdict:
     """Minimum of the curvature pairing over sampled decomposable directions
     v (x) s, both unit; H-unit for the section factor."""
+    import numpy as np
+    _check_samples(samples)
     r, n = theta.rank, theta.dim
     if H is None:
         H = np.eye(r)
@@ -872,6 +889,7 @@ def griffiths_test(
 
 def griffiths_pairing(theta: CurvatureMatrix, H, v, s) -> float:
     """Value of the curvature form against the decomposable vector v (x) s."""
+    import numpy as np
     A = _assemble_bilinear(theta, np.asarray(H, dtype=complex))
     u = np.kron(np.asarray(v, complex), np.asarray(s, complex))
     return float(np.real(u.conj() @ A @ u))
@@ -882,6 +900,8 @@ def weak_positivity_test(
 ) -> PositivityVerdict:
     """Weak positivity of a (k,k)-form: test against wedges of n-k sampled
     simple positive (1,1)-forms i xi wedge xibar."""
+    import numpy as np
+    _check_samples(samples)
     n = eta.dim
     ks = eta.bidegrees()
     if not ks:
@@ -929,6 +949,7 @@ def ddc_polynomial(coeffs: dict, dim: int, point) -> FormValue:
     point.  ``coeffs`` maps (a_tuple, b_tuple) exponent pairs to scalars.
     The grid version lives in the torus solver; this stub covers symbolic
     spot checks on polynomial inputs."""
+    import numpy as np
     z = np.asarray(point, dtype=complex)
     if z.shape != (dim,):
         raise ValueError("point shape mismatch")

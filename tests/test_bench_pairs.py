@@ -4,6 +4,7 @@ of a base revision."""
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,24 @@ def test_extract_writes_the_files_of_a_commit(tmp_path):
     bench_pairs.extract("HEAD", dest, repo)
     assert bench_pairs.src_lines(dest) == 2 and (dest / "src" / "pkg" / "b.py").exists()
     assert not (dest / "src" / "pkg" / "c.py").exists()
+
+
+MACHINE_RUN = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+recorded = bench_pairs.machine()["numpy"]
+print("numpy" in sys.modules)
+import numpy
+print(recorded == numpy.__version__)
+"""
+
+
+def test_machine_record_does_not_import_numpy():
+    """The runs inherit the peak resident memory of the process that starts
+    them, so recording the machine must not import numpy into it."""
+    script = str(ROOT / "tools" / "bench_pairs.py")
+    proc = subprocess.run([sys.executable, "-c", MACHINE_RUN, script], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["False", "True"]

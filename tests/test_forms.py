@@ -949,27 +949,44 @@ def assert_close(f, g):
         assert abs(x - y) <= FLOAT_RTOL * max(1.0, abs(y)), key
 
 
-@pytest.mark.parametrize("exact", [True, False])
-@pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 5) for n in range(1, 4)])
+EXPANSION_CASES = [(r, n) for r in range(1, 5) for n in range(1, 4)]
+
+
+def berkowitz_and_expansion_pairs(theta):
+    """(Berkowitz, permutation expansion) pairs: each c_k of
+    chern_forms_minors, and the schur_form of each partition of size at most
+    n and length at most r."""
+    r, n = theta.rank, theta.dim
+    c = chern_forms(theta)
+    pairs = list(zip(chern_forms_minors(theta).forms, reference_chern_forms_minors(theta),
+                     strict=True))
+    pairs += [(schur_form(lam, c), reference_schur_form(lam, c))
+              for k in range(1, n + 1) for lam in partitions(k, k) if len(lam) <= r]
+    return pairs
+
+
+@pytest.mark.parametrize("exact", [True])  # one value; it keeps the case ids
+@pytest.mark.parametrize("r,n", EXPANSION_CASES)
 def test_permutation_expansions_keep_their_bits(exact, r, n):
-    """chern_forms_minors and schur_form against the permutation expansions
-    above.  Exact mode: equal (==).  Float mode: within FLOAT_RTOL per
-    coefficient, because the Berkowitz recursion rounds in another order
-    than the expansions, so the bits differ (by at most 1.1e-14 relative
-    over r <= 6, n <= 4 and five seeds)."""
+    """Over Q(i), chern_forms_minors and schur_form equal (==) the
+    permutation expansions above."""
     rng = np.random.default_rng([r, n, exact])
     for _ in range(2):
-        theta = (random_exact_curvature if exact else random_float_curvature)(rng, r, n)
-        c = chern_forms(theta)
-        pairs = list(zip(chern_forms_minors(theta).forms, reference_chern_forms_minors(theta),
-                         strict=True))
-        pairs += [(schur_form(lam, c), reference_schur_form(lam, c))
-                  for k in range(1, n + 1) for lam in partitions(k, k) if len(lam) <= r]
-        for f, g in pairs:
-            if exact:
-                assert f == g
-            else:
-                assert_close(f, g)
+        for f, g in berkowitz_and_expansion_pairs(random_exact_curvature(rng, r, n)):
+            assert f == g
+
+
+@pytest.mark.parametrize("r,n", EXPANSION_CASES)
+def test_float_berkowitz_within_rtol_of_permutation_expansions(r, n):
+    """In float mode chern_forms_minors and schur_form agree with the
+    permutation expansions within FLOAT_RTOL per coefficient.  The bits
+    differ, because the Berkowitz recursion rounds in another order than the
+    expansions (by at most 1.1e-14 relative over r <= 6, n <= 4 and five
+    seeds)."""
+    rng = np.random.default_rng([r, n, False])
+    for _ in range(2):
+        for f, g in berkowitz_and_expansion_pairs(random_float_curvature(rng, r, n)):
+            assert_close(f, g)
 
 
 @pytest.mark.parametrize("size", range(1, 7))
@@ -1179,6 +1196,17 @@ def test_weak_positivity_examples():
     assert weak_positivity_test(pos11, samples=64).verdict == "positive"
     with pytest.raises(ValueError):
         weak_positivity_test(FormValue.monomial(2, (0,), ()))
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampling_testers_need_a_sample(samples):
+    """Fewer than one sample is a ValueError that names samples, in place of
+    a TypeError from classifying no margin or numpy's negative dimensions."""
+    theta = CurvatureMatrix.scalar_times_identity(omega_standard(2), 2)
+    with pytest.raises(ValueError, match="samples"):
+        griffiths_test(theta, samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        weak_positivity_test(omega_standard(2, 1j), samples=samples)
 
 
 def test_weak_positivity_of_c1sq_minus_c2():

@@ -36,6 +36,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,9 +128,11 @@ def src_lines(checkout: Path) -> int:
 
 
 def machine() -> dict:
-    import numpy
+    # numpy's version comes from its package metadata, not an import: Linux
+    # keeps ru_maxrss across exec, so each run this process starts would
+    # report at least this process's peak resident memory as its peak_rss_mb
     return {"cpu_count": os.cpu_count(), "platform": platform.platform(),
-            "python": platform.python_version(), "numpy": numpy.__version__}
+            "python": platform.python_version(), "numpy": metadata.version("numpy")}
 
 
 def main(argv=None) -> int:
