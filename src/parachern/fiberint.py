@@ -37,9 +37,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from operator import add
 
-from .forms import CurvatureMatrix, FormValue, QQi, _conj, exact_mode
+from .forms import CurvatureMatrix, FormValue, QQi, exact_mode
 
 GRID_BUDGET = 2**26  # most quadrature points in one call: bounds its time
 BLOCK_POINTS = 2**16  # most quadrature points evaluated at once: bounds its memory
@@ -205,7 +206,10 @@ def monte_carlo_moment(m, s, budget=200_000, seed=0):
 
 def moment_exact(m, s) -> Fraction:
     """prod(m_i!) * Gamma(s - sum m - d)/Gamma(s) as an exact rational;
-    requires s - sum(m) - d >= 1.  The trivial fiber (d = 0) gives 1."""
+    requires integers s and m_i with s - sum(m) - d >= 1.  The trivial
+    fiber (d = 0) gives 1."""
+    if not all(isinstance(x, Integral) for x in (s, *m)):
+        raise ValueError(f"moment needs integer s and m, got s={s!r}, m={tuple(m)!r}")
     m = [int(x) for x in m]
     d = len(m)
     if d == 0:
@@ -272,7 +276,7 @@ def unitary_invariance_probe(theta: CurvatureMatrix, U) -> float:
             [
                 sum(
                     (
-                        (U[i][a] * _conj(U[j][b])) * theta.entries[a][b]
+                        (U[i][a] * U[j][b].conjugate()) * theta.entries[a][b]
                         for a in range(r)
                         for b in range(r)
                     ),

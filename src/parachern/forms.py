@@ -7,7 +7,10 @@ store each form holds.  A float coefficient may be a numpy array over a batch
 of points; it is dropped only when it is zero at every point, and queries
 that call ``complex()`` on a coefficient need scalars.  Exterior monomials
 are stored in the canonical order dz factors ascending, then dzbar factors
-ascending; all wedge signs are normalized to that order.
+ascending; all wedge signs are normalized to that order.  The
+:class:`FormValue` constructor, the one way a coefficient enters a form,
+rejects any other key with ValueError: each index tuple must be strictly
+increasing, and every index must lie in [0, dim).
 
 The exact scalar at the API is :class:`QQi`, Gaussian-integer numerators a,
 b over one integer denominator d, as (a + b*i)/d with d > 0 and
@@ -42,7 +45,7 @@ Exact computations use the standard library alone.  numpy is imported inside
 the float functions that call it, at the first call:
 :meth:`CurvatureMatrix.tensor`, the positivity testers :func:`nakano_test`,
 :func:`griffiths_test`, :func:`griffiths_pairing` and
-:func:`weak_positivity_test`, and :func:`ddc_polynomial`.
+:func:`weak_positivity_test`.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain
 from math import gcd, lcm
 from numbers import Integral
@@ -61,6 +64,27 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
+
+def _exact_parts(c):
+    """(a, b, d) with c = (a + b*i)/d in canonical form, for a QQi, int or
+    Fraction; None for any other value."""
+    if type(c) is QQi:
+        return c._a, c._b, c._d
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, 0, c.denominator
+    return None
+
+
+def _exact_operand(op):
+    """A binary QQi operator that takes its other operand as the (a, b, d)
+    of :func:`_exact_parts`; any other operand gives NotImplemented."""
+    @wraps(op)
+    def method(self, other):
+        parts = _exact_parts(other)
+        return NotImplemented if parts is None else op(self, *parts)
+    return method
+
+
 class QQi:
     """Gaussian rational scalar (a + b*i)/d.
 
@@ -68,7 +92,8 @@ class QQi:
     denominator ``d``, always in canonical form: ``d > 0`` and
     ``gcd(a, b, d) == 1``.  Equal values therefore have equal fields, so
     ``==`` compares the fields directly.  ``re`` and ``im`` are read back
-    as Fractions."""
+    as Fractions.  Each operator reads an int or Fraction operand as the
+    QQi it equals."""
 
     __slots__ = ("_a", "_b", "_d")
 
@@ -89,52 +114,32 @@ class QQi:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    def __add__(self, other):
-        if type(other) is QQi:
-            d, f = self._d, other._d
-            if d == f:
-                return _reduced(self._a + other._a, self._b + other._b, d)
-            return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
-        if isinstance(other, int):
-            # gcd(a + k*d, b, d) == gcd(a, b, d) == 1
-            return _raw(self._a + int(other) * self._d, self._b, self._d)
-        if isinstance(other, Fraction):
-            return self + _raw(other.numerator, 0, other.denominator)
-        return NotImplemented
+    @_exact_operand
+    def __add__(self, c, e, f):
+        d = self._d
+        return _reduced(self._a * f + c * d, self._b * f + e * d, d * f)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (QQi, int, Fraction)):
-            return self + -other
-        return NotImplemented
+    @_exact_operand
+    def __sub__(self, c, e, f):
+        d = self._d
+        return _reduced(self._a * f - c * d, self._b * f - e * d, d * f)
 
-    def __rsub__(self, other):
-        return -self + other
+    @_exact_operand
+    def __rsub__(self, c, e, f):
+        d = self._d
+        return _reduced(c * d - self._a * f, e * d - self._b * f, d * f)
 
-    def __mul__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if type(other) is QQi:
-            c, e = other._a, other._b
-            return _reduced(a * c - b * e, a * e + b * c, d * other._d)
-        if isinstance(other, int):
-            k = int(other)
-            if gcd(k, d) == 1:
-                # then gcd(k*a, k*b, d) == gcd(a, b, d) == 1
-                return _raw(k * a, k * b, d)
-            return _reduced(k * a, k * b, d)
-        if isinstance(other, Fraction):
-            return _reduced(a * other.numerator, b * other.numerator, d * other.denominator)
-        return NotImplemented
+    @_exact_operand
+    def __mul__(self, c, e, f):
+        a, b = self._a, self._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * f)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QQi(other)
-        elif not isinstance(other, QQi):
-            return NotImplemented
-        c, e, f = other._a, other._b, other._d
+    @_exact_operand
+    def __truediv__(self, c, e, f):
         norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero QQi")
@@ -148,12 +153,9 @@ class QQi:
     def conjugate(self):
         return _raw(self._a, -self._b, self._d)
 
-    def __eq__(self, other):
-        if type(other) is QQi:
-            return self._a == other._a and self._b == other._b and self._d == other._d
-        if isinstance(other, (int, Fraction)):
-            return self._b == 0 and self._a * other.denominator == other.numerator * self._d
-        return NotImplemented
+    @_exact_operand
+    def __eq__(self, c, e, f):
+        return self._a == c and self._b == e and self._d == f
 
     def __hash__(self):
         if self._b == 0:
@@ -173,7 +175,7 @@ class QQi:
 
 def _raw(a: int, b: int, d: int) -> QQi:
     """QQi from fields already in canonical form; skips ``__init__``."""
-    z = _new_qqi(QQi)
+    z = object.__new__(QQi)
     z._a, z._b, z._d = a, b, d
     return z
 
@@ -182,13 +184,6 @@ def _reduced(a: int, b: int, d: int) -> QQi:
     """QQi (a + b*i)/d for d > 0, brought to canonical form."""
     g = gcd(a, b, d)
     return _raw(a // g, b // g, d // g)
-
-
-_new_qqi = object.__new__
-
-
-def _conj(x):
-    return x.conjugate() if hasattr(x, "conjugate") else complex(x).conjugate()
 
 
 @lru_cache(maxsize=1 << 14)
@@ -243,18 +238,25 @@ class FormValue:
     __slots__ = ("dim", "_terms", "_d")
 
     def __init__(self, dim: int, coeffs=None):
-        """``coeffs`` maps (I, J) to scalars.  When one of them is a QQi the
-        form is exact, and every other must be an int or a Fraction: a float
-        raises TypeError."""
+        """``coeffs`` maps keys (I, J) to scalars.  Each key must be
+        canonical, I and J strictly increasing tuples of indices in
+        [0, dim): any other key raises ValueError.  When one of the scalars
+        is a QQi the form is exact, and every other must be an int or a
+        Fraction: a float raises TypeError."""
         self.dim = dim
         items = [((tuple(I), tuple(J)), c) for (I, J), c in coeffs.items()] if coeffs else []
+        for (I, J), _ in items:
+            _check_key(I, J, dim)
         if not any(type(c) is QQi for _, c in items):
             self._terms, self._d = _nonzero(items), None
             return
-        parts = [(key, _exact_parts(c)) for key, c in items]
-        d = lcm(*(e for _, (_, _, e) in parts))
+        parts = {key: _exact_parts(c) for key, c in items}
+        bad = [c for key, c in items if parts[key] is None]
+        if bad:
+            raise TypeError(f"not an exact coefficient: {bad[0]!r}")
+        d = lcm(*(e for _, _, e in parts.values()))
         self._terms, self._d = _canonical({key: (a * (d // e), b * (d // e))
-                                           for key, (a, b, e) in parts if a or b}, d)
+                                           for key, (a, b, e) in parts.items() if a or b}, d)
 
     @classmethod
     def _of(cls, dim: int, terms: dict, d=None) -> "FormValue":
@@ -290,12 +292,7 @@ class FormValue:
 
     @classmethod
     def monomial(cls, dim, I, J, c=1):
-        I, J = tuple(I), tuple(J)
-        if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
-            raise ValueError("index tuples must be strictly increasing")
-        if any(not 0 <= i < dim for i in I + J):
-            raise ValueError("index out of range")
-        return cls(dim, {(I, J): c})
+        return cls(dim, {(tuple(I), tuple(J)): c})
 
     # -- ring operations --
 
@@ -340,7 +337,10 @@ class FormValue:
         if self._d is None:
             return FormValue._of(
                 self.dim, _nonzero((k, scalar * c) for k, c in self._terms.items()))
-        p, q, e = _exact_parts(scalar)
+        parts = _exact_parts(scalar)
+        if parts is None:
+            return NotImplemented
+        p, q, e = parts
         if not (p or q):
             return FormValue._of(self.dim, {}, 1)
         # a nonzero Gaussian integer times a nonzero one is nonzero
@@ -395,7 +395,7 @@ class FormValue:
         if self._d is not None:
             return FormValue._of(self.dim, {(J, I): (-a, b) if len(I) * len(J) % 2 else (a, -b)
                                             for (I, J), (a, b) in self._terms.items()}, self._d)
-        return FormValue._of(self.dim, {(J, I): (-1 if len(I) * len(J) % 2 else 1) * _conj(c)
+        return FormValue._of(self.dim, {(J, I): (-1 if len(I) * len(J) % 2 else 1) * c.conjugate()
                                         for (I, J), c in self._terms.items()})
 
     # -- queries --
@@ -439,6 +439,15 @@ class FormValue:
         return f"FormValue(dim={self.dim}, {{{terms}}})"
 
 
+def _check_key(I: tuple, J: tuple, dim: int) -> None:
+    """Raise ValueError unless I and J are strictly increasing tuples of
+    indices in [0, dim)."""
+    if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
+        raise ValueError("index tuples must be strictly increasing")
+    if any(not 0 <= i < dim for i in I + J):
+        raise ValueError("index out of range")
+
+
 def _canonical(terms: dict, d: int) -> tuple:
     """(terms, d) for nonzero numerators ``terms`` over d > 0, divided by
     gcd(d, every numerator), with one gcd."""
@@ -461,15 +470,6 @@ def _is_zero(c) -> bool:
         return not c
     except ValueError:  # an array over points
         return not c.any()
-
-
-def _exact_parts(c) -> tuple:
-    """(a, b, d) with c = (a + b*i)/d, for a QQi, int or Fraction."""
-    if type(c) is QQi:
-        return c._a, c._b, c._d
-    if isinstance(c, (int, Fraction)):
-        return c.numerator, 0, c.denominator
-    raise TypeError(f"not an exact coefficient: {c!r}")
 
 
 def volume_normalizer(dim: int):
@@ -504,9 +504,13 @@ class CurvatureMatrix:
     def __init__(self, entries: Sequence[Sequence[FormValue]]):
         self.entries = [list(row) for row in entries]
         self.rank = len(self.entries)
+        if not self.entries:
+            raise ValueError("matrix must have at least one entry")
         if any(len(row) != self.rank for row in self.entries):
             raise ValueError("matrix must be square")
         self.dim = self.entries[0][0].dim
+        if any(f.dim != self.dim for row in self.entries for f in row):
+            raise ValueError("entries must share one base dimension")
 
     def hermitian_defect(self) -> float:
         """Max deviation from Theta_ji == Hermitian partner of Theta_ij,
@@ -538,22 +542,8 @@ class CurvatureMatrix:
     @classmethod
     def from_tensor(cls, T: np.ndarray) -> "CurvatureMatrix":
         r, _, n, _ = T.shape
-        entries = [
-            [
-                FormValue(
-                    n,
-                    {
-                        ((p,), (q,)): T[a, b, p, q]
-                        for p in range(n)
-                        for q in range(n)
-                        if T[a, b, p, q] != 0
-                    },
-                )
-                for b in range(r)
-            ]
-            for a in range(r)
-        ]
-        return cls(entries)
+        return cls([[FormValue(n, {((p,), (q,)): T[a, b, p, q] for p in range(n) for q in range(n)})
+                     for b in range(r)] for a in range(r)])
 
     @classmethod
     def scalar_times_identity(cls, omega: FormValue, rank: int) -> "CurvatureMatrix":
@@ -590,10 +580,7 @@ def random_exact_curvature(rng: random.Random, r: int, n: int) -> CurvatureMatri
     E = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
-            f = FormValue.zero(n)
-            for p in range(n):
-                for q in range(n):
-                    f = f + FormValue.monomial(n, (p,), (q,), random_qqi(rng))
+            f = FormValue(n, {((p,), (q,)): random_qqi(rng) for p in range(n) for q in range(n)})
             if i == j:
                 f = f + hermitian_partner(f)
             E[i][j] = f
@@ -937,36 +924,3 @@ def weak_positivity_test(
             val = volume_ratio(prod).real
             margin = val if margin is None else min(margin, val)
     return PositivityVerdict.classify(margin, tol)
-
-
-# ---------------------------------------------------------------------------
-# symbolic ddc stub for polynomial potentials
-# ---------------------------------------------------------------------------
-
-
-def ddc_polynomial(coeffs: dict, dim: int, point) -> FormValue:
-    """(i/2pi) d dbar of a polynomial sum c_{ab} z^a zbar^b, evaluated at a
-    point.  ``coeffs`` maps (a_tuple, b_tuple) exponent pairs to scalars.
-    The grid version lives in the torus solver; this stub covers symbolic
-    spot checks on polynomial inputs."""
-    import numpy as np
-    z = np.asarray(point, dtype=complex)
-    if z.shape != (dim,):
-        raise ValueError("point shape mismatch")
-    out = {}
-    for (a, b), c in coeffs.items():
-        a, b = tuple(a), tuple(b)
-        for p in range(dim):
-            if a[p] == 0:
-                continue
-            for q in range(dim):
-                if b[q] == 0:
-                    continue
-                mono = complex(c) * a[p] * b[q]
-                for i in range(dim):
-                    ea = a[i] - (1 if i == p else 0)
-                    eb = b[i] - (1 if i == q else 0)
-                    mono *= z[i] ** ea * np.conj(z[i]) ** eb
-                key = ((p,), (q,))
-                out[key] = out.get(key, 0j) + mono
-    return (1j / (2 * math.pi)) * FormValue(dim, out)

@@ -58,6 +58,8 @@ class LocalChart:
                 "companions",
                 ((0.15 - 0.1j,) * (self.dim - 1),) if self.dim > 1 else ((),),
             )
+        if any(len(tail) != self.dim - 1 for tail in self.companions):
+            raise ValueError(f"each companion needs dim - 1 = {self.dim - 1} coordinates")
 
     # --- branch handling ---
 

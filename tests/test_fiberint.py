@@ -92,6 +92,17 @@ class TestMoments:
         with pytest.raises(ValueError):
             moment_exact((2,), 3)
 
+    @pytest.mark.parametrize("m,s", [((1,), 3.7), ((1.5,), 5), ((Fraction(1, 2),), 5),
+                                     ((0, 1), Fraction(9, 2))])
+    def test_non_integer_arguments_raise(self, m, s):
+        """No argument is truncated to an integer: moment_exact([1], 3.7)
+        does not return the value at s = 3."""
+        with pytest.raises(ValueError, match="integer"):
+            moment_exact(m, s)
+
+    def test_numpy_integers_are_integers(self):
+        assert moment_exact(np.array([1, 0]), np.int64(5)) == moment_exact((1, 0), 5)
+
 
 # ---------------------------------------------------------------------------
 # scalar specialization

@@ -17,7 +17,6 @@ from parachern.forms import (
     QQi,
     chern_forms,
     chern_forms_minors,
-    ddc_polynomial,
     exact_mode,
     griffiths_pairing,
     griffiths_test,
@@ -418,7 +417,7 @@ def test_exact_wedge_mixes_int_and_fraction_coefficients(seed):
 def test_exact_wedge_rejects_float_coefficients():
     """A float among the values of an exact form raises TypeError when the
     form is built, wherever it stands; an exact form and a float form do
-    not wedge or add."""
+    not wedge or add, and a float does not scale an exact form."""
     for given in ({((0,), ()): QQi(1), ((1,), ()): 0.5},
                   {((0,), ()): 0.5, ((1,), ()): QQi(1)},
                   {((0,), ()): QQi(1), ((1,), ()): 2j}):
@@ -431,6 +430,11 @@ def test_exact_wedge_rejects_float_coefficients():
             op(exact, floating)
         with pytest.raises(TypeError):
             op(floating, exact)
+    for scalar in (0.5, 2j):
+        with pytest.raises(TypeError):
+            scalar * exact
+        with pytest.raises(TypeError):
+            exact * scalar
 
 
 def assert_canonical(f):
@@ -633,6 +637,69 @@ def test_dimension_mismatch_raises():
     b = FormValue.monomial(3, (0,), ())
     with pytest.raises(ValueError):
         a.wedge(b)
+
+
+@pytest.mark.parametrize("coefficient", [QQi(1), 1j], ids=["exact", "float"])
+@pytest.mark.parametrize("key,message", [
+    (((1, 0), ()), "strictly increasing"),
+    (((0, 0), ()), "strictly increasing"),
+    (((2,), ()), "out of range"),
+    (((), (1, 0)), "strictly increasing"),
+], ids=["descending", "repeated", "out-of-range", "descending-dzbar"])
+def test_constructor_rejects_keys_out_of_canonical_order(key, message, coefficient):
+    """Every key that enters a form is checked, in either store: index
+    tuples strictly increasing, every index in [0, dim).  A zero
+    coefficient does not excuse a bad key."""
+    with pytest.raises(ValueError, match=message):
+        FormValue(2, {key: coefficient})
+    with pytest.raises(ValueError, match=message):
+        FormValue(2, {((0,), (1,)): coefficient, key: 0 * coefficient})
+    with pytest.raises(ValueError, match=message):
+        FormValue.monomial(2, *key, coefficient)
+
+
+def test_curvature_matrix_rejects_empty_and_mixed_dimensions():
+    with pytest.raises(ValueError, match="at least one entry"):
+        CurvatureMatrix([])
+    a = FormValue.monomial(2, (0,), (0,), QQi(1))
+    b = FormValue.monomial(3, (0,), (0,), QQi(1))
+    with pytest.raises(ValueError, match="one base dimension"):
+        CurvatureMatrix([[a, FormValue.zero(2)], [FormValue.zero(2), b]])
+    with pytest.raises(ValueError, match="one base dimension"):
+        CurvatureMatrix([[a, FormValue.zero(3)], [FormValue.zero(2), a]])
+
+
+def monomial_sum_curvature(rng, r, n):
+    """Entries of a random exact curvature built as sums of monomials, one
+    random_qqi draw per dz_p dzbar_q, p and q ascending, entries[j][i] the
+    Hermitian partner of entries[i][j] and diagonal entries symmetrized."""
+    E = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            f = FormValue.zero(n)
+            for p in range(n):
+                for q in range(n):
+                    f = f + FormValue.monomial(n, (p,), (q,), random_qqi(rng))
+            if i == j:
+                f = f + hermitian_partner(f)
+            else:
+                E[j][i] = hermitian_partner(f)
+            E[i][j] = f
+    return E
+
+
+@pytest.mark.parametrize("r,n", [(1, 1), (2, 2), (3, 3), (4, 2), (6, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_random_exact_curvature_matches_monomial_sums(seed, r, n):
+    """One constructor call per entry reads the same draws in the same
+    order as a sum of monomials, and gives the same value and key order."""
+    theta = forms_random_exact_curvature(random.Random(seed), r, n)
+    want = monomial_sum_curvature(random.Random(seed), r, n)
+    assert (theta.rank, theta.dim) == (r, n)
+    for row, want_row in zip(theta.entries, want):
+        for got, f in zip(row, want_row):
+            assert_same_form(got, f)
+            assert exact_mode(got) or not got.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -1281,34 +1348,3 @@ def test_kl_rhs_requires_surface():
     theta = CurvatureMatrix([[omega_standard(3)]])
     with pytest.raises(ValueError):
         kobayashi_lubke_rhs(chern_forms(theta), 1)
-
-
-# ---------------------------------------------------------------------------
-# ddc polynomial stub
-# ---------------------------------------------------------------------------
-
-
-def test_ddc_of_abs_square():
-    # phi = |z|^2 on n=1: ddc phi = (i/2pi) dz dzbar everywhere
-    val = ddc_polynomial({((1,), (1,)): 1.0}, 1, [0.7 - 0.2j])
-    assert val.approx_equal(
-        FormValue.monomial(1, (0,), (0,), 1j / (2 * math.pi)), tol=1e-15
-    )
-
-
-def test_ddc_product_potential():
-    # phi = |z1|^2 |z2|^2 at a point, against the hand derivative
-    pt = np.array([0.5 + 0.1j, -0.3 + 0.8j])
-    val = ddc_polynomial({((1, 1), (1, 1)): 1.0}, 2, pt)
-    z1, z2 = pt
-    expect = FormValue(
-        2,
-        {
-            ((0,), (0,)): abs(z2) ** 2,
-            ((1,), (1,)): abs(z1) ** 2,
-            ((0,), (1,)): np.conj(z1) * z2,
-            ((1,), (0,)): z1 * np.conj(z2),
-        },
-    )
-    assert val.approx_equal((1j / (2 * math.pi)) * expect, tol=1e-14)
-    assert val.is_real(tol=1e-15)

@@ -77,6 +77,20 @@ def test_branch_conventions():
     assert abs(rot - w1 * cmath.exp(2j * math.pi / 3)) < 1e-14
 
 
+@pytest.mark.parametrize("dim,companions", [
+    (2, ((0.1, 0.2),)), (2, ((),)), (3, ((0.1,),)), (1, ((0.1,),)), (2, ((0.1,), (0.1, 0.2))),
+])
+def test_companions_need_dim_minus_one_coordinates(dim, companions):
+    with pytest.raises(ValueError, match="companion"):
+        LocalChart(dim=dim, cover_degree=3, companions=companions)
+
+
+def test_sample_points_have_dim_coordinates():
+    for dim, companions in ((1, ()), (2, ()), (2, ((0.1,), (0.2j,))), (3, ((0.1, 0.2),))):
+        chart = LocalChart(dim=dim, cover_degree=3, companions=companions)
+        assert {len(z) for layer in chart.sample_points() for z in layer} == {dim}
+
+
 def test_integer_exponents_reversed_pairing():
     assert integer_exponents([Fraction(1, 4), Fraction(3, 4)], 4) == [3, 1]
     with pytest.raises(ValueError):

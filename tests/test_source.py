@@ -37,6 +37,18 @@ def test_imports_only_stdlib_numpy_and_parachern(path):
     assert not bad, f"{path.name} imports outside the standard library and numpy: {bad}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    """A module reads another parachern module through its public names
+    only: no import of a name that starts with an underscore."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [(node.lineno, node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "parachern")
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{path.name} imports private names: {private}"
+
+
 EXACT_RUN = """
 import random, sys
 from parachern.fiberint import scalar_fiber_integral, symbolic_pushforward
