@@ -192,33 +192,38 @@ def monte_carlo_oracle(c, budget=100_000, seed=0):
     )
 
 
+def _moment_exponents(m, s):
+    """(m, s) as Python ints, for a moment that converges: s and every m_i
+    integers and, unless d = 0, every m_i >= 0 and s - sum(m) - d >= 1.
+    Anything else raises ValueError."""
+    if not all(isinstance(x, Integral) for x in (s, *m)):
+        raise ValueError(f"moment needs integer s and m, got s={s!r}, m={tuple(m)!r}")
+    m, s = [int(x) for x in m], int(s)
+    if m and (min(m) < 0 or s - sum(m) - len(m) < 1):
+        raise ValueError("moment diverges: some m_i < 0 or s - sum(m) - d < 1")
+    return m, s
+
+
 def monte_carlo_moment(m, s, budget=200_000, seed=0):
     """Monte-Carlo check of the exact moment
-    integral over C^d of prod |w|^{2 m_i} (1+|w|^2)^{-s} prod dA_i/pi."""
+    integral over C^d of prod |w|^{2 m_i} (1+|w|^2)^{-s} prod dA_i/pi;
+    the exponents are checked as in :func:`moment_exact`."""
     import numpy as np
-    m = [int(x) for x in m]
-    d = len(m)
+    m, s = _moment_exponents(m, s)
     return _mean_stderr(
         dens * (t ** np.asarray(m, dtype=float)).prod(axis=1) * (1 + t.sum(axis=1)) ** (-s)
-        for t, dens in _proposal_blocks(budget, d, seed)
+        for t, dens in _proposal_blocks(budget, len(m), seed)
     )
 
 
 def moment_exact(m, s) -> Fraction:
     """prod(m_i!) * Gamma(s - sum m - d)/Gamma(s) as an exact rational;
-    requires integers s and m_i with s - sum(m) - d >= 1.  The trivial
+    requires integers s and m_i >= 0 with s - sum(m) - d >= 1.  The trivial
     fiber (d = 0) gives 1."""
-    if not all(isinstance(x, Integral) for x in (s, *m)):
-        raise ValueError(f"moment needs integer s and m, got s={s!r}, m={tuple(m)!r}")
-    m = [int(x) for x in m]
-    d = len(m)
-    if d == 0:
+    m, s = _moment_exponents(m, s)
+    if not m:
         return Fraction(1)
-    s = int(s)
-    conv = s - sum(m) - d
-    if conv < 1:
-        raise ValueError("moment diverges: s - sum(m) - d < 1")
-    num = math.factorial(conv - 1)
+    num = math.factorial(s - sum(m) - len(m) - 1)
     for mi in m:
         num *= math.factorial(mi)
     return Fraction(num, math.factorial(s - 1))

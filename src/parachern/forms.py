@@ -45,7 +45,9 @@ Exact computations use the standard library alone.  numpy is imported inside
 the float functions that call it, at the first call:
 :meth:`CurvatureMatrix.tensor`, the positivity testers :func:`nakano_test`,
 :func:`griffiths_test`, :func:`griffiths_pairing` and
-:func:`weak_positivity_test`.
+:func:`weak_positivity_test`.  The sampling testers evaluate all samples as
+one batch: :func:`griffiths_test` in one call of :func:`griffiths_pairing`,
+and :func:`weak_positivity_test` by wedging forms with arrays of coefficients.
 """
 
 from __future__ import annotations
@@ -819,10 +821,9 @@ def _assemble_bilinear(theta: CurvatureMatrix, H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.shape != (r, r):
         raise ValueError("metric shape mismatch")
-    if np.min(np.linalg.eigvalsh((H + H.conj().T) / 2)) <= 0 or np.max(
-        np.abs(H - H.conj().T)
-    ) > 1e-10 * max(1.0, float(np.max(np.abs(H)))):
-        raise ValueError("metric must be Hermitian positive-definite")
+    if (not np.isfinite(H).all() or np.min(np.linalg.eigvalsh((H + H.conj().T) / 2)) <= 0
+            or np.max(np.abs(H - H.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(H))))):
+        raise ValueError("metric must be finite, Hermitian and positive-definite")
     M = np.einsum("ab,bcpq->qapc", H, T).reshape(n * r, n * r)
     return M
 
@@ -850,43 +851,42 @@ def griffiths_test(
     theta: CurvatureMatrix, H=None, samples: int = 512, seed: int = 0, tol=1e-10
 ) -> PositivityVerdict:
     """Minimum of the curvature pairing over sampled decomposable directions
-    v (x) s, both unit; H-unit for the section factor."""
+    v (x) s, v unit and s H-unit: one batched :func:`griffiths_pairing`,
+    divided by |s|_H^2 = s* H s as it is quadratic in s.  The witness is the
+    first minimizer, s H-normalized."""
     import numpy as np
     _check_samples(samples)
-    r, n = theta.rank, theta.dim
-    if H is None:
-        H = np.eye(r)
-    A = _assemble_bilinear(theta, H)
-    Hm = np.asarray(H, dtype=complex)
+    H = np.eye(theta.rank) if H is None else np.asarray(H, dtype=complex)
     rng = np.random.default_rng(seed)
-    vs = _unit_samples(rng, n, samples)
-    ss = _unit_samples(rng, r, samples)
-    # H-normalize sections
-    norms = np.sqrt(np.real(np.einsum("ka,ab,kb->k", ss, Hm, ss.conj())))
-    ss = ss / norms[:, None]
-    best = None
-    best_pair = None
-    for v, s in zip(vs, ss):
-        u = np.kron(v, s)
-        val = float(np.real(u.conj() @ A @ u))
-        if best is None or val < best:
-            best, best_pair = val, (tuple(v), tuple(s))
-    return PositivityVerdict.classify(best, tol, best_pair)
+    vs, ss = _unit_samples(rng, theta.dim, samples), _unit_samples(rng, theta.rank, samples)
+    vals = griffiths_pairing(theta, H, vs, ss)  # validates H before it is used below
+    norms = np.real(np.einsum("ka,ab,kb->k", ss.conj(), H, ss))
+    vals = vals / norms
+    k = int(np.argmin(vals))
+    return PositivityVerdict.classify(
+        float(vals[k]), tol, (tuple(vs[k]), tuple(ss[k] / np.sqrt(norms[k]))))
 
 
-def griffiths_pairing(theta: CurvatureMatrix, H, v, s) -> float:
-    """Value of the curvature form against the decomposable vector v (x) s."""
+def griffiths_pairing(theta: CurvatureMatrix, H, v, s):
+    """<Theta(v, vbar) s, s>_H, the curvature form against the decomposable
+    vector v (x) s.  v, of shape (..., n), and s, of shape (..., r), may
+    carry leading batch axes, which broadcast; the value is an array over
+    them, and a float for single vectors."""
     import numpy as np
-    A = _assemble_bilinear(theta, np.asarray(H, dtype=complex))
-    u = np.kron(np.asarray(v, complex), np.asarray(s, complex))
-    return float(np.real(u.conj() @ A @ u))
+    A = _assemble_bilinear(theta, H)
+    u = np.asarray(v, complex)[..., :, None] * np.asarray(s, complex)[..., None, :]
+    u = u.reshape(u.shape[:-2] + (-1,))
+    val = np.real(np.einsum("...i,...i->...", u.conj() @ A, u))
+    return float(val) if val.ndim == 0 else val
 
 
 def weak_positivity_test(
     eta: FormValue, samples: int = 512, seed: int = 0, tol=1e-12
 ) -> PositivityVerdict:
     """Weak positivity of a (k,k)-form: test against wedges of n-k sampled
-    simple positive (1,1)-forms i xi wedge xibar."""
+    simple positive (1,1)-forms i xi wedge xibar, each factor one form with
+    coefficients over the samples; xi are drawn in sample, factor, real then
+    imaginary part order."""
     import numpy as np
     _check_samples(samples)
     n = eta.dim
@@ -905,22 +905,13 @@ def weak_positivity_test(
             raise ValueError("top-degree coefficient is not real")
         margin = val.real
     else:
-        rng = np.random.default_rng(seed)
-        margin = None
-        for _ in range(samples):
-            prod = eta
-            for _ in range(n - k):
-                xi = rng.normal(size=n) + 1j * rng.normal(size=n)
-                xi /= np.linalg.norm(xi)
-                simple = FormValue(
-                    n,
-                    {
-                        ((a,), (b,)): 1j * xi[a] * np.conj(xi[b])
-                        for a in range(n)
-                        for b in range(n)
-                    },
-                )
-                prod = prod.wedge(simple)
-            val = volume_ratio(prod).real
-            margin = val if margin is None else min(margin, val)
+        x = np.random.default_rng(seed).normal(size=(samples, n - k, 2, n))
+        xi = x[:, :, 0] + 1j * x[:, :, 1]
+        xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+        prod = eta
+        for j in range(n - k):
+            prod = prod.wedge(FormValue(n, {((a,), (b,)): 1j * xi[:, j, a] * np.conj(xi[:, j, b])
+                                            for a in range(n) for b in range(n)}))
+        full = tuple(range(n))
+        margin = float(np.min(np.real(prod.coefficient(full, full) / volume_normalizer(n))))
     return PositivityVerdict.classify(margin, tol)

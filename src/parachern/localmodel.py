@@ -52,6 +52,10 @@ class LocalChart:
     def __post_init__(self):
         if self.dim < 1 or self.cover_degree < 1:
             raise ValueError("dimension and cover degree must be positive")
+        if not 0 < self.rho < 1:
+            raise ValueError(f"rho must lie in (0, 1), got {self.rho!r}")
+        if self.angular_nodes < 1:
+            raise ValueError(f"angular_nodes must be at least 1, got {self.angular_nodes!r}")
         if not self.companions:
             object.__setattr__(
                 self,
@@ -95,14 +99,8 @@ class LocalChart:
 
     def sample_points(self):
         """All grid points, grouped as [annulus][angle * companion]."""
-        out = []
-        for ring in self.z1_samples():
-            layer = []
-            for z1 in ring:
-                for tail in self.companions:
-                    layer.append((z1,) + tail)
-            out.append(layer)
-        return out
+        return [[(z1,) + tail for z1 in ring for tail in self.companions]
+                for ring in self.z1_samples()]
 
     def to_json_dict(self):
         return {
@@ -190,23 +188,29 @@ def deck_phases(exponents, cover_degree):
     return p[:, None] / p[None, :]
 
 
-def invariance_defect(htilde, weights, chart):
-    """Max relative deviation of Htilde from the deck-rotation rule
-    Htilde(e^{i theta} w_1, w') = P * Htilde(w) with theta = 2 pi / N,
-    over 40 seeded samples."""
-    ks = integer_exponents(weights, chart.cover_degree)
-    P = deck_phases(ks, chart.cover_degree)
+def _deck_samples(chart):
+    """The sample points of the deck checks, each with its image under the
+    deck rotation w_1 -> e^{2 pi i / N} w_1: 40 seeded (w, rotated w), with
+    |w_1| in [0.05, 0.95] rho^{1/N}, inside the chart."""
     rot = cmath.exp(2j * math.pi / chart.cover_degree)
     rng = np.random.default_rng(0)
-    dev = 0.0
     for _ in range(40):
         w1 = (0.05 + 0.9 * rng.random()) * chart.rho ** (1.0 / chart.cover_degree)
         w1 *= cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         tail = tuple(
             0.3 * (rng.normal() + 1j * rng.normal()) for _ in range(chart.dim - 1)
         )
-        w = (w1,) + tail
-        a = np.asarray(htilde((rot * w1,) + tail), dtype=complex)
+        yield (w1,) + tail, (rot * w1,) + tail
+
+
+def invariance_defect(htilde, weights, chart):
+    """Max relative deviation of Htilde from the deck-rotation rule
+    Htilde(e^{i theta} w_1, w') = P * Htilde(w) with theta = 2 pi / N,
+    over the points of :func:`_deck_samples`."""
+    P = deck_phases(integer_exponents(weights, chart.cover_degree), chart.cover_degree)
+    dev = 0.0
+    for w, rotated in _deck_samples(chart):
+        a = np.asarray(htilde(rotated), dtype=complex)
         b = P * np.asarray(htilde(w), dtype=complex)
         scale = max(1.0, float(np.max(np.abs(b))))
         dev = max(dev, float(np.max(np.abs(a - b))) / scale)
@@ -373,20 +377,13 @@ def descend_form(eta_tilde, chart: LocalChart, check_invariance=True):
 
 
 def _form_invariance_defect(eta_tilde, chart):
-    """Deck invariance of a form over 25 seeded samples: coefficients obey
-    eta_{IJ}(e^{i t} w) = e^{-i t ([0 in I] - [0 in J])} eta_{IJ}(w)."""
+    """Deck invariance of a form over the points of :func:`_deck_samples`:
+    coefficients obey eta_{IJ}(e^{i t} w) = e^{-i t ([0 in I] - [0 in J])}
+    eta_{IJ}(w), t = 2 pi / N."""
     rot = cmath.exp(2j * math.pi / chart.cover_degree)
-    rng = np.random.default_rng(1)
     dev = 0.0
-    for _ in range(25):
-        w1 = (0.1 + 0.8 * rng.random()) * cmath.exp(
-            1j * rng.uniform(-math.pi, math.pi)
-        )
-        tail = tuple(
-            0.3 * (rng.normal() + 1j * rng.normal()) for _ in range(chart.dim - 1)
-        )
-        w = (w1,) + tail
-        a = eta_tilde((rot * w1,) + tail)
+    for w, rotated in _deck_samples(chart):
+        a = eta_tilde(rotated)
         b = eta_tilde(w)
         keys = set(a.coeffs) | set(b.coeffs)
         for I, J in keys:
@@ -452,41 +449,35 @@ def cone_metric(alpha: float, chart: LocalChart):
 
 
 def ddbar_numeric(f, z, step=1e-4) -> FormValue:
-    """Raw del-delbar of a scalar potential by centered differences:
-    coefficient of dz_p dzbar_q is d^2 f / dz_p dzbar_q."""
+    """Raw del-delbar of a scalar potential by centered differences: the
+    coefficient of dz_p dzbar_q is d^2 f / dz_p dzbar_q =
+    (f_{x_p x_q} + f_{y_p y_q} + i (f_{x_p y_q} - f_{y_p x_q})) / 4, z = x + i y.
+    Each entry of the symmetric real Hessian in x_0..x_(n-1), y_0..y_(n-1)
+    is taken once: a diagonal one from f at z and z +- 2 step, a mixed one
+    from f at the four points +-step +-step.  So f is evaluated 8 n^2 + 1
+    times."""
     z = [complex(v) for v in z]
     n = len(z)
+    # offsets of one step along x_0 .. x_(n-1), then y_0 .. y_(n-1)
+    dirs = [[u if i == p else 0j for i in range(n)] for u in (step, 1j * step) for p in range(n)]
 
     def ev(dx):
         return f(tuple(z[i] + dx[i] for i in range(n)))
 
-    def second(p_dir, q_dir):
-        # d/d p_dir then d/d q_dir, both real directions
-        dp = [0j] * n
-        dq = [0j] * n
-        dp[p_dir[0]] = p_dir[1]
-        dq[q_dir[0]] = q_dir[1]
-        if p_dir == q_dir:
-            return (
-                ev([2 * a for a in dp]) - 2 * ev([0j] * n) + ev([-2 * a for a in dp])
-            ) / (4 * step * step)
-        return (
-            ev([a + b for a, b in zip(dp, dq)])
-            - ev([a - b for a, b in zip(dp, dq)])
-            - ev([-a + b for a, b in zip(dp, dq)])
-            + ev([-a - b for a, b in zip(dp, dq)])
-        ) / (4 * step * step)
-
-    coeffs = {}
-    for p in range(n):
-        for q in range(n):
-            xx = second((p, step), (q, step))
-            yy = second((p, 1j * step), (q, 1j * step))
-            xy = second((p, step), (q, 1j * step))
-            yx = second((p, 1j * step), (q, step))
-            val = 0.25 * (xx + yy + 1j * xy - 1j * yx)
-            coeffs[((p,), (q,))] = val
-    return FormValue(n, coeffs)
+    center, den = ev([0j] * n), 4 * step * step
+    D = [[None] * (2 * n) for _ in range(2 * n)]
+    for i, a in enumerate(dirs):
+        D[i][i] = (ev([2 * x for x in a]) - 2 * center + ev([-2 * x for x in a])) / den
+        for j in range(i + 1, 2 * n):
+            D[i][j] = D[j][i] = (
+                ev([x + y for x, y in zip(a, dirs[j])])
+                - ev([x - y for x, y in zip(a, dirs[j])])
+                - ev([-x + y for x, y in zip(a, dirs[j])])
+                + ev([-x - y for x, y in zip(a, dirs[j])])
+            ) / den
+    return FormValue(n, {((p,), (q,)): 0.25 * (D[p][q] + D[n + p][n + q]
+                                               + 1j * D[p][n + q] - 1j * D[n + p][q])
+                         for p in range(n) for q in range(n)})
 
 
 def make_admissible_kahler(omega, h_D, alpha, chart: LocalChart):
@@ -507,16 +498,9 @@ def make_admissible_kahler(omega, h_D, alpha, chart: LocalChart):
         for z in points
     ]
     base = [CurvatureMatrix([[omega(z)]]).tensor()[0, 0] for z in points]
-    k_min = None
-    for k in range(0, 4096 + 1):
-        ok = all(
-            np.min(np.linalg.eigvalsh(
-                (k * B + C + (k * B + C).conj().T) / 2)) > 0
-            for B, C in zip(base, corrections)
-        )
-        if ok:
-            k_min = k
-            break
+    k_min = next((k for k in range(4096 + 1) if all(
+        np.min(np.linalg.eigvalsh((k * B + C + (k * B + C).conj().T) / 2)) > 0
+        for B, C in zip(base, corrections))), None)
     if k_min is None:
         raise RuntimeError("no k up to 4096 makes the form positive on the grid")
 

@@ -100,6 +100,22 @@ class TestMoments:
         with pytest.raises(ValueError, match="integer"):
             moment_exact(m, s)
 
+    @pytest.mark.parametrize("m,s", [((1.5,), 5), ((1,), 3.7), ((Fraction(1, 2),), 5),
+                                     ((0, 1), Fraction(9, 2))])
+    def test_monte_carlo_non_integer_arguments_raise(self, m, s):
+        """monte_carlo_moment([1.5], 5) is not the m = 1 estimate."""
+        with pytest.raises(ValueError, match="integer"):
+            monte_carlo_moment(m, s, budget=1000, seed=1)
+
+    @pytest.mark.parametrize("m,s", [((2,), 3), ((0, 0), 2), ((1, 1), 4), ((-1,), 5)])
+    def test_divergent_moments_raise_in_both_routes(self, m, s):
+        """monte_carlo_moment([2], 3) returns no finite estimate of a
+        divergent integral, and a negative m_i diverges at w_i = 0."""
+        with pytest.raises(ValueError, match="diverges"):
+            moment_exact(m, s)
+        with pytest.raises(ValueError, match="diverges"):
+            monte_carlo_moment(m, s, budget=1000, seed=1)
+
     def test_numpy_integers_are_integers(self):
         assert moment_exact(np.array([1, 0]), np.int64(5)) == moment_exact((1, 0), 5)
 

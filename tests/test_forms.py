@@ -14,6 +14,7 @@ from parachern.forms import (
     ChernData,
     CurvatureMatrix,
     FormValue,
+    PositivityVerdict,
     QQi,
     chern_forms,
     chern_forms_minors,
@@ -1249,6 +1250,12 @@ def test_metric_validation():
         nakano_test(theta, H=np.array([[1.0, 0], [0, -1.0]]))
     with pytest.raises(ValueError):
         griffiths_test(theta, H=np.array([[0.0, 1], [1, 0]]))
+    # NaN compares false, so a non-finite entry must be caught before the eigenvalue test
+    for bad in (np.inf, np.nan):
+        H = np.array([[bad, 0], [0, 1.0]])
+        for tester in (nakano_test, griffiths_test):
+            with pytest.raises(ValueError, match="finite"):
+                tester(theta, H=H)
 
 
 def test_weak_positivity_examples():
@@ -1291,6 +1298,114 @@ def test_weak_positivity_of_c1sq_minus_c2():
         c = chern_forms(theta)
         eta = schur_form((2,), c)
         assert weak_positivity_test(eta).verdict == "positive"
+
+
+def random_curvature_tensor(rng, r, n, shift):
+    """Float curvature whose assembled pairing matrix is Hermitian: a random
+    one plus shift * omega (x) Id, so that some draws are positive."""
+    T = rng.normal(size=(r, r, n, n)) + 1j * rng.normal(size=(r, r, n, n))
+    T = (T + np.conj(np.transpose(T, (1, 0, 3, 2)))) / 2
+    return CurvatureMatrix.from_tensor(T + shift * np.einsum("bc,pq->bcpq", np.eye(r), np.eye(n)))
+
+
+def griffiths_loop_reference(theta, H, samples, seed):
+    """griffiths_test as a loop over its samples: (margin, v, s) with s
+    scaled to s* H s = 1 and each v (x) s paired by a vector-matrix-vector
+    product of the matrix of <Theta(v, vbar) s, s>_H."""
+    r, n = theta.rank, theta.dim
+    A = np.einsum("ab,bcpq->qapc", H, theta.tensor()).reshape(n * r, n * r)
+    rng = np.random.default_rng(seed)
+    draws = []
+    for dim in (n, r):
+        x = rng.normal(size=(samples, dim)) + 1j * rng.normal(size=(samples, dim))
+        draws.append(x / np.linalg.norm(x, axis=1, keepdims=True))
+    best = None
+    for v, s in zip(*draws):
+        s = s / np.sqrt(np.real(s.conj() @ H @ s))
+        u = np.kron(v, s)
+        val = float(np.real(u.conj() @ A @ u))
+        if best is None or val < best[0]:
+            best = (val, v, s)
+    return best
+
+
+def test_griffiths_pairing_batches_over_leading_axes():
+    rng = np.random.default_rng(71)
+    theta = random_curvature_tensor(rng, 2, 3, 0.5)
+    B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    H = B.conj().T @ B + np.eye(2)
+    v = rng.normal(size=(3, 4, 3)) + 1j * rng.normal(size=(3, 4, 3))
+    s = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    batch = griffiths_pairing(theta, H, v, s)
+    assert batch.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        single = griffiths_pairing(theta, H, v[idx], s[idx])
+        assert type(single) is float
+        assert abs(batch[idx] - single) <= 1e-14 * max(1.0, abs(single))
+    # one direction against a row of sections broadcasts
+    row = griffiths_pairing(theta, H, v[0, 0], s[1])
+    assert row.shape == (4,)
+    for j in range(4):
+        single = griffiths_pairing(theta, H, v[0, 0], s[1, j])
+        assert abs(row[j] - single) <= 1e-14 * max(1.0, abs(single))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_griffiths_test_matches_per_sample_loop(seed, r, n):
+    rng = np.random.default_rng(100 + seed)
+    theta = random_curvature_tensor(rng, r, n, 3.0 * rng.random())
+    H = np.eye(r) if seed % 2 else np.diag(0.5 + rng.random(r))
+    got = griffiths_test(theta, H=None if seed % 2 else H, samples=256, seed=seed)
+    margin, v, s = griffiths_loop_reference(theta, H, 256, seed)
+    assert got.verdict == PositivityVerdict.classify(margin, 1e-10).verdict
+    assert abs(got.margin - margin) <= 1e-14 * abs(margin)
+    assert got.witness[0] == tuple(v)
+    assert np.allclose(got.witness[1], s, rtol=1e-14, atol=0)
+
+
+def test_griffiths_test_normalizes_sections_by_the_metric():
+    """For Theta = omega (x) Id every v (x) s with |v| = 1 and s* H s = 1
+    pairs to 1, also for a metric with non-real entries."""
+    theta = CurvatureMatrix.scalar_times_identity(omega_standard(2), 2)
+    H = np.array([[2.0, 1j], [-1j, 1.0]])
+    g = griffiths_test(theta, H=H, samples=64)
+    assert abs(g.margin - 1.0) < 1e-12
+    s = np.array(g.witness[1])
+    assert abs(s.conj() @ H @ s - 1.0) < 1e-12
+    margin, _, _ = griffiths_loop_reference(theta, H, 64, 0)
+    assert abs(g.margin - margin) <= 1e-14
+
+
+def weak_positivity_loop_reference(eta, samples, seed):
+    """weak_positivity_test's margin as a loop over its samples, each
+    wedging eta with n - k simple forms i xi wedge xibar built one by one."""
+    n, k = eta.dim, next(iter(eta.bidegrees()))[0]
+    rng = np.random.default_rng(seed)
+    margin = None
+    for _ in range(samples):
+        prod = eta
+        for _ in range(n - k):
+            xi = rng.normal(size=n) + 1j * rng.normal(size=n)
+            xi /= np.linalg.norm(xi)
+            prod = prod.wedge(FormValue(n, {((a,), (b,)): 1j * xi[a] * np.conj(xi[b])
+                                            for a in range(n) for b in range(n)}))
+        val = volume_ratio(prod).real
+        margin = val if margin is None else min(margin, val)
+    return margin
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("r,n,k", [(2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 3, 1), (3, 3, 2)])
+def test_weak_positivity_test_matches_per_sample_loop(seed, r, n, k):
+    rng = np.random.default_rng(200 + seed)
+    theta = random_curvature_tensor(rng, r, n, 4.0 * rng.random() - 2.0)
+    eta = chern_forms(theta)[k]
+    got = weak_positivity_test(eta, samples=64, seed=seed)
+    margin = weak_positivity_loop_reference(eta, 64, seed)
+    assert got.verdict == PositivityVerdict.classify(margin, 1e-12).verdict
+    assert got.witness is None
+    assert abs(got.margin - margin) <= 1e-14 * abs(margin)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,19 @@ def test_sample_points_have_dim_coordinates():
         assert {len(z) for layer in chart.sample_points() for z in layer} == {dim}
 
 
+@pytest.mark.parametrize("field,value", [
+    ("rho", 3.0), ("rho", 1.0), ("rho", 0.0), ("rho", -0.5), ("rho", float("nan")),
+    ("angular_nodes", 0), ("angular_nodes", -2),
+])
+def test_chart_ranges_are_checked(field, value):
+    """rho in (0, 1), so the sample disk lies in the unit polydisk, and at
+    least one angular node: a ValueError that names the field, in place of a
+    certificate on a disk of radius 3, a TypeError comparing complex
+    numbers, or numpy's AxisError."""
+    with pytest.raises(ValueError, match=field):
+        LocalChart(dim=1, cover_degree=2, **{field: value})
+
+
 def test_integer_exponents_reversed_pairing():
     assert integer_exponents([Fraction(1, 4), Fraction(3, 4)], 4) == [3, 1]
     with pytest.raises(ValueError):
@@ -410,6 +423,40 @@ def test_descend_form_rejects_noninvariant():
         )
 
 
+def test_descend_form_samples_inside_the_chart():
+    """The deck check evaluates a form only on the chart, |w_1| < rho^(1/N)
+    = 0.8 at N = 1."""
+    chart = LocalChart(dim=2, cover_degree=1)
+
+    def eta_tilde(w):
+        if abs(w[0]) >= 0.8:
+            raise ValueError("outside the chart")
+        return FormValue(2, {((1,), (1,)): 1.0 + abs(w[1]) ** 2})
+
+    eta = descend_form(eta_tilde, chart)
+    assert abs(complex(eta((0.3, 0.2)).coefficient((1,), (1,))) - 1.04) < 1e-14
+
+
+def test_deck_checks_share_one_sampler():
+    """The metric and the form deck checks evaluate their fields at the same
+    points: 40 seeded w, each before its rotation, drawn as the metric check
+    always drew them."""
+    chart = LocalChart(dim=2, cover_degree=3, rho=0.5)
+    metric_points, form_points = [], []
+    descend_metric(lambda w: metric_points.append(w) or np.eye(1), [0], chart)
+    descend_form(lambda w: form_points.append(w) or FormValue(2, {((1,), (1,)): 1.0}), chart)
+    assert metric_points == form_points
+    rng = np.random.default_rng(0)
+    rot = cmath.exp(2j * math.pi / 3)
+    expected = []
+    for _ in range(40):
+        w1 = (0.05 + 0.9 * rng.random()) * 0.5 ** (1.0 / 3)
+        w1 *= cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        tail = (0.3 * (rng.normal() + 1j * rng.normal()),)
+        expected += [(rot * w1,) + tail, (w1,) + tail]
+    assert metric_points == expected
+
+
 def test_pullback_descend_round_trip_and_branch_independence():
     chart = LocalChart(dim=2, cover_degree=4)
 
@@ -636,6 +683,34 @@ def test_bott_chern_gaussian_and_order2():
     assert order > 1.7 and order2 > 1.7
     # and the two-sided FD identity holds at matching steps
     assert bott_chern_defect(h1, h2, w, step=0.05) < 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ddbar_numeric_evaluates_each_stencil_point_once(n):
+    """8 n^2 + 1 evaluations: the center, 4 per diagonal entry pair and 4
+    per mixed entry of the real Hessian in 2n coordinates."""
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return sum(abs(x) ** 2 for x in z)
+
+    ddbar_numeric(f, [0.1 * (k + 1) + 0.2j for k in range(n)])
+    assert len(calls) == 8 * n * n + 1
+    assert len(set(calls)) == len(calls)
+
+
+def test_ddbar_numeric_of_a_hermitian_quadratic():
+    """f = z* A z has d^2 f / dz_p dzbar_q = A[q, p], which the centered
+    stencil reproduces up to roundoff."""
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    A = B + B.conj().T
+    z = rng.normal(size=3) + 1j * rng.normal(size=3)
+    form = ddbar_numeric(lambda w: float(np.real(np.conj(w) @ A @ np.array(w))), z, step=1e-2)
+    for p in range(3):
+        for q in range(3):
+            assert abs(complex(form.coefficient((p,), (q,))) - A[q, p]) < 1e-9
 
 
 def test_bott_chern_rejects_nonpositive():
