@@ -8,6 +8,13 @@ only the flags that FLAGS gives it.  Reports embed the tool version, a hash
 of the configuration (those flags and the input) and, where --seed is read,
 the seed; they are byte-identical for identical configuration.
 PARACHERN_LOG sets the logging level.
+
+At load this module imports the standard library, parabolic, forms and
+fiberint, none of which loads numpy, so pardeg, chern, --version, a
+malformed command line and an input file that cannot be read or parsed run
+on the standard library alone.
+ops, admissible, pushforward and masolve import numpy, and localmodel or
+masolver, inside the subcommand that computes with them.
 """
 
 from __future__ import annotations
@@ -24,14 +31,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("parachern")
-except Exception:  # pragma: no cover - editable-install fallback
-    VERSION = "0.1.0"
+import parachern
 
 from .fiberint import monte_carlo_oracle, scalar_fiber_integral, symbolic_pushforward
 from .forms import (
@@ -40,21 +40,6 @@ from .forms import (
     chern_forms_minors,
     random_exact_curvature,
     segre_forms,
-)
-from .localmodel import (
-    LocalChart,
-    admissibility_check,
-    descend_metric,
-    integer_exponents,
-    random_invariant_metric,
-)
-from .masolver import (
-    MAProblem,
-    TorusField,
-    fixture_problem,
-    normalize_problem,
-    solve,
-    verify_conclusion,
 )
 from .parabolic import (
     InvalidModelError,
@@ -69,6 +54,7 @@ from .parabolic import (
 )
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_RUNTIME = 0, 1, 2, 3
+VERSION = parachern.__version__
 
 log = logging.getLogger("parachern")
 
@@ -247,6 +233,8 @@ def _identity_rows(model: ParabolicModel):
 
 
 def cmd_ops(args, spec, outdir: Path):
+    import numpy as np
+
     half = Fraction(1, 2)
     model = _read_model(args, spec, ParabolicModel(2, 1, {"p": (half, half)}))
     rows = _identity_rows(model)
@@ -266,6 +254,11 @@ def cmd_ops(args, spec, outdir: Path):
 
 
 def cmd_admissible(args, spec, outdir: Path):
+    import numpy as np
+
+    from .localmodel import (LocalChart, admissibility_check, descend_metric,
+                             integer_exponents, random_invariant_metric)
+
     field = partial(_field, spec, "admissible")
     N = field("N", int, 3)
     weights = field("weights", list, ["1/3", "2/3"])
@@ -344,6 +337,8 @@ def _compare_terms(a, b, counts):
 
 
 def cmd_pushforward(args, spec, outdir: Path):
+    import numpy as np
+
     c = [
         _check(f"c[{i}]", x, float, *LIMITS["pushforward"]["c[i]"])
         for i, x in enumerate(_field(spec, "pushforward", "c", list, [1.0, 2.0]))
@@ -386,6 +381,8 @@ def cmd_pushforward(args, spec, outdir: Path):
 
 
 def _masolve_problem(spec):
+    from .masolver import MAProblem, TorusField, fixture_problem
+
     field = partial(_field, spec, "masolve")
     r = field("rank", int, 2)
     if "c1Csv" in spec:
@@ -409,6 +406,8 @@ def _masolve_problem(spec):
 
 
 def cmd_masolve(args, spec, outdir: Path):
+    from .masolver import normalize_problem, solve, verify_conclusion
+
     raw = _masolve_problem(spec)
     prob = normalize_problem(raw)
     phi, diag = solve(prob, tol=args.tol)

@@ -173,6 +173,13 @@ def _mean_stderr(blocks):
     return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
+def _check_budget(budget) -> None:
+    """A standard error needs at least 100 draws: raise ValueError otherwise."""
+    if budget < 100:
+        raise ValueError(f"budget must be at least 100 for a standard-error estimate, "
+                         f"got {budget!r}")
+
+
 def monte_carlo_oracle(c, budget=100_000, seed=0):
     """Importance-sampled estimate of the same integral with the proposal
     t_i = u_i/(1-u_i), u uniform (density prod (1+t_i)^{-2}).
@@ -184,8 +191,7 @@ def monte_carlo_oracle(c, budget=100_000, seed=0):
     d = r - 1
     if d == 0:
         return 1.0 / c[0], 0.0
-    if budget < 100:
-        raise ValueError("budget too small for a standard-error estimate")
+    _check_budget(budget)
     return _mean_stderr(
         math.factorial(d) * dens * (c[0] + t @ np.asarray(c[1:])) ** (-r)
         for t, dens in _proposal_blocks(budget, d, seed)
@@ -207,9 +213,11 @@ def _moment_exponents(m, s):
 def monte_carlo_moment(m, s, budget=200_000, seed=0):
     """Monte-Carlo check of the exact moment
     integral over C^d of prod |w|^{2 m_i} (1+|w|^2)^{-s} prod dA_i/pi;
-    the exponents are checked as in :func:`moment_exact`."""
+    the exponents are checked as in :func:`moment_exact`, and ``budget``
+    as in :func:`monte_carlo_oracle`."""
     import numpy as np
     m, s = _moment_exponents(m, s)
+    _check_budget(budget)
     return _mean_stderr(
         dens * (t ** np.asarray(m, dtype=float)).prod(axis=1) * (1 + t.sum(axis=1)) ** (-s)
         for t, dens in _proposal_blocks(budget, len(m), seed)

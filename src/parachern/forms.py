@@ -886,7 +886,8 @@ def weak_positivity_test(
     """Weak positivity of a (k,k)-form: test against wedges of n-k sampled
     simple positive (1,1)-forms i xi wedge xibar, each factor one form with
     coefficients over the samples; xi are drawn in sample, factor, real then
-    imaginary part order."""
+    imaginary part order.  Below top degree an exact eta is tested through
+    its coefficients read as complex numbers."""
     import numpy as np
     _check_samples(samples)
     n = eta.dim
@@ -909,6 +910,8 @@ def weak_positivity_test(
         xi = x[:, :, 0] + 1j * x[:, :, 1]
         xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
         prod = eta
+        if exact_mode(eta):  # read once as complex, to wedge with the float factors
+            prod = FormValue(n, {key: complex(c) for key, c in eta.coeffs.items()})
         for j in range(n - k):
             prod = prod.wedge(FormValue(n, {((a,), (b,)): 1j * xi[:, j, a] * np.conj(xi[:, j, b])
                                             for a in range(n) for b in range(n)}))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parachern import cli
+from parachern import cli, localmodel
 from parachern.fiberint import FiberQuadrature
 from parachern.forms import ChernData, FormValue, QQi
 
@@ -172,13 +172,13 @@ class TestAdmissible:
     def test_small_invariance_defect_rejected(self, tmp_path, monkeypatch, defect):
         """Deck invariance has its own bound at the roundoff scale, whatever
         --tol is: a fixture that breaks it by 1e-11 is a runtime error."""
-        make = cli.random_invariant_metric
+        make = localmodel.random_invariant_metric
 
         def broken(rng, weights, chart):
             htilde = make(rng, weights, chart)
             return lambda w: htilde(w) + defect * w[0].real
 
-        monkeypatch.setattr(cli, "random_invariant_metric", broken)
+        monkeypatch.setattr(localmodel, "random_invariant_metric", broken)
         for tol in ("1e-10", "1e-6"):
             assert run(tmp_path, "admissible", "--tol", tol) == 3
 

@@ -156,6 +156,15 @@ class TestScalarIntegral:
         with pytest.raises(ValueError):
             monte_carlo_oracle([1.0, 1.0], budget=10)
 
+    @pytest.mark.parametrize("budget", [0, 1, 99])
+    def test_both_monte_carlo_routes_reject_a_tiny_budget(self, budget):
+        """Below 100 draws there is no standard error: both estimators raise a
+        ValueError that names budget, not a ZeroDivisionError."""
+        with pytest.raises(ValueError, match="budget"):
+            monte_carlo_oracle([1.0, 2.0], budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            monte_carlo_moment([1], 5, budget=budget)
+
     @pytest.mark.parametrize("c", [[1.0] * 5, [1e-3, 1.0, 1e3, 1.0, 1.0], [1.0] * 6])
     def test_grid_over_budget_raises_before_allocating(self, c):
         start = time.perf_counter()

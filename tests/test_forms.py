@@ -1272,6 +1272,16 @@ def test_weak_positivity_examples():
         weak_positivity_test(FormValue.monomial(2, (0,), ()))
 
 
+@pytest.mark.parametrize("r, n, k", [(2, 2, 1), (3, 3, 1), (3, 3, 2)])
+def test_weak_positivity_of_an_exact_form_below_top_degree(r, n, k):
+    """An exact (k,k)-form with k < n gets the verdict and margin of the same
+    form built with complex coefficients."""
+    c = chern_forms(forms_random_exact_curvature(random.Random(1), r, n))[k]
+    as_complex = FormValue(n, {key: complex(x) for key, x in c.coeffs.items()})
+    assert exact_mode(c) and not exact_mode(as_complex)
+    assert weak_positivity_test(c, samples=64) == weak_positivity_test(as_complex, samples=64)
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_sampling_testers_need_a_sample(samples):
     """Fewer than one sample is a ValueError that names samples, in place of

@@ -1,6 +1,7 @@
 """Rules for the library source itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import parachern
+from parachern import cli
 
 MODULES = sorted(Path(parachern.__file__).parent.glob("*.py"))
 
@@ -21,20 +23,61 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} uses assert at lines {lines}"
 
 
+def _imports(nodes):
+    """(line, dotted name) of each absolute import among ``nodes``; ``from m
+    import x`` gives m.x."""
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names]
+    return found
+
+
+def _load_time_nodes(tree):
+    """The nodes of a module that run when it is imported: none inside a
+    function body or under ``if TYPE_CHECKING:``."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            todo += node.orelse
+            continue
+        yield node
+        todo += ast.iter_child_nodes(node)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_only_stdlib_numpy_and_parachern(path):
     """The library depends on numpy and the standard library only; relative
     imports stay inside parachern."""
     tree = ast.parse(path.read_text(), filename=str(path))
     allowed = sys.stdlib_module_names | {"numpy", "parachern"}
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, alias.name) for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.append((node.lineno, node.module))
-    bad = [(line, name) for line, name in found if name.split(".")[0] not in allowed]
+    bad = [(line, name) for line, name in _imports(ast.walk(tree))
+           if name.split(".")[0] not in allowed]
     assert not bad, f"{path.name} imports outside the standard library and numpy: {bad}"
+
+
+# every entry point of these modules computes with numpy
+NUMPY_AT_LOAD = {"localmodel.py", "masolver.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_at_load_only_where_every_entry_point_needs_it(path):
+    """Only localmodel and masolver import numpy when they load; the others
+    import it inside the functions that compute with it.  No module reads
+    importlib.metadata, which scans the installed distributions."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    numpy = [(line, name) for line, name in _imports(_load_time_nodes(tree))
+             if name.split(".")[0] == "numpy"]
+    assert path.name in NUMPY_AT_LOAD or not numpy, \
+        f"{path.name} imports numpy at load: {numpy}"
+    metadata = [(line, name) for line, name in _imports(ast.walk(tree))
+                if f"{name}.".startswith("importlib.metadata.")]
+    assert not metadata, f"{path.name} imports importlib.metadata: {metadata}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -47,6 +90,13 @@ def test_no_private_names_imported_across_modules(path):
                and (node.level > 0 or (node.module or "").split(".")[0] == "parachern")
                for alias in node.names if alias.name.startswith("_")]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+def _src_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(parachern.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 EXACT_RUN = """
@@ -67,12 +117,59 @@ def test_exact_algebra_runs_without_numpy():
     """In a fresh interpreter, importing forms and fiberint and running the
     exact Chern, Segre, Schur, wedge and push-forward work loads no numpy;
     the first quadrature call loads it and keeps the value's bits."""
-    src = str(Path(parachern.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", EXACT_RUN], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", EXACT_RUN], env=_src_env(), capture_output=True,
                           text=True, timeout=120, check=True)
     identities, exact_loaded, quadrature = proc.stdout.splitlines()
     assert identities == "True True True"
     assert exact_loaded == "False", "the exact computations imported numpy"
     assert quadrature == "0x1.fffffffaf9dafp-1 True"
+
+
+CLI_RUN = """
+import contextlib, io, json, sys
+from pathlib import Path
+from parachern import cli
+out = Path(sys.argv[1])
+model = out / "model.json"
+model.write_text(json.dumps({"rank": 2, "degree": 1, "points": {"p": ["1/3", "2/3"]}}))
+
+def run(*argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(list(argv))
+    except SystemExit as exc:  # --version
+        return exc.code
+
+print(run("pardeg", "--input", str(model), "--out", str(out)),
+      run("chern", "--samples", "2", "--out", str(out)), run("--version"),
+      run("pardeg", "--input", str(out / "missing.json"), "--out", str(out)))
+print("numpy" in sys.modules, "importlib.metadata" in sys.modules)
+print(run("pushforward", "--samples", "1", "--out", str(out)), "numpy" in sys.modules)
+"""
+
+
+def test_exact_subcommands_run_without_numpy(tmp_path):
+    """In a fresh interpreter, cli's pardeg, chern, --version and an input
+    error load neither numpy nor importlib.metadata; pushforward loads numpy."""
+    proc = subprocess.run([sys.executable, "-c", CLI_RUN, str(tmp_path)], env=_src_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    codes, loaded, pushforward = proc.stdout.splitlines()
+    assert codes == "0 0 0 2"
+    assert loaded == "False False", "numpy, importlib.metadata loaded"
+    assert pushforward == "0 True"
+
+
+def test_one_version_string(tmp_path):
+    """--version, the reports and the package metadata all take the version
+    from parachern.__version__."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    proc = subprocess.run([sys.executable, "-m", "parachern.cli", "--version"], env=_src_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == parachern.__version__
+    assert cli.main(["chern", "--samples", "1", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "chern_report.json").read_text())
+    assert report["version"] == parachern.__version__
+    pyproject = Path(parachern.__file__).parents[2] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "parachern.__version__"}
