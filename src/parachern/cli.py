@@ -14,7 +14,8 @@ fiberint, none of which loads numpy, so pardeg, chern, --version, a
 malformed command line and an input file that cannot be read or parsed run
 on the standard library alone.
 ops, admissible, pushforward and masolve import numpy, and localmodel or
-masolver, inside the subcommand that computes with them.
+masolver, inside the subcommand that computes with them; admissible checks
+every field of its spec before that import.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .parabolic import (
     det,
     direct_sum,
     dual,
+    integer_exponents,
     my_filtration,
     par_degree,
     random_model,
@@ -64,10 +66,9 @@ class InputError(ValueError):
 
 
 # Inclusive range of each spec field: of the value of a number, of the length
-# of a list.  The upper bounds cap the time and memory one input can ask for;
-# -inf leaves the lower bound to LocalChart, which checks it.
+# of a list.  The upper bounds cap the time and memory one input can ask for.
 LIMITS = {
-    "admissible": {"N": (-math.inf, 64), "dim": (-math.inf, 4), "weights": (1, 8),
+    "admissible": {"N": (1, 64), "dim": (1, 4), "weights": (1, 8),
                    "rho": (0.01, 0.99), "radialNodes": (4, 32), "angularNodes": (2, 128)},
     "chern": {"rank": (1, 6), "dim": (1, 4)},
     # ops tensors the model with itself: rank^2 weights per point
@@ -254,41 +255,32 @@ def cmd_ops(args, spec, outdir: Path):
 
 
 def cmd_admissible(args, spec, outdir: Path):
-    import numpy as np
-
-    from .localmodel import (LocalChart, admissibility_check, descend_metric,
-                             integer_exponents, random_invariant_metric)
-
     field = partial(_field, spec, "admissible")
     N = field("N", int, 3)
-    weights = field("weights", list, ["1/3", "2/3"])
+    grid = dict(dim=field("dim", int, 2), cover_degree=N, rho=field("rho", float, 0.8),
+                annuli=field("radialNodes", int, 8), angular_nodes=field("angularNodes", int, 16))
     try:
-        chart = LocalChart(
-            dim=field("dim", int, 2),
-            cover_degree=N,
-            rho=field("rho", float, 0.8),
-            annuli=field("radialNodes", int, 8),
-            angular_nodes=field("angularNodes", int, 16),
-        )
-        weights = [Fraction(str(w)) for w in weights]
+        weights = [Fraction(str(w)) for w in field("weights", list, ["1/3", "2/3"])]
         integer_exponents(weights, N)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from exc
+
+    import numpy as np
+
+    from .localmodel import (LocalChart, admissibility_check, descend_metric,
+                             random_invariant_metric)
+
+    chart = LocalChart(**grid)
     rng = np.random.default_rng(args.seed)
     htilde = random_invariant_metric(rng, weights, chart)
     # --tol bounds the round trip; the seeded fixture is deck invariant to roundoff
-    field = descend_metric(htilde, weights, chart, tol=1e-12)
-    cert = admissibility_check(field)
+    metric = descend_metric(htilde, weights, chart, tol=1e-12)
+    cert = admissibility_check(metric)
 
-    dev = 0.0
-    for layer in chart.sample_points():
-        for z in layer:
-            for branch in range(N):
-                w = chart.w_of_z(z, branch)
-                dev = max(
-                    dev,
-                    float(np.abs(field.lift(z, branch) - htilde(w)).max()),
-                )
+    # the round trip: one lift of every sample point per branch
+    points = chart.sample_points().reshape(-1, chart.dim)
+    dev = max(float(np.abs(metric.lift(points, b) - htilde(chart.w_of_z(points, b))).max())
+              for b in range(N))
     ok = bool(cert) and dev < args.tol
     report = {
         "grid": chart.to_json_dict(),

@@ -15,6 +15,11 @@ with denominators dividing N; the integer exponents are k_i = N * a_{r+1-i}
 All fractional powers of z_1 are evaluated as integer powers of w_1, which
 keeps every branch choice exact.  The principal branch puts the cut on the
 negative real z_1-axis; sample grids avoid the cut.
+
+Metric fields, the evaluate of a LocalMetricField and any Htilde, map
+points of shape (P, dim) to matrices of shape (P, r, r).  Points of shape
+(..., dim), a single point (dim,) too, are evaluated as one flat batch.
+Form-valued fields are evaluated one point at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import CurvatureMatrix, FormValue, griffiths_pairing
+from .parabolic import integer_exponents
 
 
 class InvarianceError(ValueError):
@@ -67,17 +73,17 @@ class LocalChart:
 
     # --- branch handling ---
 
-    def w1_of_z1(self, z1: complex, branch: int = 0) -> complex:
-        """N-th root of z_1 on the chosen branch (0 = principal, cut along
-        the negative real axis)."""
+    def w1_of_z1(self, z1, branch: int = 0):
+        """N-th root of z_1, elementwise over an array, on the chosen branch
+        (0 = principal, cut along the negative real axis)."""
         N = self.cover_degree
-        r = abs(z1) ** (1.0 / N)
-        theta = cmath.phase(z1)
-        return r * cmath.exp(1j * (theta + 2 * math.pi * branch) / N)
+        return np.abs(z1) ** (1.0 / N) * np.exp(1j * (np.angle(z1) + 2 * math.pi * branch) / N)
 
-    def w_of_z(self, z, branch: int = 0):
-        z = tuple(z)
-        return (self.w1_of_z1(z[0], branch),) + z[1:]
+    def w_of_z(self, z, branch: int = 0) -> np.ndarray:
+        """The points over z, an array of shape (..., dim), on the branch."""
+        w = np.array(z, dtype=complex)
+        w[..., 0] = self.w1_of_z1(w[..., 0], branch)
+        return w
 
     def z_of_w(self, w):
         w = tuple(w)
@@ -92,15 +98,15 @@ class LocalChart:
         A = self.angular_nodes
         return [-math.pi + (j + 0.5) * 2 * math.pi / A for j in range(A)]
 
-    def z1_samples(self):
-        return [
-            [r * cmath.exp(1j * t) for t in self.angles()] for r in self.radii()
-        ]
-
-    def sample_points(self):
-        """All grid points, grouped as [annulus][angle * companion]."""
-        return [[(z1,) + tail for z1 in ring for tail in self.companions]
-                for ring in self.z1_samples()]
+    def sample_points(self) -> np.ndarray:
+        """All grid points, one (annuli, angles * companions, dim) array with
+        the points of an annulus angle-major and companion minor."""
+        z1 = np.array(self.radii())[:, None] * np.exp(1j * np.array(self.angles()))
+        points = np.empty((self.annuli, self.angular_nodes, len(self.companions), self.dim),
+                          dtype=complex)
+        points[..., 0] = z1[:, :, None]
+        points[..., 1:] = np.reshape(self.companions, (len(self.companions), self.dim - 1))
+        return points.reshape(self.annuli, -1, self.dim)
 
     def to_json_dict(self):
         return {
@@ -112,31 +118,28 @@ class LocalChart:
         }
 
 
-def integer_exponents(weights, cover_degree):
-    """k_j = N * a_{r+1-j} (reversed pairing); validates the weight vector."""
-    ws = [Fraction(w) for w in weights]
-    if any(not 0 <= w < 1 for w in ws):
-        raise ValueError("weights must lie in [0,1)")
-    if sorted(ws) != ws:
-        raise ValueError("weights must be nondecreasing")
-    ks = []
-    for w in reversed(ws):
-        k = w * cover_degree
-        if k.denominator != 1:
-            raise ValueError(
-                f"weight {w} has denominator not dividing N={cover_degree}"
-            )
-        ks.append(int(k))
-    return ks
-
-
 def _frame(d, X) -> np.ndarray:
-    """conj(d)_i X_ij d_j: the matrix X in the frame scaled by diag(d)."""
-    return np.conj(d)[:, None] * X * d[None, :]
+    """conj(d)_i X_ij d_j: the matrices X (..., r, r) in the frames scaled
+    by diag(d), d of shape (..., r).  The second product is taken in place:
+    a fresh array of this size costs more than the product."""
+    out = np.multiply(np.conj(d)[..., :, None], X)
+    return np.multiply(out, d[..., None, :], out=out)
+
+
+def _values(evaluate, points, rank) -> np.ndarray:
+    """evaluate at points of shape (..., dim), called once on the flat
+    (P, dim) batch and checked to return (P, r, r): an array (..., r, r)."""
+    points = np.asarray(points, dtype=complex)
+    flat = points.reshape(-1, points.shape[-1])
+    H = np.asarray(evaluate(flat), dtype=complex)
+    if H.shape != (len(flat), rank, rank):
+        raise ValueError("metric value shape mismatch")
+    return H.reshape(points.shape[:-1] + (rank, rank))
 
 
 class LocalMetricField:
-    """Hermitian r x r matrix function of z on the punctured chart."""
+    """Hermitian r x r matrix function of z on the punctured chart, whose
+    evaluate maps points (P, dim) to matrices (P, r, r)."""
 
     def __init__(self, chart: LocalChart, weights, evaluate):
         self.chart = chart
@@ -145,17 +148,16 @@ class LocalMetricField:
         self.rank = len(self.weights)
         self._evaluate = evaluate
 
-    def __call__(self, z):
-        H = np.asarray(self._evaluate(tuple(z)), dtype=complex)
-        if H.shape != (self.rank, self.rank):
-            raise ValueError("metric value shape mismatch")
-        return H
+    def __call__(self, z) -> np.ndarray:
+        """H at the points z (..., dim): (..., r, r)."""
+        return _values(self._evaluate, z, self.rank)
 
     def lift(self, z, branch: int = 0) -> np.ndarray:
-        """Htilde_{ij}(w) = conj(z_1)^{-a_i'} H_{ij}(z) z_1^{-a_j'} computed
-        through integer powers of w_1 on the chosen branch."""
-        w1 = self.chart.w1_of_z1(z[0], branch)
-        return _frame(np.array([w1 ** (-k) for k in self.exponents]), self(z))
+        """Htilde_{ij}(w) = conj(z_1)^{-a_i'} H_{ij}(z) z_1^{-a_j'} at the
+        points z (..., dim), computed through integer powers of w_1 on the
+        chosen branch."""
+        w1 = self.chart.w1_of_z1(np.asarray(z)[..., :1], branch)
+        return _frame(w1 ** -np.array(self.exponents), self(z))
 
 
 def random_invariant_metric(rng, weights, chart: LocalChart):
@@ -171,12 +173,11 @@ def random_invariant_metric(rng, weights, chart: LocalChart):
     u = 0.4 * (rng.normal() + 1j * rng.normal())
 
     def htilde(w):
-        w = [complex(x) for x in w]
-        z1 = w[0] ** N
-        tail = sum(abs(x) ** 2 for x in w[1:])
+        w = np.asarray(w, dtype=complex)
+        z1 = w[..., 0] ** N
+        tail = np.sum(np.abs(w[..., 1:]) ** 2, axis=-1)
         scal = 1.0 + 0.3 * (u * z1).real + 0.2 * tail
-        d = np.array([w[0] ** k for k in ks])
-        return np.diag(c) + scal * _frame(np.conj(d), A0)
+        return np.diag(c) + scal[..., None, None] * _frame(np.conj(w[..., :1] ** np.array(ks)), A0)
 
     return htilde
 
@@ -189,32 +190,31 @@ def deck_phases(exponents, cover_degree):
 
 
 def _deck_samples(chart):
-    """The sample points of the deck checks, each with its image under the
-    deck rotation w_1 -> e^{2 pi i / N} w_1: 40 seeded (w, rotated w), with
-    |w_1| in [0.05, 0.95] rho^{1/N}, inside the chart."""
+    """The sample points of the deck checks and their images under the deck
+    rotation w_1 -> e^{2 pi i / N} w_1: two (40, dim) arrays (w, rotated w)
+    of seeded points with |w_1| in [0.05, 0.95] rho^{1/N}, inside the chart."""
     rot = cmath.exp(2j * math.pi / chart.cover_degree)
     rng = np.random.default_rng(0)
-    for _ in range(40):
+    w, rotated = np.empty((2, 40, chart.dim), dtype=complex)
+    for row, rotated_row in zip(w, rotated):
         w1 = (0.05 + 0.9 * rng.random()) * chart.rho ** (1.0 / chart.cover_degree)
         w1 *= cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        tail = tuple(
-            0.3 * (rng.normal() + 1j * rng.normal()) for _ in range(chart.dim - 1)
-        )
-        yield (w1,) + tail, (rot * w1,) + tail
+        row[0], rotated_row[0] = w1, rot * w1
+        row[1:] = rotated_row[1:] = [0.3 * (rng.normal() + 1j * rng.normal())
+                                     for _ in range(chart.dim - 1)]
+    return w, rotated
 
 
 def invariance_defect(htilde, weights, chart):
     """Max relative deviation of Htilde from the deck-rotation rule
     Htilde(e^{i theta} w_1, w') = P * Htilde(w) with theta = 2 pi / N,
-    over the points of :func:`_deck_samples`."""
-    P = deck_phases(integer_exponents(weights, chart.cover_degree), chart.cover_degree)
-    dev = 0.0
-    for w, rotated in _deck_samples(chart):
-        a = np.asarray(htilde(rotated), dtype=complex)
-        b = P * np.asarray(htilde(w), dtype=complex)
-        scale = max(1.0, float(np.max(np.abs(b))))
-        dev = max(dev, float(np.max(np.abs(a - b))) / scale)
-    return dev
+    over the points of :func:`_deck_samples`, evaluated as one batch."""
+    ks = integer_exponents(weights, chart.cover_degree)
+    w, rotated = _deck_samples(chart)
+    a, b = np.split(_values(htilde, np.concatenate([rotated, w]), len(ks)), 2)
+    b = deck_phases(ks, chart.cover_degree) * b
+    scale = np.maximum(1.0, np.abs(b).max(axis=(1, 2)))
+    return float((np.abs(a - b).max(axis=(1, 2)) / scale).max())
 
 
 def descend_metric(htilde, weights, chart: LocalChart, tol=1e-8) -> LocalMetricField:
@@ -229,7 +229,7 @@ def descend_metric(htilde, weights, chart: LocalChart, tol=1e-8) -> LocalMetricF
 
     def evaluate(z):
         w = chart.w_of_z(z)
-        return _frame(np.array([w[0] ** k for k in ks]), np.asarray(htilde(w), dtype=complex))
+        return _frame(w[:, :1] ** np.array(ks), _values(htilde, w, len(ks)))
 
     return LocalMetricField(chart, weights, evaluate)
 
@@ -271,7 +271,7 @@ def admissibility_check(field: LocalMetricField) -> AdmissibilityReport:
     # smooth in; Python's ** per radius, whose bits numpy's ** does not keep
     radii = np.array([r ** (1.0 / chart.cover_degree) for r in chart.radii()])
     # lifts[annulus, point]: the points angle-major with companion minor
-    lifts = np.array([[field.lift(z) for z in layer] for layer in chart.sample_points()])
+    lifts = field.lift(chart.sample_points())
 
     annulus_max = np.abs(lifts).max(axis=(1, 2, 3)).tolist()
     herm = (lifts + lifts.conj().swapaxes(-1, -2)) / 2
@@ -382,7 +382,7 @@ def _form_invariance_defect(eta_tilde, chart):
     eta_{IJ}(w), t = 2 pi / N."""
     rot = cmath.exp(2j * math.pi / chart.cover_degree)
     dev = 0.0
-    for w, rotated in _deck_samples(chart):
+    for w, rotated in zip(*_deck_samples(chart)):
         a = eta_tilde(rotated)
         b = eta_tilde(w)
         keys = set(a.coeffs) | set(b.coeffs)
@@ -491,7 +491,7 @@ def make_admissible_kahler(omega, h_D, alpha, chart: LocalChart):
     def potential(z):
         return (abs(z[0]) ** 2 * float(h_D(z))) ** s
 
-    points = [p for layer in chart.sample_points() for p in layer]
+    points = chart.sample_points().reshape(-1, chart.dim)
     corrections = [
         CurvatureMatrix([[ddbar_numeric(potential, z, step=min(1e-4, abs(z[0]) / 20))]])
         .tensor()[0, 0]
@@ -627,15 +627,6 @@ def c1_numeric(h, w, step=1e-3) -> FormValue:
     return (-1j / (2 * math.pi)) * raw
 
 
-def bott_chern_defect(h1, h2, w, step=1e-3) -> float:
-    """|(i/2pi) dd phi - (c_1(h2) - c_1(h1))| at a point, all by the same
-    finite-difference stencil at spacing `step`."""
-    phi = bott_chern_line(h1, h2)
-    lhs = (1j / (2 * math.pi)) * ddbar_numeric(phi, w, step=step)
-    rhs = c1_numeric(h2, w, step=step) - c1_numeric(h1, w, step=step)
-    return (lhs - rhs).max_abs()
-
-
 # ---------------------------------------------------------------------------
 # Griffiths margin transfer and closedness residual
 # ---------------------------------------------------------------------------
@@ -672,7 +663,7 @@ def griffiths_margin_transfer(
         z = chart.z_of_w(w)
         vt = rng.normal(size=n) + 1j * rng.normal(size=n)
         st = rng.normal(size=r) + 1j * rng.normal(size=r)
-        Ht = np.asarray(htilde(w), dtype=complex)
+        Ht = _values(htilde, w, r)
 
         up_num = griffiths_pairing(theta_tilde(w), Ht, vt, st)
         up_den = griffiths_pairing(

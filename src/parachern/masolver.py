@@ -250,8 +250,10 @@ class MAProblem:
 def normalize_problem(raw: MAProblem) -> MAProblem:
     """Rescale eta by the unique positive constant making the problem
     Calabi-compatible: mean(eta*kappa + KL) = r(r+1) mean det(c_1/r).
-    Rejects if the raw right side or the rescaled right side is not
-    positive pointwise."""
+    Rejects if eta, the Schur form the conclusion asserts positive, the raw
+    right side or the rescaled right side is not positive pointwise."""
+    if (eta_min := raw.eta.data.min()) <= 0:
+        raise HypothesisError(f"eta must be positive pointwise, got min {eta_min:.3e}")
     if raw.rhs().min() <= 0:
         raise HypothesisError("right side F must be positive pointwise")
     kappa = (raw.calabi_target() - raw.kl_density().mean()) / raw.eta.data.mean()

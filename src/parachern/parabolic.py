@@ -353,6 +353,21 @@ def ample_degree_test(
     return all(par_degree(s) > 0 for s in summands)
 
 
+def integer_exponents(weights, cover_degree):
+    """k_j = N * a_{r+1-j}, the integer exponents of the weights on the
+    branched chart w_1^N = z_1 (reversed pairing); validates the weight
+    vector."""
+    ws = [Fraction(w) for w in weights]
+    if any(not 0 <= w < 1 for w in ws):
+        raise ValueError("weights must lie in [0,1)")
+    if sorted(ws) != ws:
+        raise ValueError("weights must be nondecreasing")
+    for w in reversed(ws):
+        if (w * cover_degree).denominator != 1:
+            raise ValueError(f"weight {w} has denominator not dividing N={cover_degree}")
+    return [int(w * cover_degree) for w in reversed(ws)]
+
+
 def random_model(
     rng,
     max_rank: int = 5,

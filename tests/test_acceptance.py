@@ -143,22 +143,19 @@ def test_acceptance_3_admissibility_round_trip():
         chart = LocalChart(dim=2, cover_degree=N, annuli=4, angular_nodes=8)
         htilde = random_invariant_metric(rng, weights, chart)
         field = descend_metric(htilde, weights, chart)
-        dev = 0.0
-        for layer in chart.sample_points():
-            for z in layer:
-                for branch in range(N):
-                    w = chart.w_of_z(z, branch)
-                    dev = max(
-                        dev, float(np.abs(field.lift(z, branch) - htilde(w)).max())
-                    )
+        points = chart.sample_points().reshape(-1, chart.dim)
+        dev = max(
+            float(np.abs(field.lift(points, branch) - htilde(chart.w_of_z(points, branch))).max())
+            for branch in range(N)
+        )
         ok &= dev < 1e-10
     # H(z) = |z_1| with alpha = 1/2, N = 2 lifts to Htilde = 1: admissible
     chart2 = LocalChart(dim=1, cover_degree=2)
     half = Fraction(1, 2)
-    good = LocalMetricField(chart2, [half], lambda z: np.array([[abs(z[0])]]))
+    good = LocalMetricField(chart2, [half], lambda z: np.abs(z[:, :1, None]))
     ok &= bool(admissibility_check(good))
     # H(z) = 1 with the same weight lifts to |z_1|^{-1}: rejected (unbounded)
-    bad = LocalMetricField(chart2, [half], lambda z: np.array([[1.0]]))
+    bad = LocalMetricField(chart2, [half], lambda z: np.ones((len(z), 1, 1)))
     ok &= not admissibility_check(bad).admissible
     elapsed = time.time() - t0
     report(3, "admissibility round trip", ok and elapsed < 60)

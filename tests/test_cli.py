@@ -176,7 +176,7 @@ class TestAdmissible:
 
         def broken(rng, weights, chart):
             htilde = make(rng, weights, chart)
-            return lambda w: htilde(w) + defect * w[0].real
+            return lambda w: htilde(w) + defect * w[:, :1, None].real
 
         monkeypatch.setattr(localmodel, "random_invariant_metric", broken)
         for tol in ("1e-10", "1e-6"):
@@ -334,10 +334,20 @@ class TestMASolve:
         else:
             assert read_report(tmp_path, "masolve")["pass"]
 
-    def test_hypothesis_failure_is_runtime_error(self, tmp_path):
+    def test_hypothesis_failure_is_runtime_error(self, tmp_path, capsys):
+        """eta = 1 + eps cos 2 pi x_1 reaches 0 once |eps| >= 1; eta > 0 is the
+        hypothesis of the conclusion, so each such eps is a failed hypothesis
+        (exit 3) that names eta, not a failed check (exit 1)."""
         cfg = tmp_path / "ma.json"
-        cfg.write_text(json.dumps({"fixture": "perturbed", "M": 16, "eps": 2.0}))
-        assert run(tmp_path, "masolve", "--input", str(cfg)) == 3
+        for eps in (2.0, -1.05, -1.0, 1.0, 1.02, 1.05):
+            cfg.write_text(json.dumps({"fixture": "perturbed", "M": 16, "eps": eps}))
+            assert run(tmp_path, "masolve", "--input", str(cfg)) == 3, eps
+            assert "HypothesisError: eta must be positive" in capsys.readouterr().err
+
+    def test_eta_just_positive_passes(self, tmp_path):
+        cfg = tmp_path / "ma.json"
+        cfg.write_text(json.dumps({"fixture": "perturbed", "M": 16, "eps": -0.999}))
+        assert run(tmp_path, "masolve", "--input", str(cfg)) == 0
 
     @pytest.mark.parametrize("M,code", [(8, 0), (4, 2)])
     def test_csv_fields(self, tmp_path, M, code):
@@ -467,6 +477,7 @@ class TestInputContract:
         ("admissible", [3], []),
         ("admissible", {"radialNodes": 2}, []),
         ("admissible", {"N": 0}, []),
+        ("admissible", {"dim": 0}, []),
         ("pardeg", [1], []),
         ("pardeg", {"rank": "x", "degree": 1}, []),
         ("ops", {"rank": 1, "degree": 0}, ["--samples", "-1"]),

@@ -16,7 +16,6 @@ from parachern.localmodel import (
     LocalMetricField,
     admissibility_check,
     annulus_weight_quadrature,
-    bott_chern_defect,
     bott_chern_line,
     boundary_residual,
     c1_numeric,
@@ -89,6 +88,8 @@ def test_sample_points_have_dim_coordinates():
     for dim, companions in ((1, ()), (2, ()), (2, ((0.1,), (0.2j,))), (3, ((0.1, 0.2),))):
         chart = LocalChart(dim=dim, cover_degree=3, companions=companions)
         assert {len(z) for layer in chart.sample_points() for z in layer} == {dim}
+        points = chart.sample_points()
+        assert points.shape == (chart.annuli, chart.angular_nodes * len(chart.companions), dim)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -119,7 +120,7 @@ def test_integer_exponents_reversed_pairing():
 
 def test_descend_rank1_half_weight():
     chart = LocalChart(dim=1, cover_degree=2)
-    H = descend_metric(lambda w: np.eye(1), [Fraction(1, 2)], chart)
+    H = descend_metric(lambda w: np.ones((len(w), 1, 1)), [Fraction(1, 2)], chart)
     for layer in chart.sample_points():
         for z in layer:
             assert abs(H(z)[0, 0] - abs(z[0])) < 1e-13
@@ -128,7 +129,7 @@ def test_descend_rank1_half_weight():
 def test_descend_rank1_gaussian():
     chart = LocalChart(dim=2, cover_degree=3)
     H = descend_metric(
-        lambda w: np.array([[math.exp(-sum(abs(complex(x)) ** 2 for x in w))]]),
+        lambda w: np.exp(-np.sum(np.abs(w) ** 2, axis=-1))[:, None, None],
         [Fraction(1, 3)],
         chart,
     )
@@ -147,7 +148,7 @@ def test_descend_zero_weights_is_substitution():
     chart = LocalChart(dim=1, cover_degree=2)
 
     def htilde(w):
-        return np.array([[2.0 + abs(complex(w[0])) ** 4]])
+        return 2.0 + np.abs(w[..., :1, None]) ** 4
 
     H = descend_metric(htilde, [Fraction(0)], chart)
     z = (0.3 + 0.2j,)
@@ -158,7 +159,7 @@ def test_descend_rejects_noninvariant_input():
     chart = LocalChart(dim=1, cover_degree=2)
     with pytest.raises(InvarianceError):
         descend_metric(
-            lambda w: np.array([[2.0 + complex(w[0]).real]]),
+            lambda w: 2.0 + w[:, :1, None].real,
             [Fraction(1, 2)],
             chart,
         )
@@ -172,7 +173,7 @@ def test_descend_rejects_noninvariant_input():
 def test_admissible_abs_z():
     chart = LocalChart(dim=1, cover_degree=2)
     field = LocalMetricField(
-        chart, [Fraction(1, 2)], lambda z: np.array([[abs(z[0])]])
+        chart, [Fraction(1, 2)], lambda z: np.abs(z[:, :1, None])
     )
     report = admissibility_check(field)
     assert report.admissible, report.reasons
@@ -180,7 +181,7 @@ def test_admissible_abs_z():
 
 def test_inadmissible_constant_metric_with_weight():
     chart = LocalChart(dim=1, cover_degree=2)
-    field = LocalMetricField(chart, [Fraction(1, 2)], lambda z: np.eye(1))
+    field = LocalMetricField(chart, [Fraction(1, 2)], lambda z: np.ones((len(z), 1, 1)))
     report = admissibility_check(field)
     assert not report.admissible
     assert any("unbounded" in r for r in report.reasons)
@@ -190,8 +191,8 @@ def test_inadmissible_branch_discontinuity():
     chart = LocalChart(dim=1, cover_degree=2)
 
     def evaluate(z):
-        w1 = chart.w1_of_z1(z[0])
-        return np.array([[abs(z[0]) * (2.0 + w1.imag)]])
+        w1 = chart.w1_of_z1(z[:, 0])
+        return (np.abs(z[:, 0]) * (2.0 + w1.imag))[:, None, None]
 
     field = LocalMetricField(chart, [Fraction(1, 2)], evaluate)
     report = admissibility_check(field)
@@ -207,15 +208,50 @@ def test_round_trip_recovers_htilde():
     field = descend_metric(htilde, weights, chart)
     report = admissibility_check(field)
     assert report.admissible, report.reasons
-    for layer in chart.sample_points():
-        for z in layer:
-            w = chart.w_of_z(z)
-            assert np.max(np.abs(field.lift(z) - htilde(w))) < 1e-10
+    points = chart.sample_points().reshape(-1, chart.dim)
+    assert np.max(np.abs(field.lift(points) - htilde(chart.w_of_z(points)))) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_invariant_metric_batch_matches_formula(seed):
+    """The batched fixture at seeded (P, dim) points is diag(c) + scal D A0 D*,
+    D = diag(w_1^k), written out here point by point from the same draws.
+    The frame is D A0 D*, not the D* A0 D of lift's convention."""
+    rng = np.random.default_rng([7, seed])
+    N, dim, rank = (int(rng.integers(lo, hi + 1)) for lo, hi in ((2, 12), (1, 3), (2, 4)))
+    chart = LocalChart(dim=dim, cover_degree=N)
+    weights = [Fraction(int(k), N) for k in sorted(rng.integers(0, N, size=rank))]
+    w = 0.9 * rng.random((17, dim)) * np.exp(2j * np.pi * rng.random((17, dim)))
+    got = random_invariant_metric(np.random.default_rng([8, seed]), weights, chart)(w)
+    assert got.shape == (17, rank, rank)
+    draw = np.random.default_rng([8, seed])
+    c = 1.0 + draw.random(rank)
+    B = draw.normal(size=(rank, rank)) + 1j * draw.normal(size=(rank, rank))
+    A0 = B.conj().T @ B / rank
+    u = 0.4 * (draw.normal() + 1j * draw.normal())
+    ks = integer_exponents(weights, N)
+    for H, point in zip(got, w):
+        w1 = complex(point[0])
+        scal = 1.0 + 0.3 * (u * w1 ** N).real + 0.2 * sum(abs(complex(x)) ** 2 for x in point[1:])
+        D = np.diag([w1 ** k for k in ks])
+        want = np.diag(c) + scal * (D @ A0 @ D.conj().T)
+        assert np.max(np.abs(H - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_metric_value_shape_is_checked():
+    """An evaluate that returns one (r, r) matrix for P > 1 points is
+    rejected, not broadcast over the points; so is such an Htilde."""
+    chart = LocalChart(dim=1, cover_degree=2)
+    field = LocalMetricField(chart, [Fraction(1, 2)], lambda z: np.eye(1))
+    with pytest.raises(ValueError, match="metric value shape mismatch"):
+        field(chart.sample_points())
+    with pytest.raises(ValueError, match="metric value shape mismatch"):
+        descend_metric(lambda w: np.eye(1), [0], chart)
 
 
 def test_grid_too_coarse():
     chart = LocalChart(dim=1, cover_degree=2, annuli=3)
-    field = LocalMetricField(chart, [Fraction(1, 2)], lambda z: np.array([[abs(z[0])]]))
+    field = LocalMetricField(chart, [Fraction(1, 2)], lambda z: np.abs(z[:, :1, None]))
     with pytest.raises(GridError):
         admissibility_check(field)
 
@@ -239,7 +275,7 @@ def test_nonsmooth_lift_rejected_on_deep_grids(N, annuli):
     """H = 1 + |z_1|^(1/(2N)) lifts to 1 + |w_1|^(1/2), which is continuous
     but has an unbounded radial derivative at w_1 = 0."""
     chart = LocalChart(dim=1, cover_degree=N, annuli=annuli)
-    field = LocalMetricField(chart, [0], lambda z: np.array([[1 + abs(z[0]) ** (0.5 / N)]]))
+    field = LocalMetricField(chart, [0], lambda z: 1 + np.abs(z[:, :1, None]) ** (0.5 / N))
     report = admissibility_check(field)
     assert not report.admissible
     assert any("derivative unbounded" in r for r in report.reasons)
@@ -249,7 +285,7 @@ def test_nonsmooth_lift_rejected_on_deep_grids(N, annuli):
 def test_radial_difference_is_per_unit_w1(N):
     """The lift 1 + |w_1| changes by 1 per unit |w_1| between any two annuli."""
     chart = LocalChart(dim=1, cover_degree=N)
-    field = LocalMetricField(chart, [0], lambda z: np.array([[1 + abs(z[0]) ** (1.0 / N)]]))
+    field = LocalMetricField(chart, [0], lambda z: 1 + np.abs(z[:, :1, None]) ** (1.0 / N))
     report = admissibility_check(field)
     assert report.admissible, report.reasons
     assert np.allclose(report.annulus_deriv, 1.0, rtol=1e-10, atol=0)
@@ -267,7 +303,7 @@ def test_rebase_cover():
     assert rebase_cover(field, 1).admissible == base.admissible
     for u in (2, 3):
         assert rebase_cover(field, u).admissible
-    bad = LocalMetricField(chart, [Fraction(1, 3)], lambda z: np.eye(1))
+    bad = LocalMetricField(chart, [Fraction(1, 3)], lambda z: np.ones((len(z), 1, 1)))
     assert not admissibility_check(bad).admissible
     for u in (2, 3):
         assert not rebase_cover(bad, u).admissible
@@ -277,21 +313,21 @@ def test_rebase_cover():
 
 def test_report_csv():
     chart = LocalChart(dim=1, cover_degree=2)
-    field = LocalMetricField(chart, [Fraction(1, 2)], lambda z: np.array([[abs(z[0])]]))
+    field = LocalMetricField(chart, [Fraction(1, 2)], lambda z: np.abs(z[:, :1, None]))
     rows = admissibility_check(field).csv_rows().splitlines()
     assert rows[0] == "annulus,maxAbs,radialDiff,minEig"
     assert len(rows) == chart.annuli + 1
 
 
 def reference_admissibility_check(field):
-    """admissibility_check computed matrix by matrix in Python loops: the
-    reference that its array reductions must match bit for bit."""
+    """admissibility_check reduced matrix by matrix in Python loops, over
+    the lifts of one batched lift call: the reference that its array
+    reductions must match bit for bit."""
     chart = field.chart
     if chart.annuli < 4:
         raise GridError("at least 4 annuli required for the certificate")
-    layers = chart.sample_points()
     radii = [r ** (1.0 / chart.cover_degree) for r in chart.radii()]
-    lifts = [[field.lift(z) for z in layer] for layer in layers]
+    lifts = [list(layer) for layer in field.lift(chart.sample_points())]
 
     annulus_max = [max(float(np.max(np.abs(H))) for H in layer) for layer in lifts]
     annulus_min_eig = [
@@ -370,10 +406,10 @@ def certificate_fixture(kind, seed):
     shift = 2.5 if kind == "nonpositive" else 0.0
     H = descend_metric(lambda w: smooth(w) - shift * np.eye(rank), weights, chart)
     factor = {
-        "nonsmooth": lambda z: 1.0 + abs(z[0]) ** (0.5 / N),
-        "cut": lambda z: 2.0 + chart.w1_of_z1(z[0]).imag,
-    }.get(kind, lambda z: 1.0)
-    return LocalMetricField(chart, weights, lambda z: factor(z) * H(z))
+        "nonsmooth": lambda z: 1.0 + np.abs(z[:, 0]) ** (0.5 / N),
+        "cut": lambda z: 2.0 + chart.w1_of_z1(z[:, 0]).imag,
+    }.get(kind, lambda z: np.ones(len(z)))
+    return LocalMetricField(chart, weights, lambda z: factor(z)[:, None, None] * H(z))
 
 
 @pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
@@ -439,22 +475,27 @@ def test_descend_form_samples_inside_the_chart():
 
 def test_deck_checks_share_one_sampler():
     """The metric and the form deck checks evaluate their fields at the same
-    points: 40 seeded w, each before its rotation, drawn as the metric check
-    always drew them."""
+    points: 40 seeded w and their rotations, drawn as the metric check
+    always drew them.  The metric check takes them as one batch, the 40
+    rotated points first; the form check one point at a time, each
+    rotated point before its w."""
     chart = LocalChart(dim=2, cover_degree=3, rho=0.5)
     metric_points, form_points = [], []
-    descend_metric(lambda w: metric_points.append(w) or np.eye(1), [0], chart)
+    descend_metric(lambda w: metric_points.append(w) or np.ones((len(w), 1, 1)), [0], chart)
     descend_form(lambda w: form_points.append(w) or FormValue(2, {((1,), (1,)): 1.0}), chart)
-    assert metric_points == form_points
+    (batch,) = metric_points
+    assert np.array_equal(batch, np.concatenate([form_points[0::2], form_points[1::2]]))
     rng = np.random.default_rng(0)
     rot = cmath.exp(2j * math.pi / 3)
-    expected = []
+    rotated, plain = [], []
     for _ in range(40):
         w1 = (0.05 + 0.9 * rng.random()) * 0.5 ** (1.0 / 3)
         w1 *= cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         tail = (0.3 * (rng.normal() + 1j * rng.normal()),)
-        expected += [(rot * w1,) + tail, (w1,) + tail]
-    assert metric_points == expected
+        rotated.append((rot * w1,) + tail)
+        plain.append((w1,) + tail)
+    assert np.array_equal(batch[40:], plain)
+    assert np.array_equal(batch[:40], rotated)
 
 
 def test_pullback_descend_round_trip_and_branch_independence():
@@ -608,7 +649,7 @@ def test_line_current_flat_upstairs():
     chart = LocalChart(dim=1, cover_degree=2)
     alpha = Fraction(1, 2)
     field = LocalMetricField(
-        chart, [alpha], lambda z: np.array([[abs(z[0]) ** (2 * float(alpha))]])
+        chart, [alpha], lambda z: np.abs(z[..., :1, None]) ** (2 * float(alpha))
     )
     smooth, mass, l1 = line_current_decomposition(field, alpha)
     assert mass == alpha
@@ -622,8 +663,8 @@ def test_line_current_gaussian_upstairs():
     alpha = Fraction(1, 2)
 
     def h(z):
-        w1sq = abs(z[0])  # |w1|^2 = |z1|^{2/N}
-        return np.array([[math.exp(-w1sq) * abs(z[0]) ** (2 * float(alpha))]])
+        w1sq = np.abs(z[..., :1, None])  # |w1|^2 = |z1|^{2/N}
+        return np.exp(-w1sq) * np.abs(z[..., :1, None]) ** (2 * float(alpha))
 
     field = LocalMetricField(chart, [alpha], h)
     smooth, mass, l1 = line_current_decomposition(field, alpha)
@@ -637,7 +678,7 @@ def test_line_current_gaussian_upstairs():
 
 def test_line_current_rejects_inadmissible():
     chart = LocalChart(dim=1, cover_degree=2)
-    field = LocalMetricField(chart, [Fraction(1, 2)], lambda z: np.eye(1))
+    field = LocalMetricField(chart, [Fraction(1, 2)], lambda z: np.ones((len(z), 1, 1)))
     with pytest.raises(ValueError):
         line_current_decomposition(field, Fraction(1, 2))
 
@@ -660,7 +701,6 @@ def test_mass_descent():
 def test_bott_chern_equal_metrics():
     phi = bott_chern_line(lambda w: 2.0, lambda w: 2.0)
     assert phi((0.1, 0.2)) == 0.0
-    assert bott_chern_defect(lambda w: 2.0, lambda w: 2.0, (0.1 + 0.1j, 0.2)) < 1e-12
 
 
 def test_bott_chern_gaussian_and_order2():
@@ -681,8 +721,6 @@ def test_bott_chern_gaussian_and_order2():
     order = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
     assert order > 1.7 and order2 > 1.7
-    # and the two-sided FD identity holds at matching steps
-    assert bott_chern_defect(h1, h2, w, step=0.05) < 1e-11
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -750,8 +788,11 @@ def test_griffiths_margin_transfer():
         return FormValue(2, {((0,), (0,)): 1.0, ((1,), (1,)): 1.0})
 
     def htilde(w):
-        t = sum(abs(complex(x)) ** 2 for x in w)
-        return np.array([[2.0 + t, 0.3], [0.3, 1.0]], dtype=complex)
+        t = np.sum(np.abs(w) ** 2, axis=-1)
+        H = np.empty((len(w), 2, 2), dtype=complex)
+        H[:] = [[2.0, 0.3], [0.3, 1.0]]
+        H[:, 0, 0] += t
+        return H
 
     dev, ratios = griffiths_margin_transfer(
         theta_tilde, omega_tilde, htilde, weights, chart, samples=15, seed=4

@@ -181,6 +181,14 @@ class TestNormalize:
         with pytest.raises(HypothesisError):
             normalize_problem(bad)
 
+    def test_rejects_nonpositive_eta(self):
+        """eta = 1 + cos 2 pi x_1 is 0 at x_1 = 1/2 while F = eta + KL stays
+        positive; eta is the Schur form the conclusion asserts positive."""
+        raw = fixture_problem("perturbed", 16, eps=1.0)
+        assert raw.rhs().min() > 0
+        with pytest.raises(HypothesisError, match="eta must be positive"):
+            normalize_problem(raw)
+
     def test_rejects_nonpositive_background(self):
         M = 8
         c1 = TorusField("(1,1)", np.broadcast_to(-np.eye(2), (M, M, 2, 2)).copy())

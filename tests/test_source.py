@@ -132,6 +132,8 @@ from parachern import cli
 out = Path(sys.argv[1])
 model = out / "model.json"
 model.write_text(json.dumps({"rank": 2, "degree": 1, "points": {"p": ["1/3", "2/3"]}}))
+chart = out / "chart.json"
+chart.write_text(json.dumps({"N": 100}))
 
 def run(*argv):
     try:
@@ -142,19 +144,22 @@ def run(*argv):
 
 print(run("pardeg", "--input", str(model), "--out", str(out)),
       run("chern", "--samples", "2", "--out", str(out)), run("--version"),
-      run("pardeg", "--input", str(out / "missing.json"), "--out", str(out)))
+      run("pardeg", "--input", str(out / "missing.json"), "--out", str(out)),
+      run("admissible", "--input", str(chart), "--out", str(out)))
 print("numpy" in sys.modules, "importlib.metadata" in sys.modules)
 print(run("pushforward", "--samples", "1", "--out", str(out)), "numpy" in sys.modules)
 """
 
 
 def test_exact_subcommands_run_without_numpy(tmp_path):
-    """In a fresh interpreter, cli's pardeg, chern, --version and an input
-    error load neither numpy nor importlib.metadata; pushforward loads numpy."""
+    """In a fresh interpreter, cli's pardeg, chern, --version, an input file
+    that cannot be read and an admissible spec out of range (checked before
+    its numpy import) load neither numpy nor importlib.metadata;
+    pushforward loads numpy."""
     proc = subprocess.run([sys.executable, "-c", CLI_RUN, str(tmp_path)], env=_src_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     codes, loaded, pushforward = proc.stdout.splitlines()
-    assert codes == "0 0 0 2"
+    assert codes == "0 0 0 2 2"
     assert loaded == "False False", "numpy, importlib.metadata loaded"
     assert pushforward == "0 True"
 
