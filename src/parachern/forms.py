@@ -238,6 +238,7 @@ class FormValue:
     over points) and has d None.  Zero coefficients are never stored."""
 
     __slots__ = ("dim", "_terms", "_d")
+    __array_ufunc__ = None  # array * form runs __rmul__, not an object array of forms
 
     def __init__(self, dim: int, coeffs=None):
         """``coeffs`` maps keys (I, J) to scalars.  Each key must be
@@ -529,22 +530,26 @@ class CurvatureMatrix:
         return dev
 
     def tensor(self) -> np.ndarray:
-        """Coefficient tensor T[a,b,p,q] of dz_p wedge dzbar_q in entry (a,b)."""
+        """Coefficient tensor T[..., a, b, p, q] of dz_p wedge dzbar_q in
+        entry (a, b), with leading axes (...) from coefficient arrays."""
         import numpy as np
         r, n = self.rank, self.dim
-        T = np.zeros((r, r, n, n), dtype=complex)
-        for a in range(r):
-            for b in range(r):
-                for (I, J), c in self.entries[a][b].coeffs.items():
-                    if len(I) != 1 or len(J) != 1:
-                        raise ValueError("curvature entries must be (1,1)-forms")
-                    T[a, b, I[0], J[0]] = complex(c)
+        terms = [(a, b, key, c) for a in range(r) for b in range(r)
+                 for key, c in self.entries[a][b].coeffs.items()]
+        T = np.zeros(np.broadcast_shapes(*(np.shape(c) for *_, c in terms)) + (r, r, n, n),
+                     dtype=complex)
+        for a, b, (I, J), c in terms:
+            if len(I) != 1 or len(J) != 1:
+                raise ValueError("curvature entries must be (1,1)-forms")
+            T[..., a, b, I[0], J[0]] = c
         return T
 
     @classmethod
     def from_tensor(cls, T: np.ndarray) -> "CurvatureMatrix":
-        r, _, n, _ = T.shape
-        return cls([[FormValue(n, {((p,), (q,)): T[a, b, p, q] for p in range(n) for q in range(n)})
+        """The inverse of :meth:`tensor`, for T of shape (..., r, r, n, n)."""
+        r, _, n, _ = T.shape[-4:]
+        return cls([[FormValue(n, {((p,), (q,)): T[..., a, b, p, q]
+                                   for p in range(n) for q in range(n)})
                      for b in range(r)] for a in range(r)])
 
     @classmethod
@@ -814,18 +819,21 @@ def _assemble_bilinear(theta: CurvatureMatrix, H: np.ndarray) -> np.ndarray:
     """(n r) x (n r) Hermitian matrix M[(q,a),(p,c)] = sum_b H[a,b] T[b,c,p,q]
     whose quadratic form on u = v (x) s is
     sum conj(s_a) H[a,b] T[b,c,p,q] s_c v_p conj(v_q) = <s, Theta(v,vbar) s>_H
-    (metric conjugate-linear in the first slot)."""
+    (metric conjugate-linear in the first slot); leading batch axes of H and
+    of the tensor broadcast, and each H is checked on its own."""
     import numpy as np
     T = theta.tensor()
     r, n = theta.rank, theta.dim
     H = np.asarray(H, dtype=complex)
-    if H.shape != (r, r):
+    if H.shape[-2:] != (r, r):
         raise ValueError("metric shape mismatch")
-    if (not np.isfinite(H).all() or np.min(np.linalg.eigvalsh((H + H.conj().T) / 2)) <= 0
-            or np.max(np.abs(H - H.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(H))))):
+    Hh = H.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(H).max(axis=(-2, -1)))
+    if (not np.isfinite(H).all() or np.min(np.linalg.eigvalsh((H + Hh) / 2)) <= 0
+            or np.any(np.abs(H - Hh).max(axis=(-2, -1)) > 1e-10 * scale)):
         raise ValueError("metric must be finite, Hermitian and positive-definite")
-    M = np.einsum("ab,bcpq->qapc", H, T).reshape(n * r, n * r)
-    return M
+    M = np.einsum("...ab,...bcpq->...qapc", H, T)
+    return M.reshape(M.shape[:-4] + (n * r, n * r))
 
 
 def nakano_test(theta: CurvatureMatrix, H=None, tol=1e-10) -> PositivityVerdict:
@@ -869,14 +877,14 @@ def griffiths_test(
 
 def griffiths_pairing(theta: CurvatureMatrix, H, v, s):
     """<Theta(v, vbar) s, s>_H, the curvature form against the decomposable
-    vector v (x) s.  v, of shape (..., n), and s, of shape (..., r), may
-    carry leading batch axes, which broadcast; the value is an array over
-    them, and a float for single vectors."""
+    vector v (x) s.  v (..., n), s (..., r), H (..., r, r) and the tensor of
+    theta may carry leading batch axes, which broadcast; the value is an
+    array over them, and a float for single vectors."""
     import numpy as np
     A = _assemble_bilinear(theta, H)
     u = np.asarray(v, complex)[..., :, None] * np.asarray(s, complex)[..., None, :]
     u = u.reshape(u.shape[:-2] + (-1,))
-    val = np.real(np.einsum("...i,...i->...", u.conj() @ A, u))
+    val = np.real(np.einsum("...i,...i->...", (u.conj()[..., None, :] @ A)[..., 0, :], u))
     return float(val) if val.ndim == 0 else val
 
 

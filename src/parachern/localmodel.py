@@ -16,10 +16,11 @@ All fractional powers of z_1 are evaluated as integer powers of w_1, which
 keeps every branch choice exact.  The principal branch puts the cut on the
 negative real z_1-axis; sample grids avoid the cut.
 
-Metric fields, the evaluate of a LocalMetricField and any Htilde, map
-points of shape (P, dim) to matrices of shape (P, r, r).  Points of shape
-(..., dim), a single point (dim,) too, are evaluated as one flat batch.
-Form-valued fields are evaluated one point at a time.
+Every field a caller passes in is called once, on a flat batch of points
+(P, dim): a metric field (the evaluate of a LocalMetricField, any Htilde)
+returns (P, r, r), a scalar potential (P,), and a form or curvature field a
+FormValue or CurvatureMatrix with (P,) arrays or constants as coefficients.
+Every field this module returns takes points (..., dim), a single one too.
 """
 
 from __future__ import annotations
@@ -85,9 +86,11 @@ class LocalChart:
         w[..., 0] = self.w1_of_z1(w[..., 0], branch)
         return w
 
-    def z_of_w(self, w):
-        w = tuple(w)
-        return (w[0] ** self.cover_degree,) + w[1:]
+    def z_of_w(self, w) -> np.ndarray:
+        """The points under w, an array of shape (..., dim)."""
+        z = np.array(w, dtype=complex)
+        z[..., 0] **= self.cover_degree
+        return z
 
     # --- sample grids ---
 
@@ -135,6 +138,30 @@ def _values(evaluate, points, rank) -> np.ndarray:
     if H.shape != (len(flat), rank, rank):
         raise ValueError("metric value shape mismatch")
     return H.reshape(points.shape[:-1] + (rank, rank))
+
+
+def _field_values(field, points):
+    """A form, curvature or potential field at points of shape (..., dim),
+    called once on the flat (P, dim) batch.  A potential must return an
+    array (P,), and a form or curvature field a FormValue or CurvatureMatrix
+    whose coefficients are (P,) arrays or constants; the arrays come back
+    with shape (...), and the constants as complex numbers."""
+    points = np.asarray(points, dtype=complex)
+    flat = points.reshape(-1, points.shape[-1])
+    value = field(flat)
+
+    def shaped(c):
+        if np.shape(c) != (len(flat),):
+            raise ValueError("field value shape mismatch")
+        return np.reshape(c, points.shape[:-1])
+
+    def form(f):
+        return FormValue(f.dim, {key: complex(c) if np.ndim(c) == 0 else shaped(c)
+                                 for key, c in f.coeffs.items()})
+
+    if isinstance(value, CurvatureMatrix):
+        return CurvatureMatrix([[form(f) for f in row] for row in value.entries])
+    return form(value) if isinstance(value, FormValue) else shaped(value)
 
 
 class LocalMetricField:
@@ -190,19 +217,19 @@ def deck_phases(exponents, cover_degree):
 
 
 def _deck_samples(chart):
-    """The sample points of the deck checks and their images under the deck
-    rotation w_1 -> e^{2 pi i / N} w_1: two (40, dim) arrays (w, rotated w)
-    of seeded points with |w_1| in [0.05, 0.95] rho^{1/N}, inside the chart."""
+    """The sample points of the deck checks, one (80, dim) batch: 40 seeded
+    points w with |w_1| in [0.05, 0.95] rho^{1/N}, inside the chart, after
+    their images under the deck rotation w_1 -> e^{2 pi i / N} w_1."""
     rot = cmath.exp(2j * math.pi / chart.cover_degree)
     rng = np.random.default_rng(0)
-    w, rotated = np.empty((2, 40, chart.dim), dtype=complex)
+    rotated, w = np.empty((2, 40, chart.dim), dtype=complex)
     for row, rotated_row in zip(w, rotated):
         w1 = (0.05 + 0.9 * rng.random()) * chart.rho ** (1.0 / chart.cover_degree)
         w1 *= cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         row[0], rotated_row[0] = w1, rot * w1
         row[1:] = rotated_row[1:] = [0.3 * (rng.normal() + 1j * rng.normal())
                                      for _ in range(chart.dim - 1)]
-    return w, rotated
+    return np.concatenate([rotated, w])
 
 
 def invariance_defect(htilde, weights, chart):
@@ -210,8 +237,7 @@ def invariance_defect(htilde, weights, chart):
     Htilde(e^{i theta} w_1, w') = P * Htilde(w) with theta = 2 pi / N,
     over the points of :func:`_deck_samples`, evaluated as one batch."""
     ks = integer_exponents(weights, chart.cover_degree)
-    w, rotated = _deck_samples(chart)
-    a, b = np.split(_values(htilde, np.concatenate([rotated, w]), len(ks)), 2)
+    a, b = np.split(_values(htilde, _deck_samples(chart), len(ks)), 2)
     b = deck_phases(ks, chart.cover_degree) * b
     scale = np.maximum(1.0, np.abs(b).max(axis=(1, 2)))
     return float((np.abs(a - b).max(axis=(1, 2)) / scale).max())
@@ -337,25 +363,21 @@ def rebase_cover(field: LocalMetricField, u: int):
 # ---------------------------------------------------------------------------
 
 
-def _transform_form(f: FormValue, factor_dz1: complex) -> FormValue:
+def _transform_form(f: FormValue, factor_dz1) -> FormValue:
     """Rewrite dw_1 = factor * dz_1 (and the conjugate) in a w-form; the
-    remaining coordinates are shared between the charts."""
-    out = {}
-    for (I, J), c in f.coeffs.items():
-        fac = 1.0 + 0j
-        if 0 in I:
-            fac *= factor_dz1
-        if 0 in J:
-            fac *= np.conj(factor_dz1)
-        out[(I, J)] = out.get((I, J), 0j) + complex(c) * fac
-    return FormValue(f.dim, out)
+    remaining coordinates are shared between the charts.  The factor is a
+    scalar or an array over points."""
+    bar = np.conj(factor_dz1)
+    return FormValue(f.dim, {(I, J): c * (factor_dz1 if 0 in I else 1) * (bar if 0 in J else 1)
+                             for (I, J), c in f.coeffs.items()})
 
 
 def _upstairs(chart: LocalChart, z, branch: int):
-    """(w, w_1 / (N z_1)): the point over z on the branch, and the factor
-    of dw_1 = (1/N) z_1^{1/N - 1} dz_1."""
+    """(w, w_1 / (N z_1)): the points over z (..., dim) on the branch, and
+    the factor of dw_1 = (1/N) z_1^{1/N - 1} dz_1 at each."""
+    z = np.asarray(z, dtype=complex)
     w = chart.w_of_z(z, branch)
-    return w, w[0] / (chart.cover_degree * z[0])
+    return w, w[..., 0] / (chart.cover_degree * z[..., 0])
 
 
 def descend_form(eta_tilde, chart: LocalChart, check_invariance=True):
@@ -371,27 +393,20 @@ def descend_form(eta_tilde, chart: LocalChart, check_invariance=True):
 
     def eta(z, branch: int = 0):
         w, factor = _upstairs(chart, z, branch)
-        return _transform_form(eta_tilde(w), factor)
+        return _transform_form(_field_values(eta_tilde, w), factor)
 
     return eta
 
 
 def _form_invariance_defect(eta_tilde, chart):
-    """Deck invariance of a form over the points of :func:`_deck_samples`:
-    coefficients obey eta_{IJ}(e^{i t} w) = e^{-i t ([0 in I] - [0 in J])}
-    eta_{IJ}(w), t = 2 pi / N."""
+    """Deck invariance of a form over the points of :func:`_deck_samples`,
+    evaluated as one batch: coefficients obey eta_{IJ}(e^{i t} w) =
+    e^{-i t ([0 in I] - [0 in J])} eta_{IJ}(w), t = 2 pi / N."""
     rot = cmath.exp(2j * math.pi / chart.cover_degree)
-    dev = 0.0
-    for w, rotated in zip(*_deck_samples(chart)):
-        a = eta_tilde(rotated)
-        b = eta_tilde(w)
-        keys = set(a.coeffs) | set(b.coeffs)
-        for I, J in keys:
-            phase = rot ** (-(0 in I) + (0 in J))
-            va = complex(a.coefficient(I, J))
-            vb = phase * complex(b.coefficient(I, J))
-            dev = max(dev, abs(va - vb) / max(1.0, abs(vb)))
-    return dev
+    f = _field_values(eta_tilde, _deck_samples(chart))
+    a, b = np.split(np.array([np.broadcast_to(c, 80) for c in f.coeffs.values()]).T, 2)
+    b = np.array([rot ** (-(0 in I) + (0 in J)) for I, J in f.keys()]) * b
+    return float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max(initial=0.0))
 
 
 def pullback_form(eta, chart: LocalChart):
@@ -400,9 +415,9 @@ def pullback_form(eta, chart: LocalChart):
     N = chart.cover_degree
 
     def eta_tilde(w):
-        z = chart.z_of_w(w)
-        factor = N * w[0] ** (N - 1)
-        return _transform_form(eta(z), factor)
+        w = np.asarray(w, dtype=complex)
+        factor = N * w[..., 0] ** (N - 1)
+        return _transform_form(_field_values(eta, chart.z_of_w(w)), factor)
 
     return eta_tilde
 
@@ -414,16 +429,10 @@ def curvature_descend(theta_tilde, weights, chart: LocalChart):
 
     def theta(z, branch: int = 0):
         w, factor = _upstairs(chart, z, branch)
-        th = theta_tilde(w)
-        d = [w[0] ** k for k in ks]
-        entries = [
-            [
-                ((1.0 / d[i]) * d[j]) * _transform_form(th.entries[i][j], factor)
-                for j in range(len(ks))
-            ]
-            for i in range(len(ks))
-        ]
-        return CurvatureMatrix(entries)
+        th = _field_values(theta_tilde, w)
+        d, rows = [w[..., 0] ** k for k in ks], range(len(ks))
+        return CurvatureMatrix([[((1.0 / d[i]) * d[j]) * _transform_form(th.entries[i][j], factor)
+                                 for j in rows] for i in rows])
 
     return theta
 
@@ -440,7 +449,7 @@ def cone_metric(alpha: float, chart: LocalChart):
     n = chart.dim
 
     def omega(z):
-        coeffs = {((0,), (0,)): abs(z[0]) ** (-alpha) + 0j}
+        coeffs = {((0,), (0,)): np.abs(np.asarray(z)[..., 0]) ** (-alpha) + 0j}
         for i in range(1, n):
             coeffs[((i,), (i,))] = 1.0 + 0j
         return FormValue(n, coeffs)
@@ -449,34 +458,27 @@ def cone_metric(alpha: float, chart: LocalChart):
 
 
 def ddbar_numeric(f, z, step=1e-4) -> FormValue:
-    """Raw del-delbar of a scalar potential by centered differences: the
+    """Raw del-delbar of a scalar potential by centered differences at the
+    points z (..., n), with a step that is a scalar or an array (...): the
     coefficient of dz_p dzbar_q is d^2 f / dz_p dzbar_q =
     (f_{x_p x_q} + f_{y_p y_q} + i (f_{x_p y_q} - f_{y_p x_q})) / 4, z = x + i y.
-    Each entry of the symmetric real Hessian in x_0..x_(n-1), y_0..y_(n-1)
-    is taken once: a diagonal one from f at z and z +- 2 step, a mixed one
-    from f at the four points +-step +-step.  So f is evaluated 8 n^2 + 1
-    times."""
-    z = [complex(v) for v in z]
-    n = len(z)
-    # offsets of one step along x_0 .. x_(n-1), then y_0 .. y_(n-1)
-    dirs = [[u if i == p else 0j for i in range(n)] for u in (step, 1j * step) for p in range(n)]
-
-    def ev(dx):
-        return f(tuple(z[i] + dx[i] for i in range(n)))
-
-    center, den = ev([0j] * n), 4 * step * step
-    D = [[None] * (2 * n) for _ in range(2 * n)]
-    for i, a in enumerate(dirs):
-        D[i][i] = (ev([2 * x for x in a]) - 2 * center + ev([-2 * x for x in a])) / den
-        for j in range(i + 1, 2 * n):
-            D[i][j] = D[j][i] = (
-                ev([x + y for x, y in zip(a, dirs[j])])
-                - ev([x - y for x, y in zip(a, dirs[j])])
-                - ev([-x + y for x, y in zip(a, dirs[j])])
-                + ev([-x - y for x, y in zip(a, dirs[j])])
-            ) / den
-    return FormValue(n, {((p,), (q,)): 0.25 * (D[p][q] + D[n + p][n + q]
-                                               + 1j * D[p][n + q] - 1j * D[n + p][q])
+    Entry (i, j) of the symmetric real Hessian in x_0..x_(n-1),
+    y_0..y_(n-1) is the four-point difference of f at +-step e_i +-step e_j;
+    a diagonal one reads f at z and z +- 2 step e_i.  Each stencil point is
+    taken once, so f is called once, on 8 n^2 + 1 points per point z."""
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[-1]
+    E = np.concatenate([np.eye(n), 1j * np.eye(n)])  # e_i: x_0 .. x_(n-1), y_0 .. y_(n-1)
+    i, j = np.triu_indices(2 * n)
+    offsets, where = np.unique(np.concatenate([E[i] + E[j], E[i] - E[j], -E[i] + E[j],
+                                               -E[i] - E[j]]), axis=0, return_inverse=True)
+    h = np.asarray(step, dtype=float)[..., None, None]
+    values = _field_values(f, z[..., None, :] + h * offsets)[..., where]
+    pp, pm, mp, mm = np.split(values, 4, axis=-1)
+    D = np.empty(values.shape[:-1] + (2 * n, 2 * n), dtype=values.dtype)
+    D[..., i, j] = D[..., j, i] = (pp - pm - mp + mm) / (4 * h[..., 0] * h[..., 0])
+    return FormValue(n, {((p,), (q,)): 0.25 * (D[..., p, q] + D[..., n + p, n + q]
+                                               + 1j * D[..., p, n + q] - 1j * D[..., n + p, q])
                          for p in range(n) for q in range(n)})
 
 
@@ -489,24 +491,22 @@ def make_admissible_kahler(omega, h_D, alpha, chart: LocalChart):
     s = (2 - alpha) / 2
 
     def potential(z):
-        return (abs(z[0]) ** 2 * float(h_D(z))) ** s
+        return (np.abs(z[:, 0]) ** 2 * _field_values(h_D, z)) ** s
+
+    def correction(z):
+        return ddbar_numeric(potential, z, step=np.minimum(1e-4, np.abs(z[..., 0]) / 20))
 
     points = chart.sample_points().reshape(-1, chart.dim)
-    corrections = [
-        CurvatureMatrix([[ddbar_numeric(potential, z, step=min(1e-4, abs(z[0]) / 20))]])
-        .tensor()[0, 0]
-        for z in points
-    ]
-    base = [CurvatureMatrix([[omega(z)]]).tensor()[0, 0] for z in points]
-    k_min = next((k for k in range(4096 + 1) if all(
-        np.min(np.linalg.eigvalsh((k * B + C + (k * B + C).conj().T) / 2)) > 0
-        for B, C in zip(base, corrections))), None)
+    base = CurvatureMatrix([[_field_values(omega, points)]]).tensor()[..., 0, 0, :, :]
+    corr = CurvatureMatrix([[correction(points)]]).tensor()[..., 0, 0, :, :]
+    k_min = next((k for k in range(4096 + 1) if np.linalg.eigvalsh(
+        (k * base + corr + (k * base + corr).conj().swapaxes(-1, -2)) / 2).min() > 0), None)
     if k_min is None:
         raise RuntimeError("no k up to 4096 makes the form positive on the grid")
 
     def result(z):
-        corr = ddbar_numeric(potential, z, step=min(1e-4, abs(z[0]) / 20))
-        return k_min * omega(z) + corr
+        z = np.asarray(z, dtype=complex)
+        return k_min * _field_values(omega, z) + correction(z)
 
     return result, k_min
 
@@ -550,13 +550,12 @@ def line_current_decomposition(h_field: LocalMetricField, alpha):
         raise ValueError("line metric is not admissible: " + "; ".join(report.reasons))
     N = chart.cover_degree
 
-    def htilde(w):
-        z = chart.z_of_w(w)
-        return float(np.real(h_field(z)[0, 0])) / abs(w[0]) ** (2 * N * float(alpha))
+    def minus_log_htilde(w):
+        h = np.real(h_field(chart.z_of_w(w))[:, 0, 0])
+        return -np.log(h / np.abs(w[:, 0]) ** (2 * N * float(alpha)))
 
     def theta_tilde(w):
-        return ddbar_numeric(lambda p: -math.log(htilde(p)), w,
-                             step=min(1e-4, abs(w[0]) / 20))
+        return ddbar_numeric(minus_log_htilde, w, step=np.minimum(1e-4, np.abs(w[:, 0]) / 20))
 
     smooth_part = descend_form(theta_tilde, chart, check_invariance=False)
     quad = annulus_weight_quadrature(N)
@@ -569,38 +568,31 @@ def line_current_decomposition(h_field: LocalMetricField, alpha):
 
 
 def smooth_mass_descent(theta_tilde, chart: LocalChart):
-    """Integrals of a (1,1) w-form upstairs over |w_1| < 0.6^{1/N} and of
-    its descent downstairs over |z_1| < 0.6 (n = 1 slice); the descended
-    mass must equal the upstairs mass divided by N.  Each disk is split into
-    60 geometric panels, each with 48 Gauss-Legendre radii and 32 angles."""
+    """Integrals of a (1,1) w-form upstairs over |w_1| < R^{1/N} and of its
+    descent downstairs over |z_1| < R, R = 0.75 rho (n = 1 slice); the
+    descended mass must equal the upstairs mass divided by N.  Each disk is
+    split into 60 geometric panels, each with 48 Gauss-Legendre radii and 32
+    angles, and its field is called once on all of their points."""
     if chart.dim != 1:
         raise ValueError("mass descent check is a one-variable computation")
-    N = chart.cover_degree
     eta = descend_form(theta_tilde, chart, check_invariance=False)
+    x, wq = np.polynomial.legendre.leggauss(48)
+    dtheta = 2 * math.pi / 32
+    angles = np.exp(1j * (-math.pi + (np.arange(32) + 0.5) * dtheta))
 
     # mass of f dz dzbar in the (i/2pi) normalization:
     # (i/2pi) * (-2i) * integral f dA = (1/pi) * integral f dA
     def mass(form_field, R):
-        x, wq = np.polynomial.legendre.leggauss(48)
-        total = 0j
-        dtheta = 2 * math.pi / 32
-        outer = R
-        for _ in range(60):  # geometric panels absorb the r^{2/N-2} blocks
-            inner = outer / 2
-            r = inner + (outer - inner) * (x + 1) / 2
-            wr = wq * (outer - inner) / 2
-            for rr, ww in zip(r, wr):
-                for j in range(32):
-                    t = -math.pi + (j + 0.5) * dtheta
-                    z = (rr * cmath.exp(1j * t),)
-                    c = complex(form_field(z).coefficient((0,), (0,)))
-                    total += c * rr * ww * dtheta
-            outer = inner
-        return total.real / math.pi
+        # geometric panels [outer / 2, outer] absorb the r^{2/N-2} blocks
+        half = (R * 0.5 ** np.arange(60))[:, None] / 4
+        r = 2 * half + half * (x + 1)
+        points = (r[..., None] * angles)[..., None]
+        c = _field_values(form_field, points).coefficient((0,), (0,))
+        total = np.sum(np.broadcast_to(c, points.shape[:-1]) * (r * wq * half)[..., None])
+        return float(total.real * dtheta / math.pi)
 
-    up = mass(theta_tilde, 0.6 ** (1.0 / N))
-    down = mass(eta, 0.6)
-    return up, down
+    R = 0.75 * chart.rho
+    return mass(theta_tilde, R ** (1.0 / chart.cover_degree)), mass(eta, R)
 
 
 # ---------------------------------------------------------------------------
@@ -613,17 +605,17 @@ def bott_chern_line(h1, h2):
     (i/2pi) del-delbar phi = c_1(h2) - c_1(h1)."""
 
     def phi(w):
-        a, b = float(h1(w)), float(h2(w))
-        if a <= 0 or b <= 0:
+        a, b = _field_values(h1, w), _field_values(h2, w)
+        if np.any(a <= 0) or np.any(b <= 0):
             raise ValueError("metrics must be positive")
-        return math.log(a / b)
+        return np.log(a / b)
 
     return phi
 
 
 def c1_numeric(h, w, step=1e-3) -> FormValue:
     """c_1(h) = -(i/2pi) del-delbar ln h by centered differences."""
-    raw = ddbar_numeric(lambda p: math.log(float(h(p))), w, step=step)
+    raw = ddbar_numeric(lambda p: np.log(_field_values(h, p)), w, step=step)
     return (-1j / (2 * math.pi)) * raw
 
 
@@ -639,81 +631,74 @@ def griffiths_margin_transfer(
     """Compare the Griffiths ratio <Theta v, v ; s, s>_H / (omega(v, v)
     |s|_H^2) upstairs and downstairs at matched directions; returns the max
     absolute deviation of the two ratios (zero in exact arithmetic, so the
-    positivity margin constant C transfers unchanged)."""
-    ks = integer_exponents(weights, chart.cover_degree)
+    positivity margin constant C transfers unchanged) and the pairs of
+    ratios.  The samples have |w_1| in [0.2, 0.8) rho^{1/N}, inside the
+    chart; each field is called once on all of them upstairs and, through
+    the descent, once downstairs."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    ks = np.array(integer_exponents(weights, chart.cover_degree))
     r = len(ks)
     n = chart.dim
     N = chart.cover_degree
     theta_z = curvature_descend(theta_tilde, weights, chart)
     omega_z = descend_form(omega_tilde, chart, check_invariance=False)
     rng = np.random.default_rng(seed)
-    dev = 0.0
-    ratios = []
+    draws = []
     half_sector = math.pi / N
     for _ in range(samples):
         # stay inside the principal sector so the internally chosen branch
         # agrees with the sampled representative
-        w1 = (0.2 + 0.6 * rng.random()) * cmath.exp(
-            1j * rng.uniform(-0.95 * half_sector, 0.95 * half_sector)
-        )
-        tail = tuple(
-            0.2 * (rng.normal() + 1j * rng.normal()) for _ in range(n - 1)
-        )
-        w = (w1,) + tail
-        z = chart.z_of_w(w)
-        vt = rng.normal(size=n) + 1j * rng.normal(size=n)
-        st = rng.normal(size=r) + 1j * rng.normal(size=r)
-        Ht = _values(htilde, w, r)
+        w1 = (0.2 + 0.6 * rng.random()) * chart.rho ** (1.0 / N) * cmath.exp(
+            1j * rng.uniform(-0.95 * half_sector, 0.95 * half_sector))
+        tail = [0.2 * (rng.normal() + 1j * rng.normal()) for _ in range(n - 1)]
+        draws.append(([w1, *tail], rng.normal(size=n) + 1j * rng.normal(size=n),
+                      rng.normal(size=r) + 1j * rng.normal(size=r)))
+    w, vt, st = (np.array(x, dtype=complex) for x in zip(*draws))
 
-        up_num = griffiths_pairing(theta_tilde(w), Ht, vt, st)
-        up_den = griffiths_pairing(
-            CurvatureMatrix.scalar_times_identity(omega_tilde(w), r), Ht, vt, st
-        )
+    def ratio(theta, omega, H, v, s):
+        den = griffiths_pairing(CurvatureMatrix.scalar_times_identity(omega, r), H, v, s)
+        return griffiths_pairing(theta, H, v, s) / den
 
-        # matched downstairs directions: tangent pushforward and frame change
-        v = np.concatenate(([N * w1 ** (N - 1) * vt[0]], vt[1:]))
-        s = np.array([st[j] * w1 ** (-ks[j]) for j in range(r)])
-        H = _frame(np.array([w1 ** k for k in ks]), Ht)
-        down_num = griffiths_pairing(theta_z(z), H, v, s)
-        down_den = griffiths_pairing(
-            CurvatureMatrix.scalar_times_identity(omega_z(z), r), H, v, s
-        )
-        up = up_num / up_den
-        down = down_num / down_den
-        ratios.append((up, down))
-        dev = max(dev, abs(up - down))
-    return dev, ratios
+    Ht = _values(htilde, w, r)
+    up = ratio(_field_values(theta_tilde, w), _field_values(omega_tilde, w), Ht, vt, st)
+    # matched downstairs directions: tangent pushforward and frame change
+    w1 = w[:, :1]
+    z = chart.z_of_w(w)
+    v = np.concatenate([N * w1 ** (N - 1) * vt[:, :1], vt[:, 1:]], axis=1)
+    down = ratio(theta_z(z), omega_z(z), _frame(w1 ** ks, Ht), v, st * w1 ** -ks)
+    return float(np.abs(up - down).max()), list(zip(up.tolist(), down.tolist()))
 
 
 def boundary_residual(eta, eps: float, z_tail):
     """Contour integrals, by the 96-node midpoint rule, over |z_1| = eps of
-    the dz_1 / dzbar_1 components in the dzbar_2-slice of eta (the boundary
-    pairing against the test form dz_2).  Returns (block_magnitude,
-    signed_sum): the per-block magnitude decays like eps^{2/N} for descended
-    singular blocks, while the signed sum is the residue itself -- zero for
-    closed invariant forms."""
-    a_sum = 0j
-    b_sum = 0j
+    the dz_1 / dzbar_1 components in the dzbar_2-slice of the 2-variable
+    form field eta (the boundary pairing against the test form dz_2), with
+    eta called once on the 96 points (z_1, z_tail).  Returns
+    (block_magnitude, signed_sum): the per-block magnitude decays like
+    eps^{2/N} for descended singular blocks, while the signed sum is the
+    residue itself -- zero for closed invariant forms."""
+    if len(z_tail) != 1:
+        raise ValueError("boundary residual is a two-variable computation")
     dtheta = 2 * math.pi / 96
-    for j in range(96):
-        t = -math.pi + (j + 0.5) * dtheta
-        z1 = eps * cmath.exp(1j * t)
-        f = eta((z1,) + tuple(z_tail))
-        a = complex(f.coefficient((0,), (1,)))   # dz1 ^ dzbar2 component
-        b = complex(f.coefficient((), (0, 1)))   # dzbar1 ^ dzbar2 component
-        dz1 = 1j * z1 * dtheta
-        a_sum += a * dz1
-        b_sum += b * np.conj(dz1)
-    return abs(a_sum) + abs(b_sum), abs(a_sum + b_sum)
+    z1 = eps * np.exp(1j * (-math.pi + (np.arange(96) + 0.5) * dtheta))
+    f = _field_values(eta, np.stack([z1, np.full(96, complex(z_tail[0]))], axis=-1))
+    if f.dim != 2:
+        raise ValueError("boundary residual is a two-variable computation")
+    dz1 = 1j * z1 * dtheta
+    a_sum = np.sum(f.coefficient((0,), (1,)) * dz1)            # dz1 ^ dzbar2 component
+    b_sum = np.sum(f.coefficient((), (0, 1)) * np.conj(dz1))   # dzbar1 ^ dzbar2 component
+    return float(abs(a_sum) + abs(b_sum)), float(abs(a_sum + b_sum))
 
 
 def closedness_decay_slope(eta, chart: LocalChart):
     """Log-log slope of the block boundary residual at z_2 = 0.1 over the
-    radii rho 2^{-k}, k = 1..6, plus the largest signed residue encountered."""
+    radii rho 2^{-k}, k = 1..6, plus the largest signed residue encountered;
+    the chart must have dimension 2."""
+    if chart.dim != 2:
+        raise ValueError("closedness residual is a two-variable computation")
     eps = [chart.rho * 2.0 ** (-k) for k in range(1, 7)]
-    pairs = [boundary_residual(eta, e, (0.1,)) for e in eps]
-    blocks = [p[0] for p in pairs]
-    residues = [p[1] for p in pairs]
+    blocks, residues = zip(*(boundary_residual(eta, e, (0.1,)) for e in eps))
     logs = np.log([max(r, 1e-300) for r in blocks])
     slope = np.polyfit(np.log(eps), logs, 1)[0]
     return float(slope), max(residues), list(zip(eps, blocks))

@@ -185,7 +185,7 @@ def test_acceptance_5_l1_current_and_residual_decay():
         chart = LocalChart(dim=2, cover_degree=N)
 
         def eta_tilde(w):
-            w1 = complex(w[0])
+            w1 = w[..., 0]
             return FormValue(2, {((0,), (1,)): np.conj(w1), ((), (0, 1)): w1})
 
         eta = descend_form(eta_tilde, chart)
@@ -243,10 +243,10 @@ def test_acceptance_8_conjugation_invariance():
 
 def test_acceptance_9_bott_chern_order_two():
     def h1(w):
-        return 1.0 + 0.5 * abs(complex(w[0])) ** 2
+        return 1.0 + 0.5 * np.abs(w[..., 0]) ** 2
 
     def h2(w):
-        return h1(w) * math.exp(-abs(complex(w[0])) ** 4)
+        return h1(w) * np.exp(-np.abs(w[..., 0]) ** 4)
 
     w = (0.4 + 0.3j,)
     exact = FormValue(
@@ -327,7 +327,7 @@ def test_acceptance_11_positivity_logic():
         expo = d + float(alpha)
 
         def h(w, expo=expo):
-            return (1.0 + abs(complex(w[0])) ** 2) ** (-expo)
+            return (1.0 + np.abs(w[..., 0]) ** 2) ** (-expo)
 
         margin = min(
             complex(

@@ -1360,6 +1360,41 @@ def test_griffiths_pairing_batches_over_leading_axes():
         assert abs(row[j] - single) <= 1e-14 * max(1.0, abs(single))
 
 
+def test_griffiths_pairing_batches_curvature_and_metric():
+    """A curvature with coefficient arrays over 5 points has a (5, r, r, n,
+    n) tensor, and pairs with a (5, r, r) stack of metrics as each point's
+    curvature with its own metric."""
+    rng = np.random.default_rng(73)
+    T = np.stack([random_curvature_tensor(rng, 2, 3, 0.5).tensor() for _ in range(5)])
+    B = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    H = B.conj().swapaxes(-1, -2) @ B + np.eye(2)
+    v = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    s = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    theta = CurvatureMatrix.from_tensor(T)
+    assert np.array_equal(theta.tensor(), T)
+    batch = griffiths_pairing(theta, H, v, s)
+    assert batch.shape == (5,)
+    for k in range(5):
+        single = griffiths_pairing(CurvatureMatrix.from_tensor(T[k]), H[k], v[k], s[k])
+        assert abs(batch[k] - single) <= 1e-14 * max(1.0, abs(single))
+    bad = H.copy()
+    bad[3] = -np.eye(2)
+    with pytest.raises(ValueError, match="positive-definite"):
+        griffiths_pairing(theta, bad, v, s)
+
+
+def test_array_times_form_is_a_form():
+    """An array of coefficients over points times a form is the form with
+    those coefficients, through FormValue.__rmul__, not an object array of
+    forms; so is a numpy scalar times a form."""
+    f = FormValue(1, {((0,), (0,)): 1.0})
+    g = np.array([1.0, 2.0]) * f
+    assert isinstance(g, FormValue)
+    assert np.array_equal(g.coefficient((0,), (0,)), [1.0, 2.0])
+    h = np.complex128(2j) * f
+    assert isinstance(h, FormValue) and h.coefficient((0,), (0,)) == 2j
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_griffiths_test_matches_per_sample_loop(seed, r, n):

@@ -55,8 +55,8 @@ def fs_like_curvature_field(rng, rank, dim, cover_degree):
     T1 = (T1 + np.conj(np.transpose(T1, (1, 0, 3, 2)))) / 2
 
     def theta(w):
-        t = float(sum(abs(complex(x)) ** 2 for x in w))
-        return CurvatureMatrix.from_tensor(T0 + t * T1)
+        t = np.sum(np.abs(w) ** 2, axis=-1)
+        return CurvatureMatrix.from_tensor(T0 + t[..., None, None, None, None] * T1)
 
     return theta
 
@@ -441,7 +441,7 @@ def test_descend_form_blocks():
     chart = LocalChart(dim=2, cover_degree=3)
     # no dw_1 components: plain substitution
     eta1 = descend_form(
-        lambda w: FormValue(2, {((1,), (1,)): abs(complex(w[0])) ** 6}), chart
+        lambda w: FormValue(2, {((1,), (1,)): np.abs(w[..., 0]) ** 6}), chart
     )
     z = (0.2 + 0.1j, 0.3)
     assert abs(complex(eta1(z).coefficient((1,), (1,))) - abs(z[0]) ** 2) < 1e-13
@@ -455,7 +455,7 @@ def test_descend_form_rejects_noninvariant():
     chart = LocalChart(dim=2, cover_degree=2)
     with pytest.raises(InvarianceError):
         descend_form(
-            lambda w: FormValue(2, {((1,), (1,)): complex(w[0])}), chart
+            lambda w: FormValue(2, {((1,), (1,)): w[..., 0]}), chart
         )
 
 
@@ -465,9 +465,9 @@ def test_descend_form_samples_inside_the_chart():
     chart = LocalChart(dim=2, cover_degree=1)
 
     def eta_tilde(w):
-        if abs(w[0]) >= 0.8:
+        if np.abs(w[..., 0]).max() >= 0.8:
             raise ValueError("outside the chart")
-        return FormValue(2, {((1,), (1,)): 1.0 + abs(w[1]) ** 2})
+        return FormValue(2, {((1,), (1,)): 1.0 + np.abs(w[..., 1]) ** 2})
 
     eta = descend_form(eta_tilde, chart)
     assert abs(complex(eta((0.3, 0.2)).coefficient((1,), (1,))) - 1.04) < 1e-14
@@ -476,15 +476,16 @@ def test_descend_form_samples_inside_the_chart():
 def test_deck_checks_share_one_sampler():
     """The metric and the form deck checks evaluate their fields at the same
     points: 40 seeded w and their rotations, drawn as the metric check
-    always drew them.  The metric check takes them as one batch, the 40
-    rotated points first; the form check one point at a time, each
-    rotated point before its w."""
+    always drew them.  Each check makes one call, on one batch with the 40
+    rotated points first."""
     chart = LocalChart(dim=2, cover_degree=3, rho=0.5)
     metric_points, form_points = [], []
     descend_metric(lambda w: metric_points.append(w) or np.ones((len(w), 1, 1)), [0], chart)
     descend_form(lambda w: form_points.append(w) or FormValue(2, {((1,), (1,)): 1.0}), chart)
     (batch,) = metric_points
-    assert np.array_equal(batch, np.concatenate([form_points[0::2], form_points[1::2]]))
+    (form_batch,) = form_points
+    assert form_batch.shape == batch.shape == (80, 2)
+    assert np.array_equal(form_batch, batch)
     rng = np.random.default_rng(0)
     rot = cmath.exp(2j * math.pi / 3)
     rotated, plain = [], []
@@ -502,13 +503,13 @@ def test_pullback_descend_round_trip_and_branch_independence():
     chart = LocalChart(dim=2, cover_degree=4)
 
     def eta_tilde(w):
-        w1, w2 = complex(w[0]), complex(w[1])
+        w1, w2 = w[..., 0], w[..., 1]
         return FormValue(
             2,
             {
                 ((0,), (1,)): np.conj(w1) * w2,
                 ((1,), (0,)): -w1 * np.conj(w2),
-                ((0,), (0,)): 1.0 + abs(w1) ** 2,
+                ((0,), (0,)): 1.0 + np.abs(w1) ** 2,
                 ((1,), (1,)): 2.0,
             },
         )
@@ -516,10 +517,10 @@ def test_pullback_descend_round_trip_and_branch_independence():
     eta = descend_form(eta_tilde, chart)
     rng = np.random.default_rng(2)
     for _ in range(10):
-        w = (
+        w = np.array([
             0.5 * cmath.exp(1j * rng.uniform(-0.7, 0.7)) * rng.uniform(0.3, 1),
             0.2 * (rng.normal() + 1j * rng.normal()),
-        )
+        ])
         back = pullback_form(eta, chart)(w)
         assert back.approx_equal(eta_tilde(w), tol=1e-11)
     z = (0.3 - 0.25j, 0.1)
@@ -614,7 +615,7 @@ def test_make_admissible_kahler():
     def euclid(z):
         return FormValue(2, {((0,), (0,)): 1.0, ((1,), (1,)): 1.0})
 
-    field, k_min = make_admissible_kahler(euclid, lambda z: 1.0, 1.0, chart)
+    field, k_min = make_admissible_kahler(euclid, lambda z: np.ones(len(z)), 1.0, chart)
     assert k_min == 1
     cone = cone_metric(1.0, chart)
     for z in [(0.05 + 0.02j, 0.1), (0.3 - 0.4j, -0.2j)]:
@@ -687,10 +688,27 @@ def test_mass_descent():
     chart = LocalChart(dim=1, cover_degree=2)
 
     def theta_tilde(w):
-        return FormValue(1, {((0,), (0,)): 1.0 + abs(complex(w[0])) ** 4})
+        return FormValue(1, {((0,), (0,)): 1.0 + np.abs(w[..., 0]) ** 4})
 
     up, down = smooth_mass_descent(theta_tilde, chart)
     assert abs(down - up / 2) < 1e-6 * abs(up)
+
+
+def test_mass_descent_samples_inside_the_chart():
+    """At rho = 0.5 and N = 2 both disks stay inside the chart, |w_1| <
+    rho^(1/2) = 0.707, and each is one call of its field."""
+    chart = LocalChart(dim=1, cover_degree=2, rho=0.5)
+    calls = []
+
+    def theta_tilde(w):
+        calls.append(w)
+        if np.abs(np.asarray(w)[..., 0]).max() >= 0.5 ** 0.5:
+            raise ValueError("outside the chart")
+        return FormValue(1, {((0,), (0,)): 1.0 + np.abs(np.asarray(w)[..., 0]) ** 4})
+
+    up, down = smooth_mass_descent(theta_tilde, chart)
+    assert abs(down - up / 2) < 1e-6 * abs(up)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -699,16 +717,16 @@ def test_mass_descent():
 
 
 def test_bott_chern_equal_metrics():
-    phi = bott_chern_line(lambda w: 2.0, lambda w: 2.0)
+    phi = bott_chern_line(lambda w: np.full(len(w), 2.0), lambda w: np.full(len(w), 2.0))
     assert phi((0.1, 0.2)) == 0.0
 
 
 def test_bott_chern_gaussian_and_order2():
     def h1(w):
-        return 1.0 + 0.5 * abs(complex(w[0])) ** 2
+        return 1.0 + 0.5 * np.abs(w[..., 0]) ** 2
 
     def h2(w):
-        return h1(w) * math.exp(-abs(complex(w[0])) ** 4)
+        return h1(w) * np.exp(-np.abs(w[..., 0]) ** 4)
 
     w = (0.4 + 0.3j,)
     # exact c1 difference: (i/2pi) ddbar |w|^4 = (i/2pi) 4|w|^2 dw dwbar
@@ -725,17 +743,22 @@ def test_bott_chern_gaussian_and_order2():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ddbar_numeric_evaluates_each_stencil_point_once(n):
-    """8 n^2 + 1 evaluations: the center, 4 per diagonal entry pair and 4
-    per mixed entry of the real Hessian in 2n coordinates."""
-    calls = []
+    """One call, on 8 n^2 + 1 distinct points per input point: the center,
+    4 per diagonal entry pair and 4 per mixed entry of the real Hessian in
+    2n coordinates."""
+    for points in (1, 3):
+        calls = []
 
-    def f(z):
-        calls.append(z)
-        return sum(abs(x) ** 2 for x in z)
+        def f(z):
+            calls.append(z)
+            return np.sum(np.abs(z) ** 2, axis=-1)
 
-    ddbar_numeric(f, [0.1 * (k + 1) + 0.2j for k in range(n)])
-    assert len(calls) == 8 * n * n + 1
-    assert len(set(calls)) == len(calls)
+        z = np.array([[0.1 * (k + 1) + 0.2j * (m + 1) for k in range(n)] for m in range(points)])
+        ddbar_numeric(f, z)
+        (batch,) = calls
+        assert batch.shape == (points * (8 * n * n + 1), n)
+        for stencil in batch.reshape(points, -1, n):
+            assert len({tuple(p) for p in stencil}) == 8 * n * n + 1
 
 
 def test_ddbar_numeric_of_a_hermitian_quadratic():
@@ -745,14 +768,15 @@ def test_ddbar_numeric_of_a_hermitian_quadratic():
     B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     A = B + B.conj().T
     z = rng.normal(size=3) + 1j * rng.normal(size=3)
-    form = ddbar_numeric(lambda w: float(np.real(np.conj(w) @ A @ np.array(w))), z, step=1e-2)
+    form = ddbar_numeric(lambda w: np.real(np.einsum("...p,pq,...q->...", np.conj(w), A, w)), z,
+                         step=1e-2)
     for p in range(3):
         for q in range(3):
             assert abs(complex(form.coefficient((p,), (q,))) - A[q, p]) < 1e-9
 
 
 def test_bott_chern_rejects_nonpositive():
-    phi = bott_chern_line(lambda w: -1.0, lambda w: 1.0)
+    phi = bott_chern_line(lambda w: np.full(len(w), -1.0), lambda w: np.ones(len(w)))
     with pytest.raises(ValueError):
         phi((0.1,))
 
@@ -762,10 +786,10 @@ def test_bott_chern_invariant_inputs_give_invariant_phi():
     rot = cmath.exp(2j * math.pi / N)
 
     def h1(w):
-        return 1.0 + abs(complex(w[0])) ** 2
+        return 1.0 + np.abs(w[..., 0]) ** 2
 
     def h2(w):
-        return 2.0 + abs(complex(w[0])) ** 4
+        return 2.0 + np.abs(w[..., 0]) ** 4
 
     phi = bott_chern_line(h1, h2)
     for t in (0.1, 0.5):
@@ -801,11 +825,50 @@ def test_griffiths_margin_transfer():
     assert dev < 1e-9 * max(1.0, scale)
 
 
+def test_griffiths_margin_transfer_samples_inside_the_chart():
+    """At rho = 0.3 and N = 1 every sample has |w_1| < rho, and each field
+    is called once upstairs and, through the descent, once downstairs."""
+    chart = LocalChart(dim=2, cover_degree=1, rho=0.3)
+    weights = [Fraction(0), Fraction(0)]
+    curvature = fs_like_curvature_field(np.random.default_rng(22), 2, 2, 1)
+    calls = {"theta": 0, "omega": 0, "htilde": 0}
+
+    def inside(name, w):
+        calls[name] += 1
+        if np.abs(np.asarray(w)[..., 0]).max() >= 0.3:
+            raise ValueError("outside the chart")
+
+    def theta_tilde(w):
+        inside("theta", w)
+        return curvature(np.asarray(w))
+
+    def omega_tilde(w):
+        inside("omega", w)
+        return FormValue(2, {((0,), (0,)): 1.0, ((1,), (1,)): 1.0})
+
+    def htilde(w):
+        inside("htilde", w)
+        return np.broadcast_to(np.diag([2.0, 1.0]), np.shape(w)[:-1] + (2, 2))
+
+    dev, ratios = griffiths_margin_transfer(theta_tilde, omega_tilde, htilde, weights, chart)
+    assert len(ratios) == 20
+    assert dev < 1e-9 * max(1.0, max(abs(u) for u, _ in ratios))
+    assert calls == {"theta": 2, "omega": 2, "htilde": 1}
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_griffiths_margin_transfer_needs_a_sample(samples):
+    """No samples checks nothing, so it is an error, not a pass."""
+    chart = LocalChart(dim=1, cover_degree=2)
+    with pytest.raises(ValueError, match="samples"):
+        griffiths_margin_transfer(None, None, None, [0], chart, samples=samples)
+
+
 def exact_closed_fixture(chart):
     """Descent of d(|w_1|^2 dwbar_2): closed, deck-invariant, singular."""
 
     def eta_tilde(w):
-        w1 = complex(w[0])
+        w1 = w[..., 0]
         return FormValue(
             2, {((0,), (1,)): np.conj(w1), ((), (0, 1)): w1}
         )
@@ -821,3 +884,114 @@ def test_closedness_residual_decay(N):
     assert abs(slope - 2.0 / N) < 0.02
     scale = series[0][1]
     assert residue < 1e-12 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_closedness_residual_needs_two_variables(dim):
+    """The residual reads the dz_1 ^ dzbar_2 and dzbar_1 ^ dzbar_2 parts of
+    a 2-variable form; on another dimension it is an error, not a number."""
+    chart = LocalChart(dim=dim, cover_degree=2)
+
+    def eta(z):
+        return FormValue(dim, {((0,), (0,)): np.abs(np.asarray(z)[..., 0])})
+
+    with pytest.raises(ValueError, match="two-variable"):
+        closedness_decay_slope(eta, chart)
+    with pytest.raises(ValueError, match="two-variable"):
+        boundary_residual(eta, 0.1, (0.1,) * (dim - 1))
+    with pytest.raises(ValueError, match="two-variable"):
+        boundary_residual(eta, 0.1, (0.1,))
+
+
+def test_boundary_residual_calls_its_field_once():
+    calls = []
+    eta = exact_closed_fixture(LocalChart(dim=2, cover_degree=3))
+    block, residue = boundary_residual(lambda z: calls.append(z) or eta(z), 0.1, (0.1,))
+    (batch,) = calls
+    assert batch.shape == (96, 2)
+    assert residue < 1e-12 * max(1.0, block)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation path: batches against single points
+# ---------------------------------------------------------------------------
+
+
+def coefficient_arrays(value, shape):
+    """The coefficients of a FormValue, or the tensor of a CurvatureMatrix,
+    as arrays broadcast to the points' shape."""
+    if isinstance(value, CurvatureMatrix):
+        T = value.tensor()
+        return {"tensor": np.broadcast_to(T, shape + T.shape[-4:])}
+    return {key: np.broadcast_to(c, shape) for key, c in value.coeffs.items()}
+
+
+def returned_fields():
+    """Each kind of field the module returns, on a seeded chart, with seeded
+    points inside it and off the branch cut."""
+    chart = LocalChart(dim=2, cover_degree=3, annuli=5, angular_nodes=8)
+    rng = np.random.default_rng(31)
+
+    def eta_tilde(w):
+        w1, w2 = w[..., 0], w[..., 1]
+        return FormValue(2, {((0,), (1,)): np.conj(w1) * w2, ((1,), (0,)): -w1 * np.conj(w2),
+                             ((0,), (0,)): 1.0 + np.abs(w1) ** 2, ((1,), (1,)): 2.0})
+
+    def euclid(z):
+        return FormValue(2, {((0,), (0,)): 1.0, ((1,), (1,)): 1.0})
+
+    line_chart = LocalChart(dim=1, cover_degree=2)
+    line = LocalMetricField(line_chart, [Fraction(1, 2)],
+                            lambda z: np.exp(-np.abs(z[..., :1, None])) * np.abs(z[..., :1, None]))
+    fields = {
+        "descend_form": (descend_form(eta_tilde, chart), chart),
+        "pullback_form": (pullback_form(descend_form(eta_tilde, chart), chart), chart),
+        "curvature_descend": (curvature_descend(fs_like_curvature_field(rng, 2, 2, 3),
+                                                [Fraction(1, 3), Fraction(2, 3)], chart), chart),
+        "cone_metric": (cone_metric(1.0, chart), chart),
+        "make_admissible_kahler": (make_admissible_kahler(
+            euclid, lambda z: 1.0 + np.abs(z[:, 1]) ** 2, 1.0, chart)[0], chart),
+        "line_current_decomposition": (line_current_decomposition(line, Fraction(1, 2))[0],
+                                       line_chart),
+    }
+    return fields, rng
+
+
+@pytest.mark.parametrize("name", ["descend_form", "pullback_form", "curvature_descend",
+                                  "cone_metric", "make_admissible_kahler",
+                                  "line_current_decomposition"])
+def test_returned_fields_batch_as_point_by_point(name):
+    """A batch of points (2, 3, dim) gives each point what that point gives
+    alone, to 1e-13 relative: the batch and the single point take different
+    array lengths through numpy, so the bits may differ."""
+    fields, rng = returned_fields()
+    field, chart = fields[name]
+    radius = 0.05 + 0.5 * rng.random((2, 3))
+    points = np.empty((2, 3, chart.dim), dtype=complex)
+    points[..., 0] = radius * np.exp(1j * rng.uniform(-0.9, 0.9, size=(2, 3)) * math.pi / 3)
+    points[..., 1:] = 0.2 * (rng.normal(size=(2, 3, chart.dim - 1))
+                             + 1j * rng.normal(size=(2, 3, chart.dim - 1)))
+    batch = coefficient_arrays(field(points), (2, 3))
+    for idx in np.ndindex(2, 3):
+        single = coefficient_arrays(field(points[idx]), ())
+        assert single.keys() <= batch.keys()
+        scale = max(np.max(np.abs(c)) for c in single.values())
+        for key, c in batch.items():
+            want = single.get(key, 0)
+            assert np.max(np.abs(c[idx] - want)) <= 1e-13 * scale, key
+
+
+def test_field_value_shape_is_checked():
+    """A form field or a potential whose value is not one entry per point
+    is rejected, not broadcast over the points."""
+    chart = LocalChart(dim=1, cover_degree=2)
+    with pytest.raises(ValueError, match="field value shape mismatch"):
+        descend_form(lambda w: FormValue(1, {((0,), (0,)): np.ones(1)}), chart)
+    with pytest.raises(ValueError, match="field value shape mismatch"):
+        descend_form(lambda w: FormValue(1, {((0,), (0,)): np.ones((len(w), 1))}), chart)
+    with pytest.raises(ValueError, match="field value shape mismatch"):
+        ddbar_numeric(lambda w: 1.0, (0.2,))
+    with pytest.raises(ValueError, match="field value shape mismatch"):
+        ddbar_numeric(lambda w: np.ones((len(w), 1)), (0.2,))
+    with pytest.raises(ValueError, match="field value shape mismatch"):
+        bott_chern_line(lambda w: np.ones(2), lambda w: np.ones(len(w)))((0.1,))
