@@ -7,15 +7,15 @@ other error (its traceback goes to the DEBUG log).  Each subcommand takes
 only the flags that FLAGS gives it.  Reports embed the tool version, a hash
 of the configuration (those flags and the input) and, where --seed is read,
 the seed; they are byte-identical for identical configuration.
-PARACHERN_LOG sets the logging level.
+PARACHERN_LOG sets the logging level.  --seed seeds random.Random for exact
+draws and numpy.random.default_rng for float draws.
 
 At load this module imports the standard library, parabolic, forms and
-fiberint, none of which loads numpy, so pardeg, chern, --version, a
+fiberint, none of which loads numpy, so pardeg, ops, chern, --version, a
 malformed command line and an input file that cannot be read or parsed run
-on the standard library alone.
-ops, admissible, pushforward and masolve import numpy, and localmodel or
-masolver, inside the subcommand that computes with them; admissible checks
-every field of its spec before that import.
+on the standard library alone.  pushforward loads numpy in fiberint's float
+functions; admissible and masolve import numpy, and localmodel or masolver,
+inside the subcommand, and admissible checks every field of its spec first.
 """
 
 from __future__ import annotations
@@ -234,17 +234,12 @@ def _identity_rows(model: ParabolicModel):
 
 
 def cmd_ops(args, spec, outdir: Path):
-    import numpy as np
-
     half = Fraction(1, 2)
     model = _read_model(args, spec, ParabolicModel(2, 1, {"p": (half, half)}))
     rows = _identity_rows(model)
-
-    def sweep(i):
-        rng = np.random.default_rng((args.seed, i))
-        return all(r["result"] == "PASS" for r in _identity_rows(random_model(rng)))
-
-    sweep_ok = all(sweep(i) for i in range(args.samples))
+    rng = random.Random(args.seed)
+    sweep_ok = all(r["result"] == "PASS" for _ in range(args.samples)
+                   for r in _identity_rows(random_model(rng)))
     sweep_name = f"randomized sweep ({args.samples} models)"
     rows.append({"identity": sweep_name, "result": "PASS" if sweep_ok else "FAIL"})
     ok = all(r["result"] == "PASS" for r in rows)
@@ -329,13 +324,11 @@ def _compare_terms(a, b, counts):
 
 
 def cmd_pushforward(args, spec, outdir: Path):
-    import numpy as np
-
     c = [
         _check(f"c[{i}]", x, float, *LIMITS["pushforward"]["c[i]"])
         for i, x in enumerate(_field(spec, "pushforward", "c", list, [1.0, 2.0]))
     ]
-    closed = 1.0 / float(np.prod(c))
+    closed = 1.0 / math.prod(c)
     quad = scalar_fiber_integral(c, tol=args.tol)
     mc_samples = max(args.samples, 100) * 1000 if len(c) > 1 else 0
     mc, mc_se = monte_carlo_oracle(c, budget=mc_samples, seed=args.seed)

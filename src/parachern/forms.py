@@ -4,8 +4,8 @@ Coefficients come in two modes: exact Gaussian rationals for identity
 checks, and complex floats for positivity sampling.  Which mode a
 computation runs in is decided in one place, :func:`exact_mode`, from the
 store each form holds.  A float coefficient may be a numpy array over a batch
-of points; it is dropped only when it is zero at every point, and queries
-that call ``complex()`` on a coefficient need scalars.  Exterior monomials
+of points; it is dropped only when it is zero at every point, and the
+queries reduce over its points as over the coefficients.  Exterior monomials
 are stored in the canonical order dz factors ascending, then dzbar factors
 ascending; all wedge signs are normalized to that order.  The
 :class:`FormValue` constructor, the one way a coefficient enters a form,
@@ -410,7 +410,7 @@ class FormValue:
             raise TypeError("an exact form and a float form do not mix")
 
     def is_zero(self, tol=0.0) -> bool:
-        return all(abs(complex(c)) <= tol for c in self.coeffs.values())
+        return all(_abs_max(c) <= tol for c in self.coeffs.values())
 
     def coefficient(self, I, J):
         return self.coeffs.get((tuple(I), tuple(J)), 0)
@@ -419,7 +419,7 @@ class FormValue:
         return {(len(I), len(J)) for I, J in self._terms}
 
     def max_abs(self) -> float:
-        return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
+        return max((_abs_max(c) for c in self.coeffs.values()), default=0.0)
 
     def approx_equal(self, other, tol=1e-12) -> bool:
         return (self - other).max_abs() <= tol
@@ -473,6 +473,11 @@ def _is_zero(c) -> bool:
         return not c
     except ValueError:  # an array over points
         return not c.any()
+
+
+def _abs_max(c) -> float:
+    """|c|; for an array over points, its largest entry."""
+    return float(abs(c).max()) if getattr(c, "ndim", 0) else abs(complex(c))
 
 
 def volume_normalizer(dim: int):
@@ -843,6 +848,8 @@ def nakano_test(theta: CurvatureMatrix, H=None, tol=1e-10) -> PositivityVerdict:
     if H is None:
         H = np.eye(r)
     A = _assemble_bilinear(theta, H)
+    if A.ndim != 2:
+        raise ValueError(f"nakano_test takes a curvature at one point, got a batch {A.shape[:-2]}")
     if np.max(np.abs(A - A.conj().T)) > 1e-8 * max(1.0, np.max(np.abs(A))):
         raise ValueError("assembled curvature pairing is not Hermitian")
     w, V = np.linalg.eigh((A + A.conj().T) / 2)

@@ -375,14 +375,14 @@ def random_model(
     max_points: int = 4,
     degree_span: int = 6,
 ) -> ParabolicModel:
-    """Seeded random model generator for property tests."""
-    rank = int(rng.integers(1, max_rank + 1))
-    degree = int(rng.integers(-degree_span, degree_span + 1))
-    npts = int(rng.integers(0, max_points + 1))
+    """Seeded random model from a ``random.Random``: the ``ops`` sweep and tests draw it."""
+    rank = rng.randint(1, max_rank)
+    degree = rng.randint(-degree_span, degree_span)
+    npts = rng.randint(0, max_points)
     drawn = []  # (n, numerators over n) per point
     for _ in range(npts):
-        n = int(rng.integers(1, max_cover + 1))
-        drawn.append((n, [int(rng.integers(0, n)) for _ in range(rank)]))
+        n = rng.randint(1, max_cover)
+        drawn.append((n, [rng.randrange(n) for _ in range(rank)]))
     den = math.lcm(*(n for n, _ in drawn))
     nums = {f"p{p}": [k * (den // n) for k in ks] for p, (n, ks) in enumerate(drawn)}
     return ParabolicModel._from_numerators(rank, degree, den, nums)

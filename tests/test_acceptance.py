@@ -66,7 +66,7 @@ def report(number: int, name: str, ok: bool):
 
 
 def _corpus(count=1000, seed=20240501):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     return [random_model(rng, max_rank=5, max_cover=12, max_points=4)
             for _ in range(count)]
 

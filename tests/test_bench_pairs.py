@@ -54,6 +54,25 @@ def test_regression_beyond_bound_and_failures():
     assert s["change_runs"] == {"all_correct": False, "attempted": 80, "failed": 4}
 
 
+def test_unresolved_when_the_base_spreads_wider_than_the_bound():
+    """A metric whose base IQR exceeds its bound is unresolved unless every
+    run of the change beats every run of the base."""
+    setups = [0.02, 0.03, 0.04, 0.05] * 2
+    base = [run(1.0 + 0.001 * i, 50.0, t) for i, t in enumerate(setups)]
+    same = bench_pairs.summarize(pairs(base, [run(1.0, 50.0, t) for t in reversed(setups)]),
+                                 END_TO_END)
+    setup = same["setup_s"]
+    assert setup["base"]["iqr"] > setup["bound"] * setup["base"]["median"]
+    assert setup["base_spread_exceeds_bound"] and setup["unresolved"]
+    assert not same["wall_s"]["unresolved"] and not same["peak_rss_mb"]["unresolved"]
+    # the change wins 7 of 8 pairs, but its worst run is not below the base's best
+    near = bench_pairs.summarize(pairs(base, [run(1.0, 50.0, 0.02)]
+                                       + [run(1.0, 50.0, 0.01)] * 7), END_TO_END)
+    assert near["setup_s"]["pairs_won"] == 7 and near["setup_s"]["unresolved"]
+    below = bench_pairs.summarize(pairs(base, [run(1.0, 50.0, 0.019)] * 8), END_TO_END)
+    assert below["setup_s"]["base_spread_exceeds_bound"] and not below["setup_s"]["unresolved"]
+
+
 def test_src_lines_counts_python_sources_under_src(tmp_path):
     (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
     (tmp_path / "src" / "pkg" / "__pycache__").mkdir()

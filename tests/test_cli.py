@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from parachern import cli, localmodel
 from parachern.fiberint import FiberQuadrature
 from parachern.forms import ChernData, FormValue, QQi
+from parachern.parabolic import ParabolicModel
 
 
 # The flags each subcommand reads, beyond --input and --out.
@@ -114,6 +115,21 @@ class TestOps:
 
     def test_default_model_without_input(self, tmp_path):
         assert run(tmp_path, "ops", "--samples", "5") == 0
+
+    def test_sweep_catches_a_fault(self, tmp_path, monkeypatch):
+        """A tensor product wrong only on rank >= 3, which the rank-2 default
+        model is not: the sweep fails and the model's own rows pass."""
+        real = cli.tensor
+
+        def wrong_from_rank_3(a, b):
+            t = real(a, b)
+            return t if a.rank < 3 else ParabolicModel(t.rank, t.degree + 1, t.points)
+
+        monkeypatch.setattr(cli, "tensor", wrong_from_rank_3)
+        assert run(tmp_path, "ops", "--samples", "50") == 1
+        *own, sweep = read_report(tmp_path, "ops")["identities"]
+        assert sweep == {"identity": "randomized sweep (50 models)", "result": "FAIL"}
+        assert len(own) == 5 and all(r["result"] == "PASS" for r in own)
 
 
 class TestAdmissible:

@@ -1395,6 +1395,32 @@ def test_array_times_form_is_a_form():
     assert isinstance(h, FormValue) and h.coefficient((0,), (0,)) == 2j
 
 
+def test_queries_reduce_over_coefficient_arrays():
+    """is_zero, max_abs, is_real, approx_equal and hermitian_defect take the
+    largest deviation over the points of a coefficient array, as they do
+    over the coefficients."""
+    f = FormValue(1, {((0,), (0,)): np.array([1.0, 2.0])})
+    assert not f.is_zero() and f.is_zero(tol=2.0) and not f.is_zero(tol=1.9)
+    assert f.max_abs() == 2.0
+    real = FormValue(2, {((0,), (1,)): np.array([1.0, 2j]), ((1,), (0,)): np.array([-1.0, 2j])})
+    assert real.is_real() and not FormValue(2, {((0,), (1,)): np.array([1.0, 2j])}).is_real()
+    assert f.approx_equal(f) and not f.approx_equal(FormValue(1, {((0,), (0,)): 1.0}))
+    assert f.approx_equal(FormValue(1, {((0,), (0,)): np.array([1.0, 2.0 + 1e-13])}))
+    T = np.zeros((3, 2, 2, 1, 1), complex)
+    T[:, 0, 1, 0, 0], T[:, 1, 0, 0, 0] = [1, 2, 3j], [1, 2, -3j]
+    assert CurvatureMatrix.from_tensor(T).hermitian_defect() == 0.0
+    T[1, 1, 0, 0, 0] = 2.5
+    assert CurvatureMatrix.from_tensor(T).hermitian_defect() == 0.5
+
+
+def test_nakano_test_takes_one_point():
+    T = np.zeros((3, 1, 1, 1, 1), complex)
+    T[:, 0, 0, 0, 0] = [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="one point"):
+        nakano_test(CurvatureMatrix.from_tensor(T))
+    assert nakano_test(CurvatureMatrix.from_tensor(T[1])).margin == 2.0
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_griffiths_test_matches_per_sample_loop(seed, r, n):

@@ -21,9 +21,11 @@ the line count of ``src/**/*.py`` of each side (the extracted base and the
 change's working tree), every run's output, and per workload and end-to-end
 metric the medians and interquartile ranges, the pairs the change won, the
 bound of ``BENCHMARK.json`` and whether the change's median stays inside it,
-and whether a gain may be claimed (the change wins at least nine tenths of
-the pairs and the medians differ by more than the base's interquartile
-range).
+whether the comparison is unresolved (the base's interquartile range is
+wider than the bound, and not every run of the change is better than every
+run of the base), and whether a gain may be claimed (the change wins at
+least nine tenths of the pairs and the medians differ by more than the
+base's interquartile range).
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ def quartiles(values: list) -> tuple:
 
 def summarize(pairs: list, end_to_end: list) -> dict:
     """Per metric of ``end_to_end`` (the entries of BENCHMARK.json): both
-    sides' medians and IQRs, pairs won by the change, bound status and
-    whether a gain may be claimed; and both sides' correctness and failures."""
+    sides' medians and IQRs, pairs won by the change, bound status, whether
+    the comparison is unresolved and whether a gain may be claimed; and both
+    sides' correctness and failures."""
     out = {}
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -96,6 +99,9 @@ def summarize(pairs: list, end_to_end: list) -> dict:
         (b1, base, b3), (c1, change, c3) = quartiles(side["base"]), quartiles(side["change"])
         wins = sum((c < b) if lower else (c > b) for b, c in zip(side["base"], side["change"]))
         gain = (base - change) if lower else (change - base)
+        spread_exceeds_bound = b3 - b1 > metric["bound"] * abs(base)
+        all_runs_better = (max(side["change"]) < min(side["base"]) if lower
+                           else min(side["change"]) > max(side["base"]))
         out[name] = {
             "unit": metric["unit"],
             "base": {"median": base, "iqr": b3 - b1},
@@ -105,7 +111,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "pairs": len(pairs),
             "bound": metric["bound"],
             "within_bound": -gain <= metric["bound"] * abs(base),
-            "base_spread_exceeds_bound": b3 - b1 > metric["bound"] * abs(base),
+            "base_spread_exceeds_bound": spread_exceeds_bound,
+            "unresolved": spread_exceeds_bound and not all_runs_better,
             "gain_claimable": 10 * wins >= 9 * len(pairs) and gain > b3 - b1,
         }
     for s in ("base", "change"):
