@@ -383,7 +383,7 @@ def _masolve_problem(spec):
         return problem
     fixture = field("fixture", str, "constant")
     M = field("M", int, 64)
-    eps = field("eps", float, 0.1) if fixture == "perturbed" else None
+    eps = field("eps", float, 0.1)
     try:
         return fixture_problem(fixture, M, r, eps)
     except ValueError as exc:

@@ -38,8 +38,10 @@ the caller supplies curvature that is already normalized, so that every
 coefficient stays in Q(i).  On an n-fold c_k is a (k,k)-form, so it
 vanishes for k > n: :func:`chern_forms` and :func:`chern_forms_minors`
 compute c_1 ... c_m, m = min(r, n), and return c_(m+1) ... c_r as zero forms.
-The first uses Newton's identities; the oracle and :func:`schur_form` use one
-division-free Berkowitz recursion, :func:`_elementary`, with no power trace.
+The first uses Newton's identities on the power traces p_k = tr(X^(k - k//2)
+X^(k//2)), so it forms the matrix powers X^j for j <= ceil(m/2) only; the
+oracle and :func:`schur_form` use one division-free Berkowitz recursion,
+:func:`_elementary`, with no power trace.
 
 Exact computations use the standard library alone.  numpy is imported inside
 the float functions that call it, at the first call:
@@ -709,19 +711,14 @@ def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
     exact, X = _normalized(theta, normalization)
     r, n = theta.rank, theta.dim
     m = min(r, n)
-    # power traces p_k, k = 1..m (entries even, so products commute); X^k is
-    # formed for k < m, and of X^(m-1) X only the diagonal
-    traces = []
-    P = X
-    for k in range(1, m + 1):
-        if k == 1:
-            diagonal = (X[i][i] for i in range(r))
-        elif k < m:
-            P = _mat_wedge(P, X, n)
-            diagonal = (P[i][i] for i in range(r))
-        else:
-            diagonal = (_product_entry(P, X, i, i, n) for i in range(r))
-        traces.append(sum(diagonal, FormValue.zero(n)))
+    # power traces p_k = tr(X^(k - k//2) X^(k//2)), k = 1..m (entries even, so
+    # products commute): X^j is formed for j <= ceil(m/2), above it a diagonal
+    powers = [X]
+    while len(powers) < (m + 1) // 2:
+        powers.append(_mat_wedge(powers[-1], X, n))
+    traces = [sum((powers[k - 1][i][i] if k <= len(powers) else
+                   _product_entry(powers[k - k // 2 - 1], powers[k // 2 - 1], i, i, n)
+                   for i in range(r)), FormValue.zero(n)) for k in range(1, m + 1)]
     e = [FormValue.scalar(n, _rational(1, 1, exact))]
     for k in range(1, m + 1):
         acc = FormValue.zero(n)

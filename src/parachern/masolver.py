@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .forms import CurvatureMatrix, FormValue, chern_forms
+from .forms import CurvatureMatrix, chern_forms
 
 
 class HypothesisError(RuntimeError):
@@ -575,13 +575,9 @@ def _forms_chern_densities(theta: np.ndarray, d: np.ndarray):
     T = theta.astype(complex)
     for a in range(r):
         T[..., a, a, :, :] += d
-    entries = [[FormValue(2, {((p,), (q,)): T[..., a, b, p, q] for p, q in np.ndindex(2, 2)})
-                for b in range(r)] for a in range(r)]
     # entries are pre-normalized coefficients: use trivial scaling
-    c = chern_forms(CurvatureMatrix(entries), normalization=1.0 + 0.0j)
-    c1 = np.empty(d.shape, dtype=complex)
-    for p, q in np.ndindex(2, 2):
-        c1[..., p, q] = c[1].coefficient((p,), (q,))
+    c = chern_forms(CurvatureMatrix.from_tensor(T), normalization=1.0 + 0.0j)
+    c1 = CurvatureMatrix([[c[1]]]).tensor()[..., 0, 0, :, :]
     # pre-normalized coefficients carry no factors of i, so the
     # canonical-order top coefficient is minus the density
     return c1, -np.real(c[2].coefficient((0, 1), (0, 1)))

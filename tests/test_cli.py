@@ -213,6 +213,17 @@ class TestChern:
         assert [(r["termsCompared"], r["termsDiffering"]) for r in rep["checks"]] == \
             [(30, 0), (30, 0)]
 
+    @pytest.mark.parametrize("rank,samples,terms", [(4, 2, 140), (6, 1, 70)])
+    def test_dim_four_passes(self, tmp_path, rank, samples, terms):
+        """At m = min(rank, dim) = 4 chern_forms forms no power above X^2.
+        Per sample: c_0, 16 c_1 terms, 36 c_2, 16 c_3 and one c_4 term."""
+        path = write_model(tmp_path, {"rank": rank, "dim": 4})
+        assert run(tmp_path, "chern", "--input", path, "--seed", "2", "--samples",
+                   str(samples)) == 0
+        rep = read_report(tmp_path, "chern")
+        assert [(r["termsCompared"], r["termsDiffering"]) for r in rep["checks"]] == \
+            [(terms, 0), (terms, 0)]
+
     def test_minors_off_by_one_coefficient_fails(self, tmp_path, monkeypatch):
         real = cli.chern_forms_minors
 
@@ -478,6 +489,8 @@ class TestInputContract:
         ("masolve", {"M": 0}, []),
         ("masolve", {"M": -4}, []),
         ("masolve", {"fixture": "perturbed", "M": 16}, ["--tol", "0"]),
+        ("masolve", {"fixture": "constant", "M": 16, "eps": "oops"}, []),
+        ("masolve", {"fixture": "constant", "M": 16, "eps": 1e9}, []),
         ("chern", {"rank": 0}, []),
         ("chern", {"rank": -1}, []),
         ("chern", {"dim": 0}, []),

@@ -1104,37 +1104,46 @@ def reference_chern_forms(theta, normalization=None):
 
 
 @pytest.mark.parametrize("r,n", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (4, 3),
-                                 (5, 3), (6, 3), (3, 4), (5, 4), (6, 4)])
+                                 (5, 3), (6, 3), (3, 4), (4, 4), (5, 4), (6, 4)])
 def test_truncated_chern_forms_match_untruncated_loops(r, n):
     """Both truncated computations equal (==) each other and the loops that
-    run to degree r; c_k is the zero form for k > n, and the rank stays r."""
+    run to degree r; chern_forms also keeps their key order, which == does
+    not compare.  c_k is the zero form for k > n, and the rank stays r."""
     rng = np.random.default_rng([r, n, 61])
     theta = random_exact_curvature(rng, r, n)
     c, cm = chern_forms(theta), chern_forms_minors(theta)
     assert c.rank == cm.rank == r
-    assert list(c.forms) == list(cm.forms) == reference_chern_forms(theta)
+    reference = reference_chern_forms(theta)
+    assert list(c.forms) == list(cm.forms) == reference
+    assert [list(f.keys()) for f in c.forms] == [list(f.keys()) for f in reference]
     assert list(cm.forms) == reference_chern_forms_minors(theta)
     for k in range(n + 1, r + 1):
         assert c[k].coeffs == {} == cm[k].coeffs
 
 
 def test_chern_wedge_counts_stop_at_degree_n(monkeypatch):
-    """At r = 5, n = 3 chern_forms forms X^2 and the diagonal of X^2 X
-    (125 + 25 wedges) and 1 + 2 + 3 Newton terms.  The oracle runs the
-    Berkowitz recursion to m = min(r, n).  Bordering the s x s block,
-    s = 1 ... r - 1, forms R A^j C for j <= J = min(s - 1, m - 2): (J + 1) s
-    wedges for the row products and J s^2 for A^j C.  The polynomial update
+    """chern_forms forms the matrix powers X^j for j <= ceil(m/2), m =
+    min(r, n), and of each higher product X^(k - k//2) X^(k//2) only the
+    diagonal, then 1 + 2 + ... + m Newton terms.  At r = 5, n = 3 that is
+    X^2 and the diagonal of X^2 X: 125 + 25 + 6 wedges.  At n = 4 it is X^2
+    and the diagonals of X^2 X and X^2 X^2: 64 + 16 + 16 + 10 = 106 at r = 4
+    and 216 + 36 + 36 + 10 = 298 at r = 6, where forming X^3 costs 154 and
+    478.  The oracle runs the Berkowitz recursion to m.  Bordering the s x s
+    block, s = 1 ... r - 1, forms R A^j C for j <= J = min(s - 1, m - 2):
+    (J + 1) s wedges for the row products and J s^2 for A^j C.  The update
     then takes 1 + 2 + ... + (min(s + 1, m) - 1) wedges.  At (5, 3) that is
     (1 + 1) + (8 + 3) + (15 + 3) + (24 + 3) = 58; at (6, 4) it is
     (1 + 1) + (8 + 3) + (27 + 6) + (44 + 6) + (65 + 6) = 167, where an
     expansion of every principal minor over permutations makes 225 and 1,866."""
     thetas = {(r, n): random_exact_curvature(np.random.default_rng(5), r, n)
-              for r, n in ((5, 3), (6, 4))}
+              for r, n in ((5, 3), (4, 4), (6, 4))}
     calls = []
     wedge = FormValue.wedge
     monkeypatch.setattr(FormValue, "wedge", lambda a, b: calls.append(1) or wedge(a, b))
-    chern_forms(thetas[5, 3])
-    assert len(calls) == 125 + 25 + 6
+    for (r, n), count in (((5, 3), 125 + 25 + 6), ((4, 4), 106), ((6, 4), 298)):
+        calls.clear()
+        chern_forms(thetas[r, n])
+        assert len(calls) == count, (r, n)
     for (r, n), count in (((5, 3), 58), ((6, 4), 167)):
         calls.clear()
         chern_forms_minors(thetas[r, n])

@@ -179,3 +179,60 @@ def test_one_version_string(tmp_path):
     config = tomllib.loads(pyproject.read_text())
     assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "parachern.__version__"}
+
+
+def _call_graph():
+    """{(module, name): callees} over the module-level functions of
+    parachern, where the callees are the module-level functions that the
+    body calls by bare name: defined in the same module or imported from
+    another parachern module (a function-level import counts)."""
+    defs, scopes = {}, {}
+    for path in MODULES:
+        module, tree = path.stem, ast.parse(path.read_text(), filename=str(path))
+        defs[module] = {node.name: node for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        scopes[module] = {name: (module, name) for name in defs[module]}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level == 1 or (node.module or "").startswith("parachern.")):
+                source = (node.module or "").rpartition(".")[2]
+                scopes[module].update({alias.asname or alias.name: (source, alias.name)
+                                       for alias in node.names})
+    graph = {}
+    for module, functions in defs.items():
+        for name, node in functions.items():
+            called = (scopes[module].get(call.func.id) for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Name))
+            graph[module, name] = {f for f in called if f and f[1] in defs.get(f[0], {})}
+    return graph
+
+
+def _reach(graph, start):
+    """start and every function it calls, transitively."""
+    seen, todo = set(), [start]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo += graph[node]
+    return seen
+
+
+# the normalization, the one mode rule and its scalar; nothing that computes
+ORACLE_SHARES = {"_normalized", "_rational", "exact_mode"}
+
+
+@pytest.mark.parametrize("computation,oracle", [
+    (("forms", "chern_forms"), ("forms", "chern_forms_minors")),
+    (("fiberint", "symbolic_pushforward"), ("forms", "chern_forms")),
+    (("fiberint", "symbolic_pushforward"), ("forms", "segre_forms")),
+    (("fiberint", "scalar_fiber_integral"), ("fiberint", "monte_carlo_oracle")),
+], ids=lambda pair: pair[1])
+def test_oracles_share_no_step_with_what_they_check(computation, oracle):
+    """A check is independent only if the computation and its oracle reach
+    no common function through calls by bare name, beyond the normalization
+    and the mode rule.  Today the shared sets are {_normalized, _rational,
+    exact_mode}, {exact_mode}, {} and {}."""
+    graph = _call_graph()
+    shared = {name for _, name in _reach(graph, computation) & _reach(graph, oracle)}
+    assert shared <= ORACLE_SHARES, f"{computation[1]} and {oracle[1]} share {shared}"
