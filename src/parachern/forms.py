@@ -1,16 +1,17 @@
 """Pointwise exterior algebra of (p,q)-forms and curvature invariants.
 
 Coefficients come in two modes: exact Gaussian rationals for identity
-checks, and complex floats for positivity sampling.  Which mode a
-computation runs in is decided in one place, :func:`exact_mode`, from the
-store each form holds.  A float coefficient may be a numpy array over a batch
-of points; it is dropped only when it is zero at every point, and the
-queries reduce over its points as over the coefficients.  Exterior monomials
-are stored in the canonical order dz factors ascending, then dzbar factors
-ascending; all wedge signs are normalized to that order.  The
-:class:`FormValue` constructor, the one way a coefficient enters a form,
-rejects any other key with ValueError: each index tuple must be strictly
-increasing, and every index must lie in [0, dim).
+checks, and complex floats for positivity sampling.  The mode is decided in
+one place, :func:`exact_mode`, from the store each form holds: an exact zero
+stays exact, and a form built with no QQi is float.  Every constant that
+depends on the mode is built from one unit, QQi(1) or 1.0.  A float
+coefficient may be a numpy array over a batch of points; it is dropped only
+when it is zero at every point, and the queries reduce over its points as
+over the coefficients.  Exterior monomials are stored in the canonical order
+dz factors ascending, then dzbar factors ascending; all wedge signs are
+normalized to that order.  The :class:`FormValue` constructor, the one way a
+coefficient enters a form, rejects any other key with ValueError: each index
+tuple must be strictly increasing, and every index must lie in [0, dim).
 
 The exact scalar at the API is :class:`QQi`, Gaussian-integer numerators a,
 b over one integer denominator d, as (a + b*i)/d with d > 0 and
@@ -568,15 +569,9 @@ class CurvatureMatrix:
 
     def conjugated(self, d: Sequence) -> "CurvatureMatrix":
         """diag(d) . Theta . diag(d)^-1, entrywise d_i * Theta_ij / d_j."""
-        r = self.rank
-        exact = exact_mode(self, *d)
-        return CurvatureMatrix(
-            [
-                [(d[i] * (QQi(1) / d[j] if exact else 1 / d[j]))
-                 * self.entries[i][j] for j in range(r)]
-                for i in range(r)
-            ]
-        )
+        one, r = _one(self, *d), self.rank
+        return CurvatureMatrix([[(d[i] * (one / d[j])) * self.entries[i][j] for j in range(r)]
+                                for i in range(r)])
 
 
 def random_qqi(rng: random.Random) -> QQi:
@@ -637,14 +632,13 @@ class ChernData:
 
 def exact_mode(*items) -> bool:
     """True when a computation on ``items`` runs over Q(i), False when it
-    runs over complex floats.  The first form found that stores a
-    coefficient decides by its store, reading the given forms, curvature
-    matrices, Chern data and scalars in order.  Callers pass the structure
-    first, so a scalar such as a normalization decides only when the
-    structure stores no coefficient (all zero).  Only a QQi scalar is exact,
-    and a form is exact when one of the coefficients it was built from is a
-    QQi: an int coefficient alone, such as the default of
-    :meth:`FormValue.monomial`, means float mode."""
+    runs over complex floats.  Forms, curvature matrices, Chern data and
+    scalars are read in order.  The first form that has an exact store, even
+    with no coefficient, or that stores a coefficient decides by its store,
+    so an exact zero stays exact.  A form built with no QQi is float, such as
+    :meth:`FormValue.zero` or a monomial with the int default, and an empty
+    one decides nothing.  So a scalar passed after the structure, such as a
+    normalization, decides only then; only a QQi scalar is exact."""
     for item in items:
         if isinstance(item, FormValue):
             forms = (item,)
@@ -657,28 +651,28 @@ def exact_mode(*items) -> bool:
         else:
             return isinstance(item, QQi)
         for f in forms:
-            if f._terms:
+            if f._terms or f._d is not None:
                 return f._d is not None
     return False
 
 
-def _rational(p: int, q: int, exact: bool):
-    """p/q as a QQi in exact mode, as a float otherwise."""
-    return QQi(Fraction(p, q)) if exact else p / q
+def _one(*items):
+    """QQi(1) when :func:`exact_mode` reads ``items`` as exact, else 1.0."""
+    return QQi(1) if exact_mode(*items) else 1.0
 
 
 def _normalized(theta: CurvatureMatrix, normalization):
-    """(exact, X) with X = normalization * theta entrywise; the default
-    normalization is 1 in exact mode and i/(2 pi) in float mode.  The
-    entries must have no part of degree below 2, as a curvature has none, so
-    that a wedge of more than n of them vanishes."""
+    """(one, X): the unit of the mode, :func:`_one` of theta and then the
+    normalization (an exact zero curvature stays exact, one built with no
+    QQi is float), and X = normalization * theta entrywise, whose default is
+    one in exact mode and i/(2 pi) in float mode.  The entries must have no
+    part of degree below 2, so that a wedge of more than n of them vanishes."""
     if any(len(I) + len(J) < 2 for row in theta.entries for f in row for I, J in f.keys()):
         raise ValueError("curvature entries must have no 0-form or 1-form part")
-    exact = exact_mode(theta, normalization)
+    one, r = _one(theta, normalization), theta.rank
     if normalization is None:
-        normalization = QQi(1) if exact else 1j / (2 * math.pi)
-    r = theta.rank
-    return exact, [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
+        normalization = one if isinstance(one, QQi) else 1j / (2 * math.pi)
+    return one, [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
 
 
 def _elementary(A, top: int, one: FormValue) -> list[FormValue]:
@@ -708,7 +702,7 @@ def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
     """Elementary symmetric functions of the normalized curvature via
     Newton's identities on the power traces.  c_k is a (k,k)-form, so only
     c_1 ... c_m with m = min(r, n) are computed; c_(m+1) ... c_r are zero."""
-    exact, X = _normalized(theta, normalization)
+    one, X = _normalized(theta, normalization)
     r, n = theta.rank, theta.dim
     m = min(r, n)
     # power traces p_k = tr(X^(k - k//2) X^(k//2)), k = 1..m (entries even, so
@@ -719,13 +713,13 @@ def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
     traces = [sum((powers[k - 1][i][i] if k <= len(powers) else
                    _product_entry(powers[k - k // 2 - 1], powers[k // 2 - 1], i, i, n)
                    for i in range(r)), FormValue.zero(n)) for k in range(1, m + 1)]
-    e = [FormValue.scalar(n, _rational(1, 1, exact))]
+    e = [FormValue.scalar(n, one)]
     for k in range(1, m + 1):
         acc = FormValue.zero(n)
         for i in range(1, k + 1):
             term = e[k - i].wedge(traces[i - 1])
             acc = acc + ((-1) ** (i - 1)) * term
-        e.append(_rational(1, k, exact) * acc)
+        e.append((one / k) * acc)
     e += [FormValue.zero(n) for _ in range(m, r)]
     return ChernData(tuple(e))
 
@@ -734,9 +728,9 @@ def chern_forms_minors(theta: CurvatureMatrix, normalization=None) -> ChernData:
     """Independent oracle: c_k = e_k(X), the sum of the principal k x k minors
     of the normalized curvature X, from det(I + tX).  No power trace and no
     division, so it shares no step with the Newton identities it checks."""
-    exact, X = _normalized(theta, normalization)
+    one, X = _normalized(theta, normalization)
     r, n = theta.rank, theta.dim
-    forms = _elementary(X, min(r, n), FormValue.scalar(n, _rational(1, 1, exact)))
+    forms = _elementary(X, min(r, n), FormValue.scalar(n, one))
     forms += [FormValue.zero(n) for _ in range(len(forms), r + 1)]
     return ChernData(tuple(forms))
 
@@ -776,7 +770,7 @@ def schur_form(lam: Sequence[int], c: ChernData) -> FormValue:
     # rows and columns reversed, which keeps det: short parts lead, fewer terms
     M = [[h[k] if k >= 0 else FormValue.zero(n) for k in range(x + i, x + i - ell, -1)]
          for i, x in enumerate(reversed(lam))]
-    return _elementary(M, ell, FormValue.scalar(n, _rational(1, 1, exact_mode(c))))[ell]
+    return _elementary(M, ell, c[0])[ell]
 
 
 def kobayashi_lubke_rhs(c: ChernData, r: int) -> FormValue:
@@ -784,7 +778,7 @@ def kobayashi_lubke_rhs(c: ChernData, r: int) -> FormValue:
     if c.dim != 2:
         raise ValueError("defined for base dimension 2 only")
     c1, c2 = c[1], c[2]
-    return _rational(1, 2 * r, exact_mode(c)) * ((2 * r) * c2 - (r - 1) * c1.wedge(c1))
+    return (_one(c) / (2 * r)) * ((2 * r) * c2 - (r - 1) * c1.wedge(c1))
 
 
 # ---------------------------------------------------------------------------

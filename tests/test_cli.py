@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from parachern import cli, localmodel
 from parachern.fiberint import FiberQuadrature
-from parachern.forms import ChernData, FormValue, QQi
+from parachern.forms import ChernData, CurvatureMatrix, FormValue, QQi
 from parachern.parabolic import ParabolicModel
 
 
@@ -240,6 +240,37 @@ class TestChern:
         assert minors["result"] == "FAIL" and minors["termsDiffering"] >= 1
         assert conj["result"] == "PASS" and conj["termsDiffering"] == 0
         assert rep["pass"] is False
+
+    def test_conjugation_fault_fails(self, tmp_path, monkeypatch):
+        """A conjugation that scales Theta_ij by d_i d_j, not d_i / d_j,
+        changes the Chern forms; the conjugation check must see it, and the
+        minors check, which never conjugates, must not."""
+        def scaled(self, d):
+            r = self.rank
+            return CurvatureMatrix([[(d[i] * d[j]) * self.entries[i][j] for j in range(r)]
+                                    for i in range(r)])
+
+        monkeypatch.setattr(CurvatureMatrix, "conjugated", scaled)
+        assert run(tmp_path, "chern", "--samples", "3") == 1
+        rep = read_report(tmp_path, "chern")
+        minors, conj = rep["checks"]
+        assert (minors["result"], minors["termsCompared"], minors["termsDiffering"]) == \
+            ("PASS", 18, 0)
+        assert (conj["result"], conj["termsCompared"], conj["termsDiffering"]) == \
+            ("FAIL", 18, 15)
+        assert rep["pass"] is False
+
+    @pytest.mark.parametrize("rank,dim", [
+        (r, n) for r in range(cli.LIMITS["chern"]["rank"][0], cli.LIMITS["chern"]["rank"][1] + 1)
+        for n in range(cli.LIMITS["chern"]["dim"][0], cli.LIMITS["chern"]["dim"][1] + 1)])
+    def test_valid_input_sweep_passes(self, tmp_path, rank, dim):
+        """Every rank and dim that LIMITS accepts exits 0 with both checks
+        PASS, rank 1 and dim 1 included: there a draw can be the exact zero
+        curvature, which must stay exact."""
+        path = write_model(tmp_path, {"rank": rank, "dim": dim})
+        assert run(tmp_path, "chern", "--input", path, "--seed", "1", "--samples", "5") == 0
+        rep = read_report(tmp_path, "chern")
+        assert [r["result"] for r in rep["checks"]] == ["PASS", "PASS"]
 
 
 class TestPushforward:

@@ -746,6 +746,22 @@ def test_zero_exact_matrix_runs_in_exact_mode():
         assert all(c[k].is_zero() for k in range(1, 4))
 
 
+@pytest.mark.parametrize("seed", [9, 11])
+def test_exact_zero_curvature_stays_exact(seed):
+    """At rank 1 and dim 1 these draws give the exact zero curvature, which
+    stores no coefficient.  Its exact store decides the mode, so both Chern
+    routes and the conjugation check give c_0 = QQi(1) and c_1 zero, where
+    a float normalization i/(2 pi) would meet an exact form."""
+    theta = forms_random_exact_curvature(random.Random(seed), 1, 1)
+    assert not theta.entries[0][0].keys()
+    assert exact_mode(theta)
+    for c in (chern_forms(theta), chern_forms_minors(theta),
+              chern_forms(theta.conjugated([QQi(2)]))):
+        assert c[0] == FormValue.scalar(1, QQi(1))
+        assert type(c[0].coefficient((), ())) is QQi
+        assert c.rank == 1 and c[1].is_zero()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_newton_vs_minor_expansion_exact(seed):
     rng = np.random.default_rng(200 + seed)

@@ -218,8 +218,8 @@ def _reach(graph, start):
     return seen
 
 
-# the normalization, the one mode rule and its scalar; nothing that computes
-ORACLE_SHARES = {"_normalized", "_rational", "exact_mode"}
+# the normalization, the one mode rule and its unit; nothing that computes
+ORACLE_SHARES = {"_normalized", "_one", "exact_mode"}
 
 
 @pytest.mark.parametrize("computation,oracle", [
@@ -231,7 +231,7 @@ ORACLE_SHARES = {"_normalized", "_rational", "exact_mode"}
 def test_oracles_share_no_step_with_what_they_check(computation, oracle):
     """A check is independent only if the computation and its oracle reach
     no common function through calls by bare name, beyond the normalization
-    and the mode rule.  Today the shared sets are {_normalized, _rational,
+    and the mode rule.  Today the shared sets are {_normalized, _one,
     exact_mode}, {exact_mode}, {} and {}."""
     graph = _call_graph()
     shared = {name for _, name in _reach(graph, computation) & _reach(graph, oracle)}
