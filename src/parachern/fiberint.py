@@ -261,7 +261,9 @@ def symbolic_pushforward(theta: CurvatureMatrix) -> list[FormValue]:
     x = [tuple(int(A == i + 1) for i in range(d)) for A in range(r)]
     twist = [(x[A], x[B], theta.entries[A][B]) for A in range(r) for B in range(r)]
     one = QQi(1) if exact_mode(theta, QQi(1)) else 1.0  # all zero counts as exact
-    power = {(x[0], x[0]): FormValue.scalar(n, one)}
+    unit = FormValue.scalar(n, one)
+    zero = 0 * unit
+    power = {(x[0], x[0]): unit}
     out = []
     for k in range(n + 1):
         if k:
@@ -269,10 +271,10 @@ def symbolic_pushforward(theta: CurvatureMatrix) -> list[FormValue]:
             for (a, b), val in power.items():
                 for xa, xb, entry in twist:
                     key = (tuple(map(add, a, xa)), tuple(map(add, b, xb)))
-                    nxt[key] = nxt.get(key, FormValue.zero(n)) + val.wedge(entry)
+                    nxt[key] = nxt.get(key, zero) + val.wedge(entry)
             power = nxt
         weight = (-1) ** k * math.comb(d + k, d) * math.factorial(d)
-        s_k = FormValue.zero(n)
+        s_k = zero
         for (a, b), val in power.items():
             if a == b:
                 s_k = s_k + (weight * moment_exact(a, d + 1 + k)) * val

@@ -39,10 +39,14 @@ the caller supplies curvature that is already normalized, so that every
 coefficient stays in Q(i).  On an n-fold c_k is a (k,k)-form, so it
 vanishes for k > n: :func:`chern_forms` and :func:`chern_forms_minors`
 compute c_1 ... c_m, m = min(r, n), and return c_(m+1) ... c_r as zero forms.
-The first uses Newton's identities on the power traces p_k = tr(X^(k - k//2)
-X^(k//2)), so it forms the matrix powers X^j for j <= ceil(m/2) only; the
-oracle and :func:`schur_form` use one division-free Berkowitz recursion,
-:func:`_elementary`, with no power trace.
+Every sum starts from the zero form of the unit, so a zero keeps the mode.
+The first uses Newton's identities on the power traces p_k = tr X^k.  At
+m = 3 they come from the closed walks grouped by rotation,
+:func:`_rotation_traces`, with no matrix power; otherwise p_k =
+tr(X^(k - k//2) X^(k//2)), which forms X^j for j <= ceil(m/2) only.  The
+oracle and :func:`schur_form`, the dual Jacobi-Trudi determinant in the
+Chern forms, use one division-free Berkowitz recursion, :func:`_elementary`,
+with no power trace.
 
 Exact computations use the standard library alone.  numpy is imported inside
 the float functions that call it, at the first call:
@@ -598,14 +602,14 @@ def random_exact_curvature(rng: random.Random, r: int, n: int) -> CurvatureMatri
     return CurvatureMatrix(E)
 
 
-def _product_entry(A, B, i, j, dim):
-    """Entry (i, j) of the matrix wedge product A B."""
-    return sum((A[i][k].wedge(B[k][j]) for k in range(len(A))), FormValue.zero(dim))
+def _product_entry(A, B, i, j, zero):
+    """Entry (i, j) of the matrix wedge product A B, summed from ``zero``."""
+    return sum((A[i][k].wedge(B[k][j]) for k in range(len(A))), zero)
 
 
-def _mat_wedge(A, B, dim):
+def _mat_wedge(A, B, zero):
     r = len(A)
-    return [[_product_entry(A, B, i, j, dim) for j in range(r)] for i in range(r)]
+    return [[_product_entry(A, B, i, j, zero) for j in range(r)] for i in range(r)]
 
 
 @dataclass(frozen=True)
@@ -664,15 +668,18 @@ def _one(*items):
 def _normalized(theta: CurvatureMatrix, normalization):
     """(one, X): the unit of the mode, :func:`_one` of theta and then the
     normalization (an exact zero curvature stays exact, one built with no
-    QQi is float), and X = normalization * theta entrywise, whose default is
-    one in exact mode and i/(2 pi) in float mode.  The entries must have no
-    part of degree below 2, so that a wedge of more than n of them vanishes."""
+    QQi is float), and X = normalization * theta entrywise.  The default
+    normalization is one in exact mode, where X is theta's own entries with
+    no product, and i/(2 pi) in float mode.  The entries must have no part
+    of degree below 2, so that a wedge of more than n of them vanishes."""
     if any(len(I) + len(J) < 2 for row in theta.entries for f in row for I, J in f.keys()):
         raise ValueError("curvature entries must have no 0-form or 1-form part")
-    one, r = _one(theta, normalization), theta.rank
+    one = _one(theta, normalization)
     if normalization is None:
-        normalization = one if isinstance(one, QQi) else 1j / (2 * math.pi)
-    return one, [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
+        if isinstance(one, QQi):
+            return one, theta.entries
+        normalization = 1j / (2 * math.pi)
+    return one, [[normalization * f for f in row] for row in theta.entries]
 
 
 def _elementary(A, top: int, one: FormValue) -> list[FormValue]:
@@ -681,7 +688,7 @@ def _elementary(A, top: int, one: FormValue) -> list[FormValue]:
     bordering the leading block A_m by a column C, a row R and a corner a
     multiplies the polynomial by 1 + a t + sum_j (-1)^(j+1) R A_m^j C t^(j+2).
     Degrees above top, or above m + 1 for A_m, are never formed; no division."""
-    zero = FormValue.zero(one.dim)
+    zero = 0 * one
     e = [one] + [zero] * top
     for m in range(len(A)):
         deg = min(m + 1, top)
@@ -698,30 +705,67 @@ def _elementary(A, top: int, one: FormValue) -> list[FormValue]:
     return e
 
 
+def _rotation_traces(X, zero) -> list[FormValue]:
+    """[p_1, p_2, p_3], p_k = tr X^k, for a square matrix X of even forms
+    (they commute), from the closed walks of length k grouped by rotation:
+    p_2 = sum_i X_ii^2 + 2 sum_{i<j} X_ij X_ji and
+
+        p_3 = sum_i X_ii^3 + 3 sum_i X_ii sum_{j != i} X_ij X_ji
+              + 3 sum_{i<j<k} (X_ij X_jk X_ki + X_ik X_kj X_ji),
+
+    where the triangles through i < k are summed over j before the closing
+    factor X_ki or X_ik.  That is C(r,2) + 3r + 2 C(r,3) + 2 C(r,2) wedges,
+    and no matrix power."""
+    r = len(X)
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    cycle = {}  # X_ij X_ji, one wedge per pair
+    for i, j in pairs:
+        cycle[i, j] = cycle[j, i] = X[i][j].wedge(X[j][i])
+    squares = [X[i][i].wedge(X[i][i]) for i in range(r)]
+
+    def path(a, b):  # the walks a -> j -> b over the j strictly between a and b
+        return sum((X[a][j].wedge(X[j][b]) for j in range(min(a, b) + 1, max(a, b))), zero)
+
+    p1 = sum((X[i][i] for i in range(r)), zero)
+    p2 = sum(squares, zero) + 2 * sum((cycle[pair] for pair in pairs), zero)
+    cubes = sum((squares[i].wedge(X[i][i]) for i in range(r)), zero)
+    loops = sum((X[i][i].wedge(sum((cycle[i, j] for j in range(r) if j != i), zero))
+                 for i in range(r)), zero)
+    triangles = sum((path(i, k).wedge(X[k][i]) + path(k, i).wedge(X[i][k]) for i, k in pairs),
+                    zero)
+    return [p1, p2, cubes + 3 * (loops + triangles)]
+
+
 def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
     """Elementary symmetric functions of the normalized curvature via
-    Newton's identities on the power traces.  c_k is a (k,k)-form, so only
-    c_1 ... c_m with m = min(r, n) are computed; c_(m+1) ... c_r are zero."""
+    Newton's identities on the power traces p_k = tr X^k.  c_k is a
+    (k,k)-form, so only c_1 ... c_m with m = min(r, n) are computed;
+    c_(m+1) ... c_r are zero forms of the mode.  At m = 3 the traces come
+    from :func:`_rotation_traces`, with no matrix power.  Otherwise p_k =
+    tr(X^(k - k//2) X^(k//2)): X^j is formed for j <= ceil(m/2), and above it
+    only a diagonal."""
     one, X = _normalized(theta, normalization)
     r, n = theta.rank, theta.dim
     m = min(r, n)
-    # power traces p_k = tr(X^(k - k//2) X^(k//2)), k = 1..m (entries even, so
-    # products commute): X^j is formed for j <= ceil(m/2), above it a diagonal
-    powers = [X]
-    while len(powers) < (m + 1) // 2:
-        powers.append(_mat_wedge(powers[-1], X, n))
-    traces = [sum((powers[k - 1][i][i] if k <= len(powers) else
-                   _product_entry(powers[k - k // 2 - 1], powers[k // 2 - 1], i, i, n)
-                   for i in range(r)), FormValue.zero(n)) for k in range(1, m + 1)]
-    e = [FormValue.scalar(n, one)]
+    unit = FormValue.scalar(n, one)
+    zero = 0 * unit
+    if m == 3:
+        traces = _rotation_traces(X, zero)
+    else:
+        powers = [X]
+        while len(powers) < (m + 1) // 2:
+            powers.append(_mat_wedge(powers[-1], X, zero))
+        traces = [sum((powers[k - 1][i][i] if k <= len(powers) else
+                       _product_entry(powers[k - k // 2 - 1], powers[k // 2 - 1], i, i, zero)
+                       for i in range(r)), zero) for k in range(1, m + 1)]
+    e = [unit]
     for k in range(1, m + 1):
-        acc = FormValue.zero(n)
+        acc = zero
         for i in range(1, k + 1):
             term = e[k - i].wedge(traces[i - 1])
             acc = acc + ((-1) ** (i - 1)) * term
         e.append((one / k) * acc)
-    e += [FormValue.zero(n) for _ in range(m, r)]
-    return ChernData(tuple(e))
+    return ChernData(tuple(e + [zero] * (r - m)))
 
 
 def chern_forms_minors(theta: CurvatureMatrix, normalization=None) -> ChernData:
@@ -730,18 +774,18 @@ def chern_forms_minors(theta: CurvatureMatrix, normalization=None) -> ChernData:
     division, so it shares no step with the Newton identities it checks."""
     one, X = _normalized(theta, normalization)
     r, n = theta.rank, theta.dim
-    forms = _elementary(X, min(r, n), FormValue.scalar(n, one))
-    forms += [FormValue.zero(n) for _ in range(len(forms), r + 1)]
-    return ChernData(tuple(forms))
+    unit = FormValue.scalar(n, one)
+    forms = _elementary(X, min(r, n), unit)
+    return ChernData(tuple(forms + [0 * unit] * (r + 1 - len(forms))))
 
 
 def segre_forms(c: ChernData, max_degree: int) -> list[FormValue]:
     """Power-series inverse of the Chern polynomial:
     s_0 = 1 and s_k = -sum_{i=1..k} c_i wedge s_{k-i}."""
-    n = c.dim
     s = [c[0]]
+    zero = 0 * c[0]
     for k in range(1, max_degree + 1):
-        acc = FormValue.zero(n)
+        acc = zero
         for i in range(1, k + 1):
             acc = acc + c[i].wedge(s[k - i])
         s.append(-acc)
@@ -749,10 +793,13 @@ def segre_forms(c: ChernData, max_degree: int) -> list[FormValue]:
 
 
 def schur_form(lam: Sequence[int], c: ChernData) -> FormValue:
-    """Giambelli determinant det(h_{lam_i - i + j}) with h_k the signed
-    Segre form (-1)^k s_k, so that S_(2) = c1^2 - c2 and S_(1,1) = c2, as e_l
-    of the l x l matrix.  Zero parts are dropped; a negative part, or one
-    that is not an integer (a bool included), raises."""
+    """Dual Jacobi-Trudi determinant det(c_{lam'_i - i + j}) of the conjugate
+    partition lam', so that S_(2) = c1^2 - c2 and S_(1,1) = c2, as e_l of
+    the l x l matrix, l = lam_1.  It reads the Chern forms alone, with no
+    Segre form (Macdonald, Symmetric Functions and Hall Polynomials, I.3,
+    (3.5); Fulton, Intersection Theory, 14.5).  Zero parts are dropped; a
+    negative part, or one that is not an integer (a bool included),
+    raises."""
     if any(isinstance(x, bool) or not isinstance(x, Integral) for x in lam):
         raise ValueError(f"partition parts must be integers, got {tuple(lam)!r}")
     if any(x < 0 for x in lam):
@@ -764,12 +811,11 @@ def schur_form(lam: Sequence[int], c: ChernData) -> FormValue:
         raise ValueError("partition longer than the rank")
     if not lam:
         return c[0]
-    n, ell = c.dim, len(lam)
-    s = segre_forms(c, lam[0] + ell - 1)
-    h = [((-1) ** k) * s[k] for k in range(len(s))]
+    dual = [sum(1 for x in lam if x > i) for i in range(lam[0])]
+    ell, zero = len(dual), 0 * c[0]
     # rows and columns reversed, which keeps det: short parts lead, fewer terms
-    M = [[h[k] if k >= 0 else FormValue.zero(n) for k in range(x + i, x + i - ell, -1)]
-         for i, x in enumerate(reversed(lam))]
+    M = [[c[k] if k >= 0 else zero for k in range(x + i, x + i - ell, -1)]
+         for i, x in enumerate(reversed(dual))]
     return _elementary(M, ell, c[0])[ell]
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parachern import cli, localmodel
+from parachern import cli, forms, localmodel
 from parachern.fiberint import FiberQuadrature
 from parachern.forms import ChernData, CurvatureMatrix, FormValue, QQi
 from parachern.parabolic import ParabolicModel
@@ -259,6 +259,29 @@ class TestChern:
         assert (conj["result"], conj["termsCompared"], conj["termsDiffering"]) == \
             ("FAIL", 18, 15)
         assert rep["pass"] is False
+
+    def test_power_trace_fault_fails(self, tmp_path, monkeypatch):
+        """Power traces that count the triangle X_01 X_12 X_20 four times,
+        not three, change c_3; the minors check must see it at rank 4 on a
+        3-fold, and the conjugation check, whose two sides share the fault,
+        must not.  On a surface the traces never reach that route."""
+        real = forms._rotation_traces
+
+        def four_triangles(X, zero):
+            p1, p2, p3 = real(X, zero)
+            return [p1, p2, p3 + X[0][1].wedge(X[1][2]).wedge(X[2][0])]
+
+        monkeypatch.setattr(forms, "_rotation_traces", four_triangles)
+        path = write_model(tmp_path, {"rank": 4, "dim": 3})
+        assert run(tmp_path, "chern", "--input", path, "--seed", "1", "--samples", "3") == 1
+        rep = read_report(tmp_path, "chern")
+        minors, conj = rep["checks"]
+        assert (minors["result"], minors["termsCompared"], minors["termsDiffering"]) == \
+            ("FAIL", 60, 3)
+        assert (conj["result"], conj["termsDiffering"]) == ("PASS", 0)
+        assert rep["pass"] is False
+        path = write_model(tmp_path, {"rank": 3, "dim": 2})
+        assert run(tmp_path, "chern", "--input", path, "--seed", "1", "--samples", "3") == 0
 
     @pytest.mark.parametrize("rank,dim", [
         (r, n) for r in range(cli.LIMITS["chern"]["rank"][0], cli.LIMITS["chern"]["rank"][1] + 1)

@@ -3,13 +3,14 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parachern.fiberint import symbolic_pushforward
 from parachern.forms import (
     ChernData,
     CurvatureMatrix,
@@ -762,6 +763,18 @@ def test_exact_zero_curvature_stays_exact(seed):
         assert c.rank == 1 and c[1].is_zero()
 
 
+def test_sums_of_zero_forms_keep_the_exact_store():
+    """The sums of chern_forms, chern_forms_minors, segre_forms and
+    symbolic_pushforward start from the zero form of the unit's mode, so on
+    the exact zero curvature every c_k and s_k is exact, the empty ones
+    included, and Segre forms past the rank too."""
+    theta = forms_random_exact_curvature(random.Random(9), 1, 1)
+    c = chern_forms(theta)
+    for f in chain(c.forms, chern_forms_minors(theta).forms, segre_forms(c, 3),
+                   symbolic_pushforward(theta)):
+        assert exact_mode(f)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_newton_vs_minor_expansion_exact(seed):
     rng = np.random.default_rng(200 + seed)
@@ -1027,10 +1040,11 @@ FLOAT_RTOL = 1e-13
 
 
 def assert_close(f, g):
-    """Each coefficient of f within FLOAT_RTOL * max(1, |g_IJ|) of g's."""
+    """Each coefficient of f within FLOAT_RTOL * max(1, |g_IJ|) of g's, at
+    every node of a coefficient array."""
     for key in f.coeffs.keys() | g.coeffs.keys():
         x, y = f.coefficient(*key), g.coefficient(*key)
-        assert abs(x - y) <= FLOAT_RTOL * max(1.0, abs(y)), key
+        assert np.all(abs(x - y) <= FLOAT_RTOL * np.maximum(1.0, abs(y))), key
 
 
 EXPANSION_CASES = [(r, n) for r in range(1, 5) for n in range(1, 4)]
@@ -1053,7 +1067,9 @@ def berkowitz_and_expansion_pairs(theta):
 @pytest.mark.parametrize("r,n", EXPANSION_CASES)
 def test_permutation_expansions_keep_their_bits(exact, r, n):
     """Over Q(i), chern_forms_minors and schur_form equal (==) the
-    permutation expansions above."""
+    permutation expansions above.  For schur_form this compares the dual
+    Jacobi-Trudi determinant in the Chern forms with the Giambelli
+    determinant in the Segre forms, two routes that share no step."""
     rng = np.random.default_rng([r, n, exact])
     for _ in range(2):
         for f, g in berkowitz_and_expansion_pairs(random_exact_curvature(rng, r, n)):
@@ -1071,6 +1087,18 @@ def test_float_berkowitz_within_rtol_of_permutation_expansions(r, n):
     for _ in range(2):
         for f, g in berkowitz_and_expansion_pairs(random_float_curvature(rng, r, n)):
             assert_close(f, g)
+
+
+@pytest.mark.parametrize("r,n", [(3, 4), (5, 3)])
+def test_schur_forms_match_giambelli_expansion(r, n):
+    """At the benchmark's largest Schur cases, over Q(i), the dual
+    Jacobi-Trudi determinant equals (==) the Giambelli expansion in the
+    Segre forms for every partition of size at most n and length at most r."""
+    c = chern_forms(random_exact_curvature(np.random.default_rng([r, n, 83]), r, n))
+    lams = [lam for k in range(1, n + 1) for lam in partitions(k, k) if len(lam) <= r]
+    assert len(lams) == {(3, 4): 4 + 3 + 2 + 1, (5, 3): 6}[r, n]
+    for lam in lams:
+        assert schur_form(lam, c) == reference_schur_form(lam, c), lam
 
 
 @pytest.mark.parametrize("size", range(1, 7))
@@ -1119,8 +1147,8 @@ def reference_chern_forms(theta, normalization=None):
     return e
 
 
-@pytest.mark.parametrize("r,n", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (4, 3),
-                                 (5, 3), (6, 3), (3, 4), (4, 4), (5, 4), (6, 4)])
+@pytest.mark.parametrize("r,n", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3), (4, 3),
+                                 (5, 3), (6, 3), (7, 3), (3, 4), (4, 4), (5, 4), (6, 4)])
 def test_truncated_chern_forms_match_untruncated_loops(r, n):
     """Both truncated computations equal (==) each other and the loops that
     run to degree r; chern_forms also keeps their key order, which == does
@@ -1138,11 +1166,13 @@ def test_truncated_chern_forms_match_untruncated_loops(r, n):
 
 
 def test_chern_wedge_counts_stop_at_degree_n(monkeypatch):
-    """chern_forms forms the matrix powers X^j for j <= ceil(m/2), m =
-    min(r, n), and of each higher product X^(k - k//2) X^(k//2) only the
-    diagonal, then 1 + 2 + ... + m Newton terms.  At r = 5, n = 3 that is
-    X^2 and the diagonal of X^2 X: 125 + 25 + 6 wedges.  At n = 4 it is X^2
-    and the diagonals of X^2 X and X^2 X^2: 64 + 16 + 16 + 10 = 106 at r = 4
+    """At m = min(r, n) = 3 chern_forms forms no matrix power: the traces
+    come from the closed walks grouped by rotation, C(r,2) products
+    X_ij X_ji, 3r for the squares, cubes and X_ii sum_j X_ij X_ji, and
+    2 C(r,3) + 2 C(r,2) for the triangles, then 1 + 2 + 3 Newton terms.  At
+    r = 5 that is 10 + 15 + 20 + 20 + 6 = 71 wedges, where X^2 and the
+    diagonal of X^2 X cost 125 + 25 + 6 = 156.  At m = 4 it forms X^2 and
+    the diagonals of X^2 X and X^2 X^2: 64 + 16 + 16 + 10 = 106 at r = 4
     and 216 + 36 + 36 + 10 = 298 at r = 6, where forming X^3 costs 154 and
     478.  The oracle runs the Berkowitz recursion to m.  Bordering the s x s
     block, s = 1 ... r - 1, forms R A^j C for j <= J = min(s - 1, m - 2):
@@ -1156,10 +1186,15 @@ def test_chern_wedge_counts_stop_at_degree_n(monkeypatch):
     calls = []
     wedge = FormValue.wedge
     monkeypatch.setattr(FormValue, "wedge", lambda a, b: calls.append(1) or wedge(a, b))
-    for (r, n), count in (((5, 3), 125 + 25 + 6), ((4, 4), 106), ((6, 4), 298)):
+
+    def rotation_count(r):
+        return math.comb(r, 2) + 3 * r + 2 * math.comb(r, 3) + 2 * math.comb(r, 2) + 1 + 2 + 3
+
+    for (r, n), count in (((5, 3), rotation_count(5)), ((4, 4), 106), ((6, 4), 298)):
         calls.clear()
         chern_forms(thetas[r, n])
         assert len(calls) == count, (r, n)
+    assert rotation_count(5) == 71
     for (r, n), count in (((5, 3), 58), ((6, 4), 167)):
         calls.clear()
         chern_forms_minors(thetas[r, n])
@@ -1176,19 +1211,29 @@ def assert_same_bits(got, want):
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), key
 
 
+def assert_all_close(got, want):
+    assert len(got) == len(want)
+    for f, g in zip(got, want):
+        assert_close(f, g)
+
+
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (3, 3), (4, 3)])
 def test_float_chern_forms_keep_their_bits(r, n):
-    """Float chern_forms has the untruncated loop's bits, with coefficients
-    that are arrays over a 3 x 3 block of nodes and normalization 1, as
-    chern_crosscheck passes them, and with scalar coefficients."""
+    """Float chern_forms at m = min(r, n) <= 2 has the untruncated loop's
+    bits, with coefficients that are arrays over a 3 x 3 block of nodes and
+    normalization 1, as chern_crosscheck passes them, and with scalar
+    coefficients.  At m = 3 the traces come from closed walks grouped by
+    rotation, which round in another order than the matrix powers, so there
+    the forms agree with the loop within FLOAT_RTOL per coefficient."""
+    check = assert_same_bits if min(r, n) <= 2 else assert_all_close
     rng = np.random.default_rng([r, n, 71])
     T = rng.normal(size=(3, 3, r, r, n, n)) + 1j * rng.normal(size=(3, 3, r, r, n, n))
     T = T + np.conj(np.transpose(T, (0, 1, 3, 2, 5, 4)))
     theta = curvature_from(T, lambda c: c)
-    assert_same_bits(chern_forms(theta, normalization=1.0 + 0.0j).forms,
-                     reference_chern_forms(theta, normalization=1.0 + 0.0j))
+    check(chern_forms(theta, normalization=1.0 + 0.0j).forms,
+          reference_chern_forms(theta, normalization=1.0 + 0.0j))
     theta = random_float_curvature(rng, r, n)
-    assert_same_bits(chern_forms(theta).forms, reference_chern_forms(theta))
+    check(chern_forms(theta).forms, reference_chern_forms(theta))
 
 
 def test_curvature_of_low_degree_rejected():
