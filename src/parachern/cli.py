@@ -86,7 +86,9 @@ FLAGS = {"pardeg": (), "ops": ("samples", "seed"), "chern": ("samples", "seed"),
          "pushforward": ("tol", "samples", "seed"), "all": ("tol", "samples", "seed")}
 # --samples wherever it is read; pushforward draws 1000 Monte Carlo rows per sample
 SAMPLES_MAX = 5000
-# pushforward's Monte Carlo test: |quad - mc| <= MC_GATE_SE standard errors.
+# pushforward's Monte Carlo test: |quad - mc| <= MC_GATE_SE standard errors
+# plus the quadrature's own error estimate, which is the whole scale when the
+# importance weight is constant (c = [a, a]) and the standard error is roundoff.
 # Correct runs reach 4.0 se over seeds 0-999 of c = [1, 2, 0.5], [1, 2] and
 # [1, 3, 0.5, 2] at --samples 50, and 3 se failed 21 of those 3,000 runs.
 MC_GATE_SE = 5
@@ -339,14 +341,14 @@ def cmd_pushforward(args, spec, outdir: Path):
     for i in range(max(1, args.samples // 10)):
         theta = random_exact_curvature(rng, 2, 2)
         s = symbolic_pushforward(theta)
-        ref = segre_forms(chern_forms(theta, normalization=QQi(1)), 2)
+        ref = segre_forms(chern_forms(theta), 2)
         dev = max(float((x - y).max_abs()) for x, y in zip(s, ref))
         series.append(dev)
         max_dev = max(max_dev, dev)
 
     ok = (
         abs(quad.value - closed) < 1e-6 * closed
-        and abs(quad.value - mc) <= MC_GATE_SE * mc_se
+        and abs(quad.value - mc) <= MC_GATE_SE * mc_se + quad.error
         and max_dev == 0.0
     )
     report = {

@@ -40,7 +40,7 @@ from fractions import Fraction
 from numbers import Integral
 from operator import add
 
-from .forms import CurvatureMatrix, FormValue, QQi, exact_mode
+from .forms import CurvatureMatrix, FormValue, unit_of
 
 GRID_BUDGET = 2**26  # most quadrature points in one call: bounds its time
 BLOCK_POINTS = 2**16  # most quadrature points evaluated at once: bounds its memory
@@ -255,13 +255,14 @@ def symbolic_pushforward(theta: CurvatureMatrix) -> list[FormValue]:
 
     where N_k = (sum Theta_AB x_A xbar_B)^k maps the exponent pair (a, b)
     of w^a wbar^b to a base (k,k)-form; unbalanced pairs integrate to
-    zero over the angles."""
+    zero over the angles.  Theta is taken as given, the normalized
+    curvature as :func:`~parachern.forms.chern_forms` reads it, and its
+    store alone picks the arithmetic."""
     r, n = theta.rank, theta.dim
     d = r - 1
     x = [tuple(int(A == i + 1) for i in range(d)) for A in range(r)]
     twist = [(x[A], x[B], theta.entries[A][B]) for A in range(r) for B in range(r)]
-    one = QQi(1) if exact_mode(theta, QQi(1)) else 1.0  # all zero counts as exact
-    unit = FormValue.scalar(n, one)
+    unit = FormValue.scalar(n, unit_of(theta))
     zero = 0 * unit
     power = {(x[0], x[0]): unit}
     out = []

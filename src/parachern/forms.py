@@ -4,14 +4,15 @@ Coefficients come in two modes: exact Gaussian rationals for identity
 checks, and complex floats for positivity sampling.  The mode is decided in
 one place, :func:`exact_mode`, from the store each form holds: an exact zero
 stays exact, and a form built with no QQi is float.  Every constant that
-depends on the mode is built from one unit, QQi(1) or 1.0.  A float
-coefficient may be a numpy array over a batch of points; it is dropped only
-when it is zero at every point, and the queries reduce over its points as
-over the coefficients.  Exterior monomials are stored in the canonical order
-dz factors ascending, then dzbar factors ascending; all wedge signs are
-normalized to that order.  The :class:`FormValue` constructor, the one way a
-coefficient enters a form, rejects any other key with ValueError: each index
-tuple must be strictly increasing, and every index must lie in [0, dim).
+depends on the mode is built from one unit, :func:`unit_of`, QQi(1) or
+1.0.  A float coefficient may be a numpy array over a batch of points; it
+is dropped only when it is zero at every point, and the queries reduce over
+its points as over the coefficients.  Exterior monomials are stored in the
+canonical order dz factors ascending, then dzbar factors ascending; all
+wedge signs are normalized to that order.  The :class:`FormValue`
+constructor, the one way a coefficient enters a form, rejects any other key
+with ValueError: each index tuple must be strictly increasing, and every
+index must lie in [0, dim).
 
 The exact scalar at the API is :class:`QQi`, Gaussian-integer numerators a,
 b over one integer denominator d, as (a + b*i)/d with d > 0 and
@@ -33,10 +34,11 @@ a1*b2 + b1*a2 of each output coefficient over the one denominator d1*d2.
 A float wedge adds sign * (c1 * c2) in the plan's order, which is the order
 of a loop over the terms, so float results keep that loop's bits.
 
-The Chern normalization i/(2*pi) is applied inside :func:`chern_forms` only
-(float mode); raw curvature matrices carry no normalization.  In exact mode
-the caller supplies curvature that is already normalized, so that every
-coefficient stays in Q(i).  On an n-fold c_k is a (k,k)-form, so it
+Every Chern-Weil function reads the matrix it is given as the normalized
+curvature X = (i/(2*pi)) Theta_h, in both modes, and multiplies by no
+constant: c(E, h) = det(I + X).  The store picks only the arithmetic; a
+caller that holds Theta_h normalizes it first, which keeps exact
+coefficients in Q(i).  On an n-fold c_k is a (k,k)-form, so it
 vanishes for k > n: :func:`chern_forms` and :func:`chern_forms_minors`
 compute c_1 ... c_m, m = min(r, n), and return c_(m+1) ... c_r as zero forms.
 Every sum starts from the zero form of the unit, so a zero keeps the mode.
@@ -59,7 +61,6 @@ and :func:`weak_positivity_test` by wedging forms with arrays of coefficients.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -514,7 +515,8 @@ def hermitian_partner(f: FormValue) -> FormValue:
 
 
 class CurvatureMatrix:
-    """r x r matrix of (1,1)-form values at a point (unnormalized)."""
+    """r x r matrix of (1,1)-form values at a point; the Chern-Weil
+    functions read it as the normalized curvature X = (i/(2 pi)) Theta_h."""
 
     def __init__(self, entries: Sequence[Sequence[FormValue]]):
         self.entries = [list(row) for row in entries]
@@ -573,7 +575,7 @@ class CurvatureMatrix:
 
     def conjugated(self, d: Sequence) -> "CurvatureMatrix":
         """diag(d) . Theta . diag(d)^-1, entrywise d_i * Theta_ij / d_j."""
-        one, r = _one(self, *d), self.rank
+        one, r = unit_of(self, *d), self.rank
         return CurvatureMatrix([[(d[i] * (one / d[j])) * self.entries[i][j] for j in range(r)]
                                 for i in range(r)])
 
@@ -630,7 +632,7 @@ class ChernData:
         if k < 0:
             raise IndexError(k)
         if k >= len(self.forms):
-            return FormValue.zero(self.dim)
+            return 0 * self.forms[0]  # the zero of the data's own store
         return self.forms[k]
 
 
@@ -642,7 +644,7 @@ def exact_mode(*items) -> bool:
     so an exact zero stays exact.  A form built with no QQi is float, such as
     :meth:`FormValue.zero` or a monomial with the int default, and an empty
     one decides nothing.  So a scalar passed after the structure, such as a
-    normalization, decides only then; only a QQi scalar is exact."""
+    conjugation factor, decides only then; only a QQi scalar is exact."""
     for item in items:
         if isinstance(item, FormValue):
             forms = (item,)
@@ -660,26 +662,17 @@ def exact_mode(*items) -> bool:
     return False
 
 
-def _one(*items):
+def unit_of(*items):
     """QQi(1) when :func:`exact_mode` reads ``items`` as exact, else 1.0."""
     return QQi(1) if exact_mode(*items) else 1.0
 
 
-def _normalized(theta: CurvatureMatrix, normalization):
-    """(one, X): the unit of the mode, :func:`_one` of theta and then the
-    normalization (an exact zero curvature stays exact, one built with no
-    QQi is float), and X = normalization * theta entrywise.  The default
-    normalization is one in exact mode, where X is theta's own entries with
-    no product, and i/(2 pi) in float mode.  The entries must have no part
+def _checked_unit(theta: CurvatureMatrix):
+    """:func:`unit_of` theta, once its entries are checked to have no part
     of degree below 2, so that a wedge of more than n of them vanishes."""
     if any(len(I) + len(J) < 2 for row in theta.entries for f in row for I, J in f.keys()):
         raise ValueError("curvature entries must have no 0-form or 1-form part")
-    one = _one(theta, normalization)
-    if normalization is None:
-        if isinstance(one, QQi):
-            return one, theta.entries
-        normalization = 1j / (2 * math.pi)
-    return one, [[normalization * f for f in row] for row in theta.entries]
+    return unit_of(theta)
 
 
 def _elementary(A, top: int, one: FormValue) -> list[FormValue]:
@@ -714,8 +707,9 @@ def _rotation_traces(X, zero) -> list[FormValue]:
               + 3 sum_{i<j<k} (X_ij X_jk X_ki + X_ik X_kj X_ji),
 
     where the triangles through i < k are summed over j before the closing
-    factor X_ki or X_ik.  That is C(r,2) + 3r + 2 C(r,3) + 2 C(r,2) wedges,
-    and no matrix power."""
+    factor X_ki or X_ik, for k > i + 1 only, as no j lies between i and
+    i + 1.  That is C(r,2) + 3r + 2 C(r,3) + 2 C(r-1,2) wedges, and no
+    matrix power."""
     r = len(X)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     cycle = {}  # X_ij X_ji, one wedge per pair
@@ -731,20 +725,20 @@ def _rotation_traces(X, zero) -> list[FormValue]:
     cubes = sum((squares[i].wedge(X[i][i]) for i in range(r)), zero)
     loops = sum((X[i][i].wedge(sum((cycle[i, j] for j in range(r) if j != i), zero))
                  for i in range(r)), zero)
-    triangles = sum((path(i, k).wedge(X[k][i]) + path(k, i).wedge(X[i][k]) for i, k in pairs),
-                    zero)
+    triangles = sum((path(i, k).wedge(X[k][i]) + path(k, i).wedge(X[i][k])
+                     for i, k in pairs if k > i + 1), zero)
     return [p1, p2, cubes + 3 * (loops + triangles)]
 
 
-def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
-    """Elementary symmetric functions of the normalized curvature via
-    Newton's identities on the power traces p_k = tr X^k.  c_k is a
-    (k,k)-form, so only c_1 ... c_m with m = min(r, n) are computed;
-    c_(m+1) ... c_r are zero forms of the mode.  At m = 3 the traces come
-    from :func:`_rotation_traces`, with no matrix power.  Otherwise p_k =
-    tr(X^(k - k//2) X^(k//2)): X^j is formed for j <= ceil(m/2), and above it
-    only a diagonal."""
-    one, X = _normalized(theta, normalization)
+def chern_forms(theta: CurvatureMatrix) -> ChernData:
+    """Elementary symmetric functions of the normalized curvature X = theta,
+    taken as given, via Newton's identities on the power traces
+    p_k = tr X^k.  c_k is a (k,k)-form, so only c_1 ... c_m with
+    m = min(r, n) are computed; c_(m+1) ... c_r are zero forms of the mode.
+    At m = 3 the traces come from :func:`_rotation_traces`, with no matrix
+    power.  Otherwise p_k = tr(X^(k - k//2) X^(k//2)): X^j is formed for
+    j <= ceil(m/2), and above it only a diagonal."""
+    one, X = _checked_unit(theta), theta.entries
     r, n = theta.rank, theta.dim
     m = min(r, n)
     unit = FormValue.scalar(n, one)
@@ -768,14 +762,14 @@ def chern_forms(theta: CurvatureMatrix, normalization=None) -> ChernData:
     return ChernData(tuple(e + [zero] * (r - m)))
 
 
-def chern_forms_minors(theta: CurvatureMatrix, normalization=None) -> ChernData:
+def chern_forms_minors(theta: CurvatureMatrix) -> ChernData:
     """Independent oracle: c_k = e_k(X), the sum of the principal k x k minors
-    of the normalized curvature X, from det(I + tX).  No power trace and no
-    division, so it shares no step with the Newton identities it checks."""
-    one, X = _normalized(theta, normalization)
+    of the normalized curvature X = theta, taken as given, from det(I + tX).
+    No power trace and no division, so it shares no step with the Newton
+    identities it checks."""
     r, n = theta.rank, theta.dim
-    unit = FormValue.scalar(n, one)
-    forms = _elementary(X, min(r, n), unit)
+    unit = FormValue.scalar(n, _checked_unit(theta))
+    forms = _elementary(theta.entries, min(r, n), unit)
     return ChernData(tuple(forms + [0 * unit] * (r + 1 - len(forms))))
 
 
@@ -824,7 +818,7 @@ def kobayashi_lubke_rhs(c: ChernData, r: int) -> FormValue:
     if c.dim != 2:
         raise ValueError("defined for base dimension 2 only")
     c1, c2 = c[1], c[2]
-    return (_one(c) / (2 * r)) * ((2 * r) * c2 - (r - 1) * c1.wedge(c1))
+    return (unit_of(c) / (2 * r)) * ((2 * r) * c2 - (r - 1) * c1.wedge(c1))
 
 
 # ---------------------------------------------------------------------------

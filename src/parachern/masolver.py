@@ -575,8 +575,7 @@ def _forms_chern_densities(theta: np.ndarray, d: np.ndarray):
     T = theta.astype(complex)
     for a in range(r):
         T[..., a, a, :, :] += d
-    # entries are pre-normalized coefficients: use trivial scaling
-    c = chern_forms(CurvatureMatrix.from_tensor(T), normalization=1.0 + 0.0j)
+    c = chern_forms(CurvatureMatrix.from_tensor(T))
     c1 = CurvatureMatrix([[c[1]]]).tensor()[..., 0, 0, :, :]
     # pre-normalized coefficients carry no factors of i, so the
     # canonical-order top coefficient is minus the density

@@ -364,6 +364,17 @@ class TestPushforward:
         mc = rep["monteCarlo"]
         assert 3 < abs(rep["quadrature"]["value"] - mc["estimate"]) / mc["stderr"] <= cli.MC_GATE_SE
 
+    @pytest.mark.parametrize("c", [[1, 1], [2, 2]], ids=["1-1", "2-2"])
+    def test_constant_importance_weight_passes(self, tmp_path, c):
+        """At c = [a, a] the importance weight is the constant 1/a^2, so the
+        standard error is roundoff, and the gate is the quadrature's own
+        error estimate: MC_GATE_SE standard errors alone fail every seed."""
+        cfg = tmp_path / "pf.json"
+        cfg.write_text(json.dumps({"c": c}))
+        assert run(tmp_path, "pushforward", "--input", str(cfg), "--samples", "10") == 0
+        rep = read_report(tmp_path, "pushforward")
+        assert rep["pass"] and rep["monteCarlo"]["stderr"] < 1e-15 * rep["closedForm"]
+
     def test_monte_carlo_beyond_the_gate_fails(self, tmp_path, monkeypatch):
         se = 1e-3
         monkeypatch.setattr(cli, "monte_carlo_oracle",

@@ -17,6 +17,7 @@ from parachern.forms import (
     FormValue,
     QQi,
     chern_forms,
+    exact_mode,
     segre_forms,
 )
 from parachern import fiberint
@@ -32,8 +33,6 @@ from parachern.fiberint import (
     symbolic_pushforward,
     unitary_invariance_probe,
 )
-
-EXACT = QQi(1)
 
 
 def householder_unitary(v):
@@ -393,12 +392,17 @@ class TestSymbolicPushforward:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_zero_curvature_higher_segre_vanish(self, r):
-        theta = CurvatureMatrix(
-            [[FormValue.zero(2) for _ in range(r)] for _ in range(r)]
-        )
+        # an exact zero curvature pushes forward exactly; one built from
+        # FormValue.zero holds no QQi, so it pushes forward in float
+        exact_zero = 0 * FormValue.scalar(2, QQi(1))
+        theta = CurvatureMatrix([[exact_zero for _ in range(r)] for _ in range(r)])
         s = symbolic_pushforward(theta)
         assert s[0] == FormValue.scalar(2, QQi(1))
         assert s[1].is_zero() and s[2].is_zero()
+        theta = CurvatureMatrix([[FormValue.zero(2) for _ in range(r)] for _ in range(r)])
+        s = symbolic_pushforward(theta)
+        assert not any(exact_mode(f) for f in s)
+        assert s[0].coefficient((), ()) == 1.0
 
     @pytest.mark.parametrize(
         "r,n", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (5, 2)]
@@ -408,7 +412,7 @@ class TestSymbolicPushforward:
         for _ in range(3):
             theta = rand_exact_hermitian_curvature(rng, r, n)
             s = symbolic_pushforward(theta)
-            ref = segre_forms(chern_forms(theta, normalization=EXACT), n)
+            ref = segre_forms(chern_forms(theta), n)
             for got, want in zip(s, ref):
                 assert (got - want).is_zero()
 
@@ -416,7 +420,7 @@ class TestSymbolicPushforward:
         rng = random.Random(9)
         theta = rand_exact_hermitian_curvature(rng, 4, 2)
         s = symbolic_pushforward(theta)
-        ref = segre_forms(chern_forms(theta, normalization=EXACT), 2)
+        ref = segre_forms(chern_forms(theta), 2)
         for got, want in zip(s, ref):
             assert (got - want).is_zero()
 
@@ -434,7 +438,7 @@ class TestSymbolicPushforward:
         ]
         theta = CurvatureMatrix(entries)
         s = symbolic_pushforward(theta)
-        ref = segre_forms(chern_forms(theta, normalization=EXACT), n)
+        ref = segre_forms(chern_forms(theta), n)
         for got, want in zip(s, ref):
             assert (got - want).is_zero()
 
@@ -444,7 +448,7 @@ class TestSymbolicPushforward:
         T = rng.normal(size=(r, r, n, n)) + 1j * rng.normal(size=(r, r, n, n))
         theta = CurvatureMatrix.from_tensor((T + np.conj(T.transpose(1, 0, 3, 2))) / 2)
         s = symbolic_pushforward(theta)
-        ref = segre_forms(chern_forms(theta, normalization=1.0), n)
+        ref = segre_forms(chern_forms(theta), n)
         assert max((got - want).max_abs() for got, want in zip(s, ref)) < 1e-11
 
 

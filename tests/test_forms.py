@@ -122,6 +122,13 @@ def random_exact_curvature(rng, rank, dim, span=3):
     return CurvatureMatrix(entries)
 
 
+def normalized(theta):
+    """(i/(2 pi)) theta entrywise: the normalized curvature X of a float
+    curvature Theta_h, which the Chern-Weil functions take as given."""
+    s = 1j / (2 * math.pi)
+    return CurvatureMatrix([[s * f for f in row] for row in theta.entries])
+
+
 def random_float_curvature(rng, rank, dim):
     T = rng.normal(size=(rank, rank, dim, dim)) + 1j * rng.normal(
         size=(rank, rank, dim, dim)
@@ -717,7 +724,7 @@ def test_chern_diagonal_example():
             [FormValue.zero(2), FormValue.monomial(2, (1,), (1,), b)],
         ]
     )
-    c = chern_forms(theta)
+    c = chern_forms(normalized(theta))
     s = 1j / (2 * math.pi)
     assert c[1].approx_equal(
         FormValue(2, {((0,), (0,)): s * a, ((1,), (1,)): s * b})
@@ -736,15 +743,19 @@ def test_chern_of_zero_curvature():
 
 
 def test_zero_exact_matrix_runs_in_exact_mode():
-    """A curvature matrix with no stored coefficient takes its mode from the
-    normalization: QQi(1) means exact mode."""
+    """A curvature matrix with no stored coefficient takes its mode from its
+    store: built from exact empty forms it runs in exact mode, and built
+    from FormValue.zero, which holds no QQi, it runs in float."""
     n = 2
-    theta = CurvatureMatrix.scalar_times_identity(FormValue.zero(n), 3)
-    for c in (chern_forms(theta, normalization=QQi(1)),
-              chern_forms_minors(theta, normalization=QQi(1))):
+    theta = CurvatureMatrix.scalar_times_identity(0 * FormValue.scalar(n, QQi(1)), 3)
+    for c in (chern_forms(theta), chern_forms_minors(theta)):
         assert c[0] == FormValue.scalar(n, QQi(1))
         assert type(c[0].coefficient((), ())) is QQi
         assert all(c[k].is_zero() for k in range(1, 4))
+    theta = CurvatureMatrix.scalar_times_identity(FormValue.zero(n), 3)
+    for c in (chern_forms(theta), chern_forms_minors(theta)):
+        assert not exact_mode(c)
+        assert c[0].coefficient((), ()) == 1.0
 
 
 @pytest.mark.parametrize("seed", [9, 11])
@@ -775,6 +786,15 @@ def test_sums_of_zero_forms_keep_the_exact_store():
         assert exact_mode(f)
 
 
+def test_chern_data_past_the_rank_keeps_its_store():
+    """c_k past the rank is the zero form of the data's own store, so Segre
+    and Schur forms that read it do not meet a float zero in exact data."""
+    c = chern_forms(forms_random_exact_curvature(random.Random(1), 2, 2))
+    assert exact_mode(c[3]) and c[3].is_zero()
+    c = chern_forms(normalized(random_float_curvature(np.random.default_rng(1), 2, 2)))
+    assert not exact_mode(c[3]) and c[3].is_zero()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_newton_vs_minor_expansion_exact(seed):
     rng = np.random.default_rng(200 + seed)
@@ -799,7 +819,7 @@ def test_newton_vs_minor_expansion_float():
 def test_chern_forms_real():
     rng = np.random.default_rng(17)
     theta = random_float_curvature(rng, 3, 2)
-    c = chern_forms(theta)
+    c = chern_forms(normalized(theta))
     for k in range(3):
         assert c[k].is_real(tol=1e-12 * max(1.0, c[k].max_abs()))
 
@@ -886,13 +906,13 @@ def test_array_coefficients_match_pointwise(r, n):
     T = rng.normal(size=(K, r, r, n, n)) + 1j * rng.normal(size=(K, r, r, n, n))
     T[::2, 0, 0, 0, n - 1] = 0  # zero at some points
     T[:, r - 1, 0, n - 1, 0] = 0  # zero at every point
-    batch = curvature_from(T, lambda c: c)
+    batch = normalized(curvature_from(T, lambda c: c))
     assert ((n - 1,), (0,)) not in batch.entries[r - 1][0].coeffs
     assert ((0,), (n - 1,)) in batch.entries[0][0].coeffs
     c_batch = chern_forms(batch)
     s_batch = segre_forms(c_batch, n)
     for k in range(K):
-        point = curvature_from(T[k], complex)
+        point = normalized(curvature_from(T[k], complex))
         c_point = chern_forms(point)
         s_point = segre_forms(c_point, n)
         for a in range(r):
@@ -1005,12 +1025,9 @@ def leibniz_elementary(A, one):
 
 def reference_chern_forms_minors(theta):
     """chern_forms_minors as principal-minor sums expanded over permutations,
-    with the default normalization and no degree truncation."""
-    exact = exact_mode(theta)
-    normalization = QQi(1) if exact else 1j / (2 * math.pi)
-    r, n = theta.rank, theta.dim
-    X = [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
-    return leibniz_elementary(X, FormValue.scalar(n, QQi(1) if exact else 1.0))
+    on theta taken as given and with no degree truncation."""
+    return leibniz_elementary(theta.entries,
+                              FormValue.scalar(theta.dim, QQi(1) if exact_mode(theta) else 1.0))
 
 
 def reference_schur_form(lam, c):
@@ -1085,7 +1102,7 @@ def test_float_berkowitz_within_rtol_of_permutation_expansions(r, n):
     seeds)."""
     rng = np.random.default_rng([r, n, False])
     for _ in range(2):
-        for f, g in berkowitz_and_expansion_pairs(random_float_curvature(rng, r, n)):
+        for f, g in berkowitz_and_expansion_pairs(normalized(random_float_curvature(rng, r, n))):
             assert_close(f, g)
 
 
@@ -1122,15 +1139,13 @@ def test_elementary_matches_principal_minor_sums(size):
 # ---------------------------------------------------------------------------
 
 
-def reference_chern_forms(theta, normalization=None):
+def reference_chern_forms(theta):
     """chern_forms without the degree truncation: every power X^1 ... X^r
-    in full and Newton's identities up to c_r.  Reference for the values
-    and for the float bits."""
-    exact = exact_mode(theta, normalization)
-    if normalization is None:
-        normalization = QQi(1) if exact else 1j / (2 * math.pi)
+    of X = theta, taken as given, in full and Newton's identities up to
+    c_r.  Reference for the values and for the float bits."""
+    exact = exact_mode(theta)
     r, n = theta.rank, theta.dim
-    X = [[normalization * theta.entries[i][j] for j in range(r)] for i in range(r)]
+    X = theta.entries
     traces = []
     P = X
     for k in range(1, r + 1):
@@ -1169,8 +1184,9 @@ def test_chern_wedge_counts_stop_at_degree_n(monkeypatch):
     """At m = min(r, n) = 3 chern_forms forms no matrix power: the traces
     come from the closed walks grouped by rotation, C(r,2) products
     X_ij X_ji, 3r for the squares, cubes and X_ii sum_j X_ij X_ji, and
-    2 C(r,3) + 2 C(r,2) for the triangles, then 1 + 2 + 3 Newton terms.  At
-    r = 5 that is 10 + 15 + 20 + 20 + 6 = 71 wedges, where X^2 and the
+    2 C(r,3) + 2 C(r-1,2) for the triangles, whose closing factors skip the
+    pairs (i, i + 1) with no j between, then 1 + 2 + 3 Newton terms.  At
+    r = 5 that is 10 + 15 + 20 + 12 + 6 = 63 wedges, where X^2 and the
     diagonal of X^2 X cost 125 + 25 + 6 = 156.  At m = 4 it forms X^2 and
     the diagonals of X^2 X and X^2 X^2: 64 + 16 + 16 + 10 = 106 at r = 4
     and 216 + 36 + 36 + 10 = 298 at r = 6, where forming X^3 costs 154 and
@@ -1188,13 +1204,13 @@ def test_chern_wedge_counts_stop_at_degree_n(monkeypatch):
     monkeypatch.setattr(FormValue, "wedge", lambda a, b: calls.append(1) or wedge(a, b))
 
     def rotation_count(r):
-        return math.comb(r, 2) + 3 * r + 2 * math.comb(r, 3) + 2 * math.comb(r, 2) + 1 + 2 + 3
+        return math.comb(r, 2) + 3 * r + 2 * math.comb(r, 3) + 2 * math.comb(r - 1, 2) + 1 + 2 + 3
 
     for (r, n), count in (((5, 3), rotation_count(5)), ((4, 4), 106), ((6, 4), 298)):
         calls.clear()
         chern_forms(thetas[r, n])
         assert len(calls) == count, (r, n)
-    assert rotation_count(5) == 71
+    assert rotation_count(5) == 63
     for (r, n), count in (((5, 3), 58), ((6, 4), 167)):
         calls.clear()
         chern_forms_minors(thetas[r, n])
@@ -1220,20 +1236,42 @@ def assert_all_close(got, want):
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (3, 3), (4, 3)])
 def test_float_chern_forms_keep_their_bits(r, n):
     """Float chern_forms at m = min(r, n) <= 2 has the untruncated loop's
-    bits, with coefficients that are arrays over a 3 x 3 block of nodes and
-    normalization 1, as chern_crosscheck passes them, and with scalar
-    coefficients.  At m = 3 the traces come from closed walks grouped by
-    rotation, which round in another order than the matrix powers, so there
-    the forms agree with the loop within FLOAT_RTOL per coefficient."""
+    bits, with coefficients that are arrays over a 3 x 3 block of nodes, as
+    chern_crosscheck passes them, and with scalar coefficients.  At m = 3
+    the traces come from closed walks grouped by rotation, which round in
+    another order than the matrix powers, so there the forms agree with the
+    loop within FLOAT_RTOL per coefficient."""
     check = assert_same_bits if min(r, n) <= 2 else assert_all_close
     rng = np.random.default_rng([r, n, 71])
     T = rng.normal(size=(3, 3, r, r, n, n)) + 1j * rng.normal(size=(3, 3, r, r, n, n))
     T = T + np.conj(np.transpose(T, (0, 1, 3, 2, 5, 4)))
     theta = curvature_from(T, lambda c: c)
-    check(chern_forms(theta, normalization=1.0 + 0.0j).forms,
-          reference_chern_forms(theta, normalization=1.0 + 0.0j))
-    theta = random_float_curvature(rng, r, n)
     check(chern_forms(theta).forms, reference_chern_forms(theta))
+    theta = normalized(random_float_curvature(rng, r, n))
+    check(chern_forms(theta).forms, reference_chern_forms(theta))
+
+
+def complex_copy(f):
+    """f with each coefficient read as a complex number, keys in f's order."""
+    return FormValue(f.dim, {key: complex(c) for key, c in f.coeffs.items()})
+
+
+@pytest.mark.parametrize("r,n", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (3, 4)])
+def test_one_convention_in_both_stores(r, n):
+    """Every Chern-Weil function takes the curvature as given in both
+    stores, so a float copy of an exact curvature gives the exact Chern
+    forms of both routes, the Segre forms and the push-forward, within
+    FLOAT_RTOL per coefficient, with no argument beyond the curvature.  At
+    (1, 1) the draw is the exact zero curvature: its copy stores nothing,
+    so it computes in float, the push-forward included."""
+    theta = forms_random_exact_curvature(random.Random(10 * r + n), r, n)
+    floats = CurvatureMatrix([[complex_copy(f) for f in row] for row in theta.entries])
+    assert exact_mode(theta) and not exact_mode(floats)
+    for route in (lambda t: chern_forms(t).forms, lambda t: chern_forms_minors(t).forms,
+                  lambda t: segre_forms(chern_forms(t), n), symbolic_pushforward):
+        exact, approx = route(theta), route(floats)
+        assert all(map(exact_mode, exact)) and not any(map(exact_mode, approx))
+        assert_all_close(approx, [complex_copy(f) for f in exact])
 
 
 def test_curvature_of_low_degree_rejected():
@@ -1375,7 +1413,7 @@ def test_weak_positivity_of_c1sq_minus_c2():
                     for b in range(2):
                         T[b, c, p, q] = A[p * 2 + c, q * 2 + b]
         theta = CurvatureMatrix.from_tensor(T)
-        c = chern_forms(theta)
+        c = chern_forms(normalized(theta))
         eta = schur_form((2,), c)
         assert weak_positivity_test(eta).verdict == "positive"
 
@@ -1541,7 +1579,7 @@ def weak_positivity_loop_reference(eta, samples, seed):
 def test_weak_positivity_test_matches_per_sample_loop(seed, r, n, k):
     rng = np.random.default_rng(200 + seed)
     theta = random_curvature_tensor(rng, r, n, 4.0 * rng.random() - 2.0)
-    eta = chern_forms(theta)[k]
+    eta = chern_forms(normalized(theta))[k]
     got = weak_positivity_test(eta, samples=64, seed=seed)
     margin = weak_positivity_loop_reference(eta, 64, seed)
     assert got.verdict == PositivityVerdict.classify(margin, 1e-12).verdict
@@ -1556,13 +1594,13 @@ def test_weak_positivity_test_matches_per_sample_loop(seed, r, n, k):
 
 def test_kl_rhs_line_bundle_vanishes():
     theta = CurvatureMatrix([[omega_standard(2)]])
-    rhs = kobayashi_lubke_rhs(chern_forms(theta), 1)
+    rhs = kobayashi_lubke_rhs(chern_forms(normalized(theta)), 1)
     assert rhs.max_abs() < 1e-15
 
 
 def test_kl_rhs_identity_twist_equality_case():
     theta = CurvatureMatrix.scalar_times_identity(omega_standard(2), 2)
-    rhs = kobayashi_lubke_rhs(chern_forms(theta), 2)
+    rhs = kobayashi_lubke_rhs(chern_forms(normalized(theta)), 2)
     assert rhs.max_abs() < 1e-12
 
 
@@ -1596,7 +1634,7 @@ def test_kl_rhs_nonnegative_for_primitive_tracefree_part():
             ]
         )
         assert theta.hermitian_defect() < 1e-12
-        rhs = kobayashi_lubke_rhs(chern_forms(theta), 2)
+        rhs = kobayashi_lubke_rhs(chern_forms(normalized(theta)), 2)
         assert volume_ratio(rhs).real >= -1e-12
 
 

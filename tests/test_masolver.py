@@ -555,7 +555,7 @@ def pointwise_forms_densities(phi, theta, stride):
                             f = f + FormValue.monomial(2, (p,), (q,), complex(coeff))
                     row.append(f)
                 entries.append(row)
-            c = chern_forms(CurvatureMatrix(entries), normalization=1.0 + 0.0j)
+            c = chern_forms(CurvatureMatrix(entries))
             c1_mat = np.array(
                 [[c[1].coefficient((p,), (q,)) for q in range(2)] for p in range(2)],
                 dtype=complex,

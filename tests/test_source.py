@@ -218,8 +218,8 @@ def _reach(graph, start):
     return seen
 
 
-# the normalization, the one mode rule and its unit; nothing that computes
-ORACLE_SHARES = {"_normalized", "_one", "exact_mode"}
+# the degree check, the one mode rule and its unit; nothing that computes
+ORACLE_SHARES = {"_checked_unit", "unit_of", "exact_mode"}
 
 
 @pytest.mark.parametrize("computation,oracle", [
@@ -231,9 +231,9 @@ ORACLE_SHARES = {"_normalized", "_one", "exact_mode"}
 ], ids=lambda pair: pair[1])
 def test_oracles_share_no_step_with_what_they_check(computation, oracle):
     """A check is independent only if the computation and its oracle reach
-    no common function through calls by bare name, beyond the normalization
-    and the mode rule.  Today the shared sets are {_normalized, _one,
-    exact_mode}, {exact_mode}, {}, {} and {}: schur_form reads the Chern
+    no common function through calls by bare name, beyond the degree check
+    and the mode rule.  Today the shared sets are {_checked_unit, unit_of,
+    exact_mode}, {unit_of, exact_mode}, {}, {} and {}: schur_form reads the Chern
     forms alone, so its check against the Segre forms is independent."""
     graph = _call_graph()
     shared = {name for _, name in _reach(graph, computation) & _reach(graph, oracle)}
