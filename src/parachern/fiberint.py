@@ -257,12 +257,15 @@ def symbolic_pushforward(theta: CurvatureMatrix) -> list[FormValue]:
     of w^a wbar^b to a base (k,k)-form; unbalanced pairs integrate to
     zero over the angles.  Theta is taken as given, the normalized
     curvature as :func:`~parachern.forms.chern_forms` reads it, and its
-    store alone picks the arithmetic."""
+    store alone picks the arithmetic: each exact moment weight enters
+    through the unit, so a float Theta with coefficient arrays keeps complex
+    arrays."""
     r, n = theta.rank, theta.dim
     d = r - 1
     x = [tuple(int(A == i + 1) for i in range(d)) for A in range(r)]
     twist = [(x[A], x[B], theta.entries[A][B]) for A in range(r) for B in range(r)]
-    unit = FormValue.scalar(n, unit_of(theta))
+    one = unit_of(theta)
+    unit = FormValue.scalar(n, one)
     zero = 0 * unit
     power = {(x[0], x[0]): unit}
     out = []
@@ -278,7 +281,7 @@ def symbolic_pushforward(theta: CurvatureMatrix) -> list[FormValue]:
         s_k = zero
         for (a, b), val in power.items():
             if a == b:
-                s_k = s_k + (weight * moment_exact(a, d + 1 + k)) * val
+                s_k = s_k + (one * (weight * moment_exact(a, d + 1 + k))) * val
         out.append(s_k)
     return out
 
@@ -287,22 +290,10 @@ def unitary_invariance_probe(theta: CurvatureMatrix, U) -> float:
     """Max coefficient deviation of symbolic_pushforward under the frame
     change Theta -> U Theta U*; exactly zero for unitary U."""
     r, n = theta.rank, theta.dim
-    conj = CurvatureMatrix(
-        [
-            [
-                sum(
-                    (
-                        (U[i][a] * U[j][b].conjugate()) * theta.entries[a][b]
-                        for a in range(r)
-                        for b in range(r)
-                    ),
-                    FormValue.zero(n),
-                )
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
-    )
+    zero = 0 * FormValue.scalar(n, unit_of(theta))
+    conj = CurvatureMatrix([[sum(((U[i][a] * U[j][b].conjugate()) * theta.entries[a][b]
+                                  for a in range(r) for b in range(r)), zero)
+                             for j in range(r)] for i in range(r)])
     s1 = symbolic_pushforward(theta)
     s2 = symbolic_pushforward(conj)
     return max((x - y).max_abs() for x, y in zip(s1, s2))

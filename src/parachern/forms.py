@@ -2,17 +2,19 @@
 
 Coefficients come in two modes: exact Gaussian rationals for identity
 checks, and complex floats for positivity sampling.  The mode is decided in
-one place, :func:`exact_mode`, from the store each form holds: an exact zero
-stays exact, and a form built with no QQi is float.  Every constant that
-depends on the mode is built from one unit, :func:`unit_of`, QQi(1) or
-1.0.  A float coefficient may be a numpy array over a batch of points; it
-is dropped only when it is zero at every point, and the queries reduce over
-its points as over the coefficients.  Exterior monomials are stored in the
-canonical order dz factors ascending, then dzbar factors ascending; all
-wedge signs are normalized to that order.  The :class:`FormValue`
-constructor, the one way a coefficient enters a form, rejects any other key
-with ValueError: each index tuple must be strictly increasing, and every
-index must lie in [0, dim).
+one place, :func:`exact_mode`, from the store of the one form, curvature
+matrix or Chern data computed on: an exact zero stays exact, a form built
+with no QQi is float, and no scalar decides.  Every constant and zero that
+depends on the mode is built from that structure, through one unit,
+:func:`unit_of`, QQi(1) or 1.0, or as 0 times one of its forms; a sum of
+two zeros is exact when either one is.  A float coefficient may be a numpy
+array over a batch of points; it is dropped only when it is zero at every
+point, and the queries reduce over its points as over the coefficients.
+Exterior monomials are stored in the canonical order dz factors ascending,
+then dzbar factors ascending; all wedge signs are normalized to that order.
+The :class:`FormValue` constructor, the one way a coefficient enters a
+form, rejects any other key with ValueError: each index tuple must be
+strictly increasing, and every index must lie in [0, dim).
 
 The exact scalar at the API is :class:`QQi`, Gaussian-integer numerators a,
 b over one integer denominator d, as (a + b*i)/d with d > 0 and
@@ -309,7 +311,8 @@ class FormValue:
 
     def __add__(self, other):
         self._check(other)
-        if not other._terms:
+        # a sum of two zeros is exact when either one is, in either order
+        if not other._terms and (self._terms or other._d is None):
             return self
         if self._d is None and other._d is None:
             out = dict(self._terms)
@@ -568,15 +571,18 @@ class CurvatureMatrix:
 
     @classmethod
     def scalar_times_identity(cls, omega: FormValue, rank: int) -> "CurvatureMatrix":
-        zero = FormValue.zero(omega.dim)
+        """omega on the diagonal and 0 * omega, the zero of omega's store,
+        off it."""
+        zero = 0 * omega
         return cls(
             [[omega if i == j else zero for j in range(rank)] for i in range(rank)]
         )
 
     def conjugated(self, d: Sequence) -> "CurvatureMatrix":
-        """diag(d) . Theta . diag(d)^-1, entrywise d_i * Theta_ij / d_j."""
-        one, r = unit_of(self, *d), self.rank
-        return CurvatureMatrix([[(d[i] * (one / d[j])) * self.entries[i][j] for j in range(r)]
+        """diag(d) . Theta . diag(d)^-1, entrywise (d_i / d_j) * Theta_ij.
+        The factors decide no mode, so an exact matrix takes QQi factors."""
+        r = self.rank
+        return CurvatureMatrix([[(d[i] / d[j]) * self.entries[i][j] for j in range(r)]
                                 for i in range(r)])
 
 
@@ -636,35 +642,29 @@ class ChernData:
         return self.forms[k]
 
 
-def exact_mode(*items) -> bool:
-    """True when a computation on ``items`` runs over Q(i), False when it
-    runs over complex floats.  Forms, curvature matrices, Chern data and
-    scalars are read in order.  The first form that has an exact store, even
-    with no coefficient, or that stores a coefficient decides by its store,
-    so an exact zero stays exact.  A form built with no QQi is float, such as
-    :meth:`FormValue.zero` or a monomial with the int default, and an empty
-    one decides nothing.  So a scalar passed after the structure, such as a
-    conjugation factor, decides only then; only a QQi scalar is exact."""
-    for item in items:
-        if isinstance(item, FormValue):
-            forms = (item,)
-        elif isinstance(item, CurvatureMatrix):
-            forms = (f for row in item.entries for f in row)
-        elif isinstance(item, ChernData):
-            forms = item.forms
-        elif item is None:
-            continue
-        else:
-            return isinstance(item, QQi)
-        for f in forms:
-            if f._terms or f._d is not None:
-                return f._d is not None
-    return False
+def exact_mode(item) -> bool:
+    """True when a computation on ``item``, one form, curvature matrix or
+    Chern data, runs over Q(i), False when it runs over complex floats.  The
+    first of its forms that has an exact store, even with no coefficient, or
+    that stores a coefficient decides by its store, so an exact zero stays
+    exact.  A form built with no QQi is float, such as a monomial with the
+    int default, and an empty one decides nothing.  A scalar decides
+    nothing: any other item raises TypeError."""
+    if isinstance(item, FormValue):
+        forms = (item,)
+    elif isinstance(item, CurvatureMatrix):
+        forms = chain.from_iterable(item.entries)
+    elif isinstance(item, ChernData):
+        forms = item.forms
+    else:
+        raise TypeError(f"exact_mode reads a form, curvature matrix or Chern data, "
+                        f"got {type(item).__name__}")
+    return next((f._d is not None for f in forms if f._terms or f._d is not None), False)
 
 
-def unit_of(*items):
-    """QQi(1) when :func:`exact_mode` reads ``items`` as exact, else 1.0."""
-    return QQi(1) if exact_mode(*items) else 1.0
+def unit_of(item):
+    """QQi(1) when :func:`exact_mode` reads ``item`` as exact, else 1.0."""
+    return QQi(1) if exact_mode(item) else 1.0
 
 
 def _checked_unit(theta: CurvatureMatrix):

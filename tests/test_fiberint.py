@@ -18,6 +18,7 @@ from parachern.forms import (
     QQi,
     chern_forms,
     exact_mode,
+    random_exact_curvature,
     segre_forms,
 )
 from parachern import fiberint
@@ -451,6 +452,16 @@ class TestSymbolicPushforward:
         ref = segre_forms(chern_forms(theta), n)
         assert max((got - want).max_abs() for got, want in zip(s, ref)) < 1e-11
 
+    def test_float_coefficient_arrays_stay_complex(self):
+        """The exact moment weights enter through the unit 1.0, so a float
+        curvature with coefficient arrays over points pushes forward to
+        complex arrays, not to arrays of Python objects."""
+        rng = np.random.default_rng(12)
+        T = rng.normal(size=(3, 2, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2, 2))
+        s = symbolic_pushforward(CurvatureMatrix.from_tensor(T))
+        assert all(np.asarray(c).dtype == np.complex128 for f in s for c in f.coeffs.values())
+        assert any(np.ndim(c) == 1 for f in s[1:] for c in f.coeffs.values())
+
 
 class TestUnitaryInvariance:
     def test_householder_is_exact_unitary(self):
@@ -468,6 +479,16 @@ class TestUnitaryInvariance:
         theta = rand_exact_hermitian_curvature(rng, 3, 2)
         U = householder_unitary([QQi(2), QQi(Fraction(1, 3), 1), QQi(0, Fraction(-1, 2))])
         assert unitary_invariance_probe(theta, U) == 0.0
+
+    def test_probe_is_zero_on_exact_zero_curvatures(self):
+        """Each entry of U Theta U* is summed from the zero of Theta's unit,
+        so an exact zero curvature, whose entries store no coefficient,
+        stays exact and its probe reads 0."""
+        theta = random_exact_curvature(random.Random(9), 1, 1)
+        assert not theta.entries[0][0].keys() and exact_mode(theta)
+        assert unitary_invariance_probe(theta, [[QQi(1)]]) == 0.0
+        zero = CurvatureMatrix.scalar_times_identity(0 * FormValue.scalar(2, QQi(1)), 2)
+        assert unitary_invariance_probe(zero, [[0, 1], [1, 0]]) == 0.0
 
     def test_householder_rejects_zero(self):
         with pytest.raises(ValueError):

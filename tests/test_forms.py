@@ -29,6 +29,7 @@ from parachern.forms import (
     random_qqi,
     schur_form,
     segre_forms,
+    unit_of,
     volume_ratio,
     weak_positivity_test,
     _elementary,
@@ -793,6 +794,47 @@ def test_chern_data_past_the_rank_keeps_its_store():
     assert exact_mode(c[3]) and c[3].is_zero()
     c = chern_forms(normalized(random_float_curvature(np.random.default_rng(1), 2, 2)))
     assert not exact_mode(c[3]) and c[3].is_zero()
+
+
+def test_a_sum_of_two_zeros_is_exact_when_either_is():
+    """An exact zero plus a float zero is exact in either order, so the
+    order of a sum does not pick its store; two float zeros stay float."""
+    ez = 0 * FormValue.scalar(1, QQi(1))
+    assert exact_mode(FormValue.zero(1) + ez) and exact_mode(ez + FormValue.zero(1))
+    assert exact_mode(ez + ez)
+    assert not exact_mode(FormValue.zero(1) + FormValue.zero(1))
+
+
+def test_only_a_structure_decides_the_mode():
+    """exact_mode and unit_of read one form, curvature matrix or Chern
+    data.  A scalar, such as a conjugation factor, or None decides nothing:
+    it raises TypeError, and so does a second argument."""
+    theta = forms_random_exact_curvature(random.Random(1), 2, 1)
+    assert unit_of(theta) == QQi(1) and unit_of(chern_forms(theta)) == QQi(1)
+    for item in (QQi(1), 1.0, 2, None):
+        with pytest.raises(TypeError):
+            exact_mode(item)
+    with pytest.raises(TypeError):
+        unit_of(theta, QQi(2))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_scalar_times_identity_fills_the_off_diagonal_from_omega(exact):
+    """The off-diagonal entries are 0 * omega, the zero of omega's own
+    store: exact for an exact omega, float for a float one."""
+    omega = FormValue.monomial(2, (0,), (1,), QQi(1, 2) if exact else 0.5j)
+    theta = CurvatureMatrix.scalar_times_identity(omega, 3)
+    for i, j in permutations(range(3), 2):
+        assert theta.entries[i][j].is_zero()
+        assert exact_mode(theta.entries[i][j]) == exact
+    assert all(theta.entries[i][i] is omega for i in range(3))
+
+
+def test_schur_of_the_empty_partition_is_c0():
+    """The empty partition, zero parts dropped included, gives c_0."""
+    c = chern_forms(forms_random_exact_curvature(random.Random(5), 3, 2))
+    for lam in ((), (0,), (0, 0)):
+        assert schur_form(lam, c) == c[0] == FormValue.scalar(2, QQi(1))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,6 +1,7 @@
 """Monge-Ampere solver on the flat torus model."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +188,29 @@ class TestNormalize:
         raw = fixture_problem("perturbed", 16, eps=1.0)
         assert raw.rhs().min() > 0
         with pytest.raises(HypothesisError, match="eta must be positive"):
+            normalize_problem(raw)
+
+    def test_rejects_when_no_positive_rescale_exists(self):
+        """With c_1 = 0.2 I, c_2 = 5 and eta = 1, the mean of the KL density
+        exceeds r(r+1) mean det(c_1/r), so only a negative rescale of eta
+        would make the problem compatible."""
+        raw = constant_problem(M=8, r=2, c=0.2, c2val=5.0, etaval=1.0)
+        assert raw.rhs().min() > 0
+        with pytest.raises(HypothesisError, match="no positive rescale achieves compatibility"):
+            normalize_problem(raw)
+
+    def test_rejects_a_rescale_that_loses_positivity(self):
+        """With c_1 = 0.5 I, a KL density of cos 2 pi x_1 and eta = 2, the
+        raw right side is positive, but the rescale shrinks eta below the
+        KL density's minimum -1."""
+        M, r = 8, 2
+        x1, _ = grid_coordinates(M)
+        c1 = np.broadcast_to(0.5 * np.eye(2), (M, M, 2, 2)).copy()
+        c2 = (2 * r * np.cos(2 * np.pi * x1) + (r - 1) * wedge_density(c1, c1)) / (2 * r)
+        raw = MAProblem(r, TorusField("(1,1)", c1), TorusField("(2,2)", c2),
+                        TorusField("(2,2)", np.full((M, M), 2.0)))
+        assert raw.rhs().min() > 0
+        with pytest.raises(HypothesisError, match="rescaled right side lost positivity"):
             normalize_problem(raw)
 
     def test_rejects_nonpositive_background(self):
@@ -506,6 +530,19 @@ class TestNewtonKrylov:
             assert ("no convergence after 1 iterations" in message) != below
             assert "residual reached" in message
             assert f"roundoff floor {floor:.1e})" in message
+
+    def test_inner_stall_names_the_residual_and_the_floor(self, monkeypatch):
+        """An inner solve cut at one GMRES step stalls, and solve names the
+        residual reached and the roundoff floor, as for an outer stall."""
+        prob = normalize_problem(fixture_problem("hermite-einstein", 16))
+        floor = masolver._roundoff_floor(prob)
+        monkeypatch.setattr(masolver, "GMRES_MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError) as exc:
+            solve(prob)
+        message = str(exc.value)
+        assert message.startswith("inner linear solve stalled after 1 GMRES steps (")
+        assert re.search(r"\(residual reached \d\.\d{3}e[-+]\d\d, ", message)
+        assert message.endswith(f"roundoff floor {floor:.1e})")
 
     def test_roundoff_floor_does_not_grow_with_M(self):
         floors = [masolver._roundoff_floor(normalize_problem(fixture_problem("hermite-einstein", M)))

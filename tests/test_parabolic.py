@@ -290,6 +290,18 @@ def test_stability_stable_case():
     assert is_stable(e, [cand]).verdict == "stable"
 
 
+def test_stability_semistable_names_the_equal_slope_candidate():
+    """A candidate whose slope equals the model's makes it semistable, with
+    that candidate as the witness; a lower one does not."""
+    e = ParabolicModel(rank=2, degree=1, points={"p": (F(1, 4), F(3, 4))})
+    lower = ParabolicModel(rank=1, degree=0, points={"p": (F(3, 4),)})
+    equal = ParabolicModel(rank=1, degree=1)
+    assert slope(equal) == slope(e) == 1
+    v = is_stable(e, [lower, equal])
+    assert v.verdict == "semistable"
+    assert v.witness is equal
+
+
 def test_stability_rank_guard():
     e = ParabolicModel(rank=2, degree=0)
     with pytest.raises(InvalidModelError):

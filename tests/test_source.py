@@ -92,6 +92,23 @@ def test_no_private_names_imported_across_modules(path):
     assert not private, f"{path.name} imports private names: {private}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_zero_has_a_store_and_one_structure_decides_the_mode(path):
+    """No module calls FormValue.zero, a zero that holds no store, so every
+    zero is built from the store of what is computed on.  Every call of
+    exact_mode or unit_of passes exactly one argument, that structure, so
+    no scalar decides the mode."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    zeros = [call.lineno for call in calls if isinstance(call.func, ast.Attribute)
+             and call.func.attr == "zero" and getattr(call.func.value, "id", None) == "FormValue"]
+    assert not zeros, f"{path.name} calls FormValue.zero at lines {zeros}"
+    mode = [call.lineno for call in calls
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) in {"exact_mode", "unit_of"}
+            and (len(call.args) != 1 or call.keywords or isinstance(call.args[0], ast.Starred))]
+    assert not mode, f"{path.name} calls exact_mode or unit_of without one argument at lines {mode}"
+
+
 def _src_env():
     """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(parachern.__file__).parents[1])
