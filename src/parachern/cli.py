@@ -171,8 +171,12 @@ def _read_model(args, spec, default=None):
 
 
 def _write(outdir: Path, name: str, content: str):
+    """Write ``content`` to outdir/name as a new file: an old file of that
+    name is unlinked first, since truncating it and writing it again can
+    cost tens of milliseconds where a new file costs microseconds."""
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
+    path.unlink(missing_ok=True)
     path.write_text(content)
     log.info("wrote %s", path)
 

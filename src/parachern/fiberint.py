@@ -242,6 +242,15 @@ def moment_exact(m, s) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _reaches_diagonal(a: tuple, b: tuple, steps: int) -> bool:
+    """Whether the exponent pair (a, b) can still reach a = b in ``steps``
+    more factors of the twist.  Each factor adds at most one unit to a and
+    one to b, so the excess of a over b, sum (a - b)^+, and that of b over
+    a, sum (b - a)^+, each fall by at most one per factor."""
+    return max(sum(max(p - q, 0) for p, q in zip(a, b)),
+               sum(max(q - p, 0) for p, q in zip(a, b))) <= steps
+
+
 def symbolic_pushforward(theta: CurvatureMatrix) -> list[FormValue]:
     """Exact fiber integral of the Segre series 1/(1 + c_1(O(1))) over
     P^{r-1}: returns [s_0, s_1, ..., s_n] as base forms, n the base dimension.
@@ -255,7 +264,10 @@ def symbolic_pushforward(theta: CurvatureMatrix) -> list[FormValue]:
 
     where N_k = (sum Theta_AB x_A xbar_B)^k maps the exponent pair (a, b)
     of w^a wbar^b to a base (k,k)-form; unbalanced pairs integrate to
-    zero over the angles.  Theta is taken as given, the normalized
+    zero over the angles.  A pair is kept at step k only while it can still
+    reach a = b by step n (:func:`_reaches_diagonal`), so N_k holds no term
+    that s_k ... s_n would discard, and the kept terms are the same sums,
+    in the same order.  Theta is taken as given, the normalized
     curvature as :func:`~parachern.forms.chern_forms` reads it, and its
     store alone picks the arithmetic: each exact moment weight enters
     through the unit, so a float Theta with coefficient arrays keeps complex
@@ -275,7 +287,12 @@ def symbolic_pushforward(theta: CurvatureMatrix) -> list[FormValue]:
             for (a, b), val in power.items():
                 for xa, xb, entry in twist:
                     key = (tuple(map(add, a, xa)), tuple(map(add, b, xb)))
-                    nxt[key] = nxt.get(key, zero) + val.wedge(entry)
+                    acc = nxt.get(key)
+                    if acc is None:
+                        if not _reaches_diagonal(*key, n - k):
+                            continue
+                        acc = zero
+                    nxt[key] = acc + val.wedge(entry)
             power = nxt
         weight = (-1) ** k * math.comb(d + k, d) * math.factorial(d)
         s_k = zero

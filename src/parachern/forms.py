@@ -33,6 +33,8 @@ for every pair of terms whose indices do not overlap, the output slot and
 sign.  An exact :meth:`FormValue.wedge` runs the plan on the stored
 numerators: it sums the Gaussian-integer products a1*a2 - b1*b2 and
 a1*b2 + b1*a2 of each output coefficient over the one denominator d1*d2.
+An exact operand whose one key is the 0-form runs no plan: it scales the
+other's numerators, in the other's key order, which is the plan's.
 A float wedge adds sign * (c1 * c2) in the plan's order, which is the order
 of a loop over the terms, so float results keep that loop's bits.
 
@@ -48,9 +50,10 @@ The first uses Newton's identities on the power traces p_k = tr X^k.  At
 m = 3 they come from the closed walks grouped by rotation,
 :func:`_rotation_traces`, with no matrix power; otherwise p_k =
 tr(X^(k - k//2) X^(k//2)), which forms X^j for j <= ceil(m/2) only.  The
-oracle and :func:`schur_form`, the dual Jacobi-Trudi determinant in the
-Chern forms, use one division-free Berkowitz recursion, :func:`_elementary`,
-with no power trace.
+oracle uses a division-free Berkowitz recursion, :func:`_elementary`, with
+no power trace.  :func:`schur_form`, the dual Jacobi-Trudi determinant in
+the Chern forms, sums the integer Chern-monomial expansion of that
+determinant, cached per partition by :func:`_schur_table`.
 
 Exact computations use the standard library alone.  numpy is imported inside
 the float functions that call it, at the first call:
@@ -389,7 +392,16 @@ class FormValue:
         every output coefficient is two sums of Gaussian-integer products
         of the stored numerators, over d1*d2, and the result is brought to
         canonical form once.  Keys come in the plan's order, which is the
-        generic loop's."""
+        generic loop's.  An operand whose one key is the 0-form ((), ()) runs
+        no plan: the other's numerators times its scalar, in the other's
+        key order, which is the plan's."""
+        for scalar, form in ((self, other), (other, self)):
+            if len(scalar._terms) == 1 and ((), ()) in scalar._terms:
+                p, q = scalar._terms[(), ()]
+                # a nonzero Gaussian integer times a nonzero one is nonzero
+                return FormValue._of(self.dim, *_canonical(
+                    {k: (a * p - b * q, a * q + b * p) for k, (a, b) in form._terms.items()},
+                    self._d * other._d))
         keys, pairs = _wedge_plan(tuple(self._terms), tuple(other._terms))
         left, right = list(self._terms.values()), list(other._terms.values())
         re, im = [0] * len(keys), [0] * len(keys)
@@ -786,14 +798,45 @@ def segre_forms(c: ChernData, max_degree: int) -> list[FormValue]:
     return s
 
 
+@lru_cache(maxsize=256)
+def _schur_table(dual: tuple) -> tuple:
+    """The dual Jacobi-Trudi determinant det(c_{dual_i - i + j}) expanded
+    into Chern monomials: ((monomial, coefficient), ...), each monomial an
+    ascending tuple of indices k >= 1 (c_0 = 1 drops out) with a nonzero
+    integer coefficient, monomials in ascending order: dual = (1, 1, 1, 1)
+    gives S_(4) = -c4 + 2 c1 c3 + c2^2 - 3 c1^2 c2 + c1^4.  Cofactor
+    expansion along the first row, each minor, fixed by its columns,
+    expanded once.  Cached, with a bound of 256 partitions."""
+    ell = len(dual)
+
+    @lru_cache(maxsize=None)
+    def minor(cols: tuple) -> dict:  # rows ell - len(cols) .. ell - 1
+        if not cols:
+            return {(): 1}
+        i, out = ell - len(cols), {}
+        for pos, j in enumerate(cols):
+            k = dual[i] - i + j
+            if k < 0:
+                continue
+            for mono, coef in minor(cols[:pos] + cols[pos + 1:]).items():
+                mono = tuple(sorted(mono + (k,))) if k else mono
+                out[mono] = out.get(mono, 0) + (-coef if pos % 2 else coef)
+        return {mono: coef for mono, coef in out.items() if coef}
+
+    return tuple(sorted(minor(tuple(range(ell))).items()))
+
+
 def schur_form(lam: Sequence[int], c: ChernData) -> FormValue:
     """Dual Jacobi-Trudi determinant det(c_{lam'_i - i + j}) of the conjugate
-    partition lam', so that S_(2) = c1^2 - c2 and S_(1,1) = c2, as e_l of
-    the l x l matrix, l = lam_1.  It reads the Chern forms alone, with no
-    Segre form (Macdonald, Symmetric Functions and Hall Polynomials, I.3,
-    (3.5); Fulton, Intersection Theory, 14.5).  Zero parts are dropped; a
-    negative part, or one that is not an integer (a bool included),
-    raises."""
+    partition lam', so that S_(2) = c1^2 - c2 and S_(1,1) = c2.  It reads
+    the Chern forms alone, with no Segre form (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.3, (3.5); Fulton, Intersection Theory,
+    14.5): the integer sum over Chern monomials of :func:`_schur_table`,
+    each product wedged once per call, keyed by its prefix, and a
+    one-factor monomial c_k itself.  Monomials with an index above the rank
+    vanish and are skipped; above the base dimension, |lam| > n, the form is
+    the zero of c's store.  Zero parts are dropped; a negative part, or one
+    that is not an integer (a bool included), raises."""
     if any(isinstance(x, bool) or not isinstance(x, Integral) for x in lam):
         raise ValueError(f"partition parts must be integers, got {tuple(lam)!r}")
     if any(x < 0 for x in lam):
@@ -805,12 +848,21 @@ def schur_form(lam: Sequence[int], c: ChernData) -> FormValue:
         raise ValueError("partition longer than the rank")
     if not lam:
         return c[0]
-    dual = [sum(1 for x in lam if x > i) for i in range(lam[0])]
-    ell, zero = len(dual), 0 * c[0]
-    # rows and columns reversed, which keeps det: short parts lead, fewer terms
-    M = [[c[k] if k >= 0 else zero for k in range(x + i, x + i - ell, -1)]
-         for i, x in enumerate(reversed(dual))]
-    return _elementary(M, ell, c[0])[ell]
+    total = 0 * c[0]
+    if sum(lam) > c.dim:
+        return total
+    products = {}  # prefix of a monomial -> its wedge product
+    for mono, coef in _schur_table(tuple(sum(1 for x in lam if x > i) for i in range(lam[0]))):
+        if mono[-1] > c.rank:
+            continue
+        f = c[mono[0]]
+        for end in range(2, len(mono) + 1):
+            prefix = mono[:end]
+            if prefix not in products:
+                products[prefix] = f.wedge(c[prefix[-1]])
+            f = products[prefix]
+        total = total + (f if coef == 1 else coef * f)
+    return total
 
 
 def kobayashi_lubke_rhs(c: ChernData, r: int) -> FormValue:

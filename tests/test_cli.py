@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parachern import cli, forms, localmodel
+from parachern import cli, fiberint, forms, localmodel
 from parachern.fiberint import FiberQuadrature
 from parachern.forms import ChernData, CurvatureMatrix, FormValue, QQi
 from parachern.parabolic import ParabolicModel
@@ -383,6 +383,17 @@ class TestPushforward:
         rep = read_report(tmp_path, "pushforward")
         assert abs(rep["quadrature"]["value"] - rep["closedForm"]) < 1e-10 and not rep["pass"]
 
+    def test_pruning_one_step_too_eager_fails(self, tmp_path, monkeypatch):
+        """A seeded fault in the exact series check: the push-forward's
+        pruning bound one step too small drops pairs that still reach the
+        diagonal, and the comparison with segre_forms rejects it."""
+        reaches = fiberint._reaches_diagonal
+        monkeypatch.setattr(fiberint, "_reaches_diagonal",
+                            lambda a, b, steps: reaches(a, b, steps - 1))
+        assert run(tmp_path, "pushforward", "--samples", "10") == 1
+        rep = read_report(tmp_path, "pushforward")
+        assert rep["maxCoeffDeviation"] > 0 and not rep["pass"]
+
 
 def write_csv_fields(tmp_path, M, first_entry=None):
     """CSV files of the constant fixture on the M x M grid, with the first
@@ -519,6 +530,18 @@ class TestReproducibility:
         assert names == sorted(path.name for path in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_report_over_a_longer_stale_file_holds_the_new_bytes(self, tmp_path):
+        """A report written where a longer file of the same name stands
+        holds exactly the bytes of a report written to an empty directory."""
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        stale.mkdir()
+        (stale / "chern_report.json").write_text("{" + " " * 100_000 + "}")
+        for out in (fresh, stale):
+            assert cli.main(["chern", "--samples", "2", "--out", str(out)]) == 0
+        new = (fresh / "chern_report.json").read_bytes()
+        assert len(new) < 100_000
+        assert (stale / "chern_report.json").read_bytes() == new
 
     def test_seed_changes_monte_carlo(self, tmp_path):
         run(tmp_path, "pushforward", "--samples", "10", "--seed", "1")

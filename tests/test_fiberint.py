@@ -462,6 +462,58 @@ class TestSymbolicPushforward:
         assert all(np.asarray(c).dtype == np.complex128 for f in s for c in f.coeffs.values())
         assert any(np.ndim(c) == 1 for f in s[1:] for c in f.coeffs.values())
 
+    @pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 6) for n in range(1, 5)])
+    def test_pruning_keeps_values_and_key_order(self, r, n):
+        """symbolic_pushforward, which drops the exponent pairs that cannot
+        reach the diagonal, equals (==) the loop that carries every pair,
+        with each s_k's keys in the same order (one seed at (5, 4), where
+        the full loop takes about a second)."""
+        for seed in range(1 if (r, n) == (5, 4) else 2):
+            theta = random_exact_curvature(random.Random(f"prune:{r}:{n}:{seed}"), r, n)
+            got, want = symbolic_pushforward(theta), unpruned_pushforward(theta)
+            assert got == want
+            assert [list(f.keys()) for f in got] == [list(f.keys()) for f in want]
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 3)])
+    def test_pruning_one_step_too_eager_is_caught(self, r, n, monkeypatch):
+        """A seeded fault: the pruning bound one step too small, n - k - 1,
+        drops pairs that still reach the diagonal, and the push-forward no
+        longer equals segre_forms(chern_forms(theta))."""
+        reaches = fiberint._reaches_diagonal
+        monkeypatch.setattr(fiberint, "_reaches_diagonal",
+                            lambda a, b, steps: reaches(a, b, steps - 1))
+        theta = random_exact_curvature(random.Random(f"eager:{r}:{n}"), r, n)
+        assert symbolic_pushforward(theta) != segre_forms(chern_forms(theta), n)
+
+
+def unpruned_pushforward(theta):
+    """symbolic_pushforward's loop without the pruning: N_k carries every
+    exponent pair (a, b), including those that can no longer reach a = b."""
+    r, n = theta.rank, theta.dim
+    d = r - 1
+    x = [tuple(int(A == i + 1) for i in range(d)) for A in range(r)]
+    twist = [(x[A], x[B], theta.entries[A][B]) for A in range(r) for B in range(r)]
+    one = QQi(1) if exact_mode(theta) else 1.0
+    unit = FormValue.scalar(n, one)
+    zero = 0 * unit
+    power = {(x[0], x[0]): unit}
+    out = []
+    for k in range(n + 1):
+        if k:
+            nxt = {}
+            for (a, b), val in power.items():
+                for xa, xb, entry in twist:
+                    key = (tuple(p + q for p, q in zip(a, xa)), tuple(p + q for p, q in zip(b, xb)))
+                    nxt[key] = nxt.get(key, zero) + val.wedge(entry)
+            power = nxt
+        weight = (-1) ** k * math.comb(d + k, d) * math.factorial(d)
+        s_k = zero
+        for (a, b), val in power.items():
+            if a == b:
+                s_k = s_k + (one * (weight * moment_exact(a, d + 1 + k))) * val
+        out.append(s_k)
+    return out
+
 
 class TestUnitaryInvariance:
     def test_householder_is_exact_unitary(self):

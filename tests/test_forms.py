@@ -34,6 +34,7 @@ from parachern.forms import (
     weak_positivity_test,
     _elementary,
     _merge_sign,
+    _schur_table,
     _wedge_plan,
 )
 
@@ -1158,6 +1159,87 @@ def test_schur_forms_match_giambelli_expansion(r, n):
     assert len(lams) == {(3, 4): 4 + 3 + 2 + 1, (5, 3): 6}[r, n]
     for lam in lams:
         assert schur_form(lam, c) == reference_schur_form(lam, c), lam
+
+
+def berkowitz_schur_form(lam, c):
+    """The dual Jacobi-Trudi determinant det(c_{lam'_i - i + j}) as e_l of
+    the l x l matrix, l = lam_1, by the Berkowitz recursion of
+    _elementary, rows and columns reversed: schur_form's route before it
+    read a table of Chern monomials."""
+    lam = [x for x in lam if x > 0]
+    if not lam:
+        return c[0]
+    dual = [sum(1 for x in lam if x > i) for i in range(lam[0])]
+    ell, zero = len(dual), 0 * c[0]
+    M = [[c[k] if k >= 0 else zero for k in range(x + i, x + i - ell, -1)]
+         for i, x in enumerate(reversed(dual))]
+    return _elementary(M, ell, c[0])[ell]
+
+
+def test_schur_table_rows():
+    """The row of (4,), whose conjugate is (1, 1, 1, 1), is h_4 in the
+    Chern classes; (1, 1, 1, 1) is c_4 alone, and (2, 1) is c1 c2 - c3."""
+    assert dict(_schur_table((1, 1, 1, 1))) == {
+        (4,): -1, (1, 3): 2, (2, 2): 1, (1, 1, 2): -3, (1, 1, 1, 1): 1}
+    assert dict(_schur_table((4,))) == {(4,): 1}
+    assert dict(_schur_table((2, 1))) == {(1, 2): 1, (3,): -1}
+    monomials = [mono for mono, _ in _schur_table((1, 1, 1, 1))]
+    assert monomials == sorted(monomials) and all(list(m) == sorted(m) for m in monomials)
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 7) for n in range(1, 5)])
+def test_schur_table_matches_the_berkowitz_route(r, n):
+    """Over Q(i), schur_form equals (==) the Berkowitz dual Jacobi-Trudi
+    route for every partition of size at most n and length at most r, the
+    monomials with an index above the rank skipped; a float copy of the
+    curvature stays within FLOAT_RTOL of that route."""
+    lams = [lam for k in range(n + 1) for lam in partitions(k, k) if len(lam) <= r]
+    for seed in range(2):
+        theta = random_exact_curvature(np.random.default_rng([r, n, seed, 35]), r, n)
+        c = chern_forms(theta)
+        for lam in lams:
+            assert schur_form(lam, c) == berkowitz_schur_form(lam, c), lam
+        c = chern_forms(CurvatureMatrix([[FormValue(n, {k: complex(v) for k, v in f.coeffs.items()})
+                                          for f in row] for row in theta.entries]))
+        for lam in lams:
+            assert_close(schur_form(lam, c), berkowitz_schur_form(lam, c))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_schur_above_the_dimension_is_the_zero_of_the_store(exact, monkeypatch):
+    """|lam| > n returns the zero form of c's store at once, with no table:
+    (12,) on a surface."""
+    def no_table(dual):
+        raise AssertionError("schur_form expanded a partition above the dimension")
+
+    rng = np.random.default_rng([12, exact])
+    theta = (random_exact_curvature(rng, 3, 2) if exact
+             else normalized(random_float_curvature(rng, 3, 2)))
+    c = chern_forms(theta)
+    monkeypatch.setattr("parachern.forms._schur_table", no_table)
+    got = schur_form((12,), c)
+    assert got == 0 * c[0] and not got.keys() and exact_mode(got) == exact
+
+
+@pytest.mark.parametrize("r,wedges", [(4, 6), (3, 6), (2, 5), (1, 3)])
+def test_schur_wedges_each_prefix_once(r, wedges, monkeypatch):
+    """S_(4) = c1^4 - 3 c1^2 c2 + 2 c1 c3 + c2^2 - c4 on a 4-fold wedges the
+    prefixes c1 c1, c1^3, c1^4, c1^2 c2, c1 c3 and c2 c2 once each, and
+    c4 with no wedge; a monomial with an index above the rank r is skipped,
+    with the prefixes only it needs."""
+    c = chern_forms(random_exact_curvature(np.random.default_rng([r, 4]), r, 4))
+    calls = []
+    wedge = FormValue.wedge
+
+    def counted(self, other):
+        calls.append(1)
+        return wedge(self, other)
+
+    monkeypatch.setattr(FormValue, "wedge", counted)
+    got = schur_form((4,), c)
+    monkeypatch.undo()
+    assert len(calls) == wedges
+    assert got == berkowitz_schur_form((4,), c)
 
 
 @pytest.mark.parametrize("size", range(1, 7))
